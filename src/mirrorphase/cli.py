@@ -188,13 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, SweepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadratureError as exc:
+    except (ConfigError, DomainError, SweepError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,7 +138,9 @@ def angles_closed_form(theta: float, r: float) -> MixedAngles:
     through its conjugate form (r sin)^2 / (sqrt(...) + cos), which avoids
     the catastrophic cancellation the direct difference suffers once r
     decays far below |cos(theta)|. hypot keeps every intermediate finite
-    even when r^2 would underflow.
+    even when r^2 would underflow. Where r sin(theta) itself underflows to 0
+    with cos(theta) > 0, both terms of D vanish and the r -> 0 limit
+    (sin, cos) = (0, 1) is returned.
     """
     require_bloch_angle(theta)
     if not 0.0 < r <= 1.0:
@@ -147,6 +149,8 @@ def angles_closed_form(theta: float, r: float) -> MixedAngles:
     q = r * math.sin(theta)
     spread = math.hypot(c, q)
     if c >= 0.0:
+        if q == 0.0:
+            return MixedAngles(sin_theta_t=0.0, cos_theta_t=1.0)
         rise = (q / (spread + c)) * q
     else:
         rise = spread - c

@@ -225,7 +225,8 @@ def run_sweep(spec: SweepSpec) -> Dataset:
         except (DomainError, NoDecoherenceError, QuadratureError) as exc:
             if not spec.allow_errors:
                 coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
-                raise SweepError(f"sweep point failed at {coords}: {exc}",
+                where = f" at {coords}" if coords else ""
+                raise SweepError(f"sweep point failed{where}: {exc}",
                                  coordinates=dict(zip(names, combo))) from exc
             values = (math.nan,) * len(value_columns)
         rows.append(tuple(combo) + values)

@@ -1,6 +1,8 @@
 """Quadrature and root-finder behavior on known integrals and roots."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -78,6 +80,33 @@ class TestRootFinder:
     def test_no_sign_change(self):
         with pytest.raises(DomainError):
             find_root_bracketed(lambda x: -1.0, max_growth=20)
+
+    @pytest.mark.parametrize("f, root", [
+        (lambda x: 1e-12 * x - 2.0, 2e12),
+        # not representable, so f never reaches 0 and bisection must stop on
+        # a pair of adjacent floats
+        (lambda x: x - 2e12 - 1e-4, 2e12 + 1e-4),
+    ])
+    def test_root_coarser_than_xtol_terminates(self, f, root):
+        # near 2e12 adjacent floats are 2.4e-4 apart, far wider than xtol
+        assert abs(find_root_bracketed(f) - root) <= math.ulp(root)
+
+    def test_root_at_grown_bracket_end(self):
+        # the bracket grows 1 -> 2 -> 4 -> 8, landing exactly on the root
+        assert find_root_bracketed(lambda x: x - 8.0) == 8.0
+
+    @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 1e-12])
+    def test_result_within_xtol(self, xtol):
+        root = math.sqrt(2.0)
+        found = find_root_bracketed(lambda x: x * x - 2.0, xtol=xtol)
+        assert abs(found - root) <= xtol
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, mirrorphase; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestQuadratureSpec:

@@ -102,6 +102,11 @@ class TestAnglesClosedForm:
             assert math.isfinite(sin_t) and math.isfinite(cos_t)
             assert sin_t * sin_t + cos_t * cos_t == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.3, 1e-3])
+    def test_underflowing_coherence_gives_the_r_to_zero_limit(self, theta):
+        # r*sin(theta) rounds to 0 although r > 0
+        assert angles_closed_form(theta, 5e-324) == (0.0, 1.0)
+
     def test_zero_coherence_rejected(self):
         with pytest.raises(DomainError):
             angles_closed_form(math.pi / 3, 0.0)

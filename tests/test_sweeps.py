@@ -136,6 +136,13 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="gamma0=0.0"):
             run_sweep(spec)
 
+    def test_fail_fast_without_axes_names_no_coordinates(self):
+        spec = SweepSpec(target="decoherence_time",
+                         fixed={"gamma0": 0.0, "lambda": 1.0, "omega": 0.03,
+                                "velocity": 0.5})
+        with pytest.raises(SweepError, match=r"^sweep point failed: gamma0 = 0"):
+            run_sweep(spec)
+
     def test_error_rows_opt_in(self):
         spec = SweepSpec(
             target="decoherence_time",
