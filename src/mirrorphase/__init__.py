@@ -14,9 +14,8 @@ from .model import (ModelParams, decoherence_factor, decoherence_time,
                     im_inout_action)
 from .numerics import (QuadratureSpec, adaptive_simpson, find_root_bracketed,
                        gauss_legendre)
-from .qubit import (MixedAngles, ReducedState, angles_closed_form, bloch_cosine,
-                    density_matrix, eig_numeric, eigenvalue_gap,
-                    eigenvalues_closed_form, eigenvector_plus)
+from .qubit import (MixedAngles, angles_closed_form, bloch_cosine, eigenvalue_gap,
+                    eigenvalues_closed_form)
 from .phase import (PhaseResult, TWO_PI, circular_difference, dynamical_phase,
                     gp_exact, gp_kinematic_oracle, gp_perturbative, unitary_gp)
 from .sweeps import Axis, Dataset, SweepSpec, figure_preset, run_sweep
@@ -29,12 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis", "ConfigError", "Dataset", "DegenerateStateError", "DomainError",
     "MixedAngles", "ModelParams", "NoDecoherenceError", "PhaseResult",
-    "QuadratureError", "QuadratureSpec", "ReducedState", "SweepError",
-    "SweepSpec", "TWO_PI", "adaptive_simpson", "angles_closed_form",
-    "bloch_cosine", "circular_difference", "dataset_to_csv", "dataset_to_json",
-    "decoherence_factor", "decoherence_time", "density_matrix",
-    "dephasing_multiplier", "dynamical_phase", "eig_numeric", "eigenvalue_gap",
-    "eigenvalues_closed_form", "eigenvector_plus", "figure_preset",
+    "QuadratureError", "QuadratureSpec", "SweepError", "SweepSpec", "TWO_PI",
+    "adaptive_simpson", "angles_closed_form", "bloch_cosine",
+    "circular_difference", "dataset_to_csv", "dataset_to_json",
+    "decoherence_factor", "decoherence_time", "dephasing_multiplier",
+    "dynamical_phase", "eigenvalue_gap", "eigenvalues_closed_form", "figure_preset",
     "find_root_bracketed", "format_sweep_config", "friction_factor",
     "gauss_legendre", "gp_exact", "gp_kinematic_oracle", "gp_perturbative",
     "im_influence_action", "im_inout_action", "parse_sweep_config",

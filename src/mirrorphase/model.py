@@ -32,14 +32,16 @@ class ModelParams:
     omega0_tilde: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.gamma0 >= 0.0:
-            raise DomainError(f"gamma0 must be >= 0, got {self.gamma0}")
-        if not self.lambda_tilde >= 0.0:
-            raise DomainError(f"lambda_tilde must be >= 0, got {self.lambda_tilde}")
-        if not self.omega_tilde > 0.0:
-            raise DomainError(f"omega_tilde must be > 0, got {self.omega_tilde}")
-        if not self.omega0_tilde > 0.0:
-            raise DomainError(f"omega0_tilde must be > 0, got {self.omega0_tilde}")
+        if not 0.0 <= self.gamma0 < math.inf:
+            raise DomainError(f"gamma0 must be finite and >= 0, got {self.gamma0}")
+        if not 0.0 <= self.lambda_tilde < math.inf:
+            raise DomainError(
+                f"lambda_tilde must be finite and >= 0, got {self.lambda_tilde}")
+        if not 0.0 < self.omega_tilde < math.inf:
+            raise DomainError(f"omega_tilde must be finite and > 0, got {self.omega_tilde}")
+        if not 0.0 < self.omega0_tilde < math.inf:
+            raise DomainError(
+                f"omega0_tilde must be finite and > 0, got {self.omega0_tilde}")
         if not 0.0 <= self.velocity < 1.0:
             raise DomainError(
                 f"velocity must lie in [0, 1); got {self.velocity} "
@@ -47,8 +49,8 @@ class ModelParams:
 
 
 def _require_time(s: float) -> None:
-    if not s >= 0.0:
-        raise DomainError(f"time must be >= 0, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"time must be finite and >= 0, got {s}")
 
 
 def velocity_damping(velocity: float, omega_tilde: float) -> float:

@@ -2,20 +2,22 @@
 
 Two independent integration routes are provided on purpose: the adaptive
 Simpson rule is the workhorse, and a fixed-node Gauss-Legendre rule serves
-as a cross-check against silent bias in either method. Roots are found by
-growing a bracket geometrically and bisecting it in pure Python, so the
-package needs no solver library beyond numpy.
+as a cross-check against silent bias in either method. Both integrate in
+pure Python; only the Gauss-Legendre node table comes from numpy, which is
+imported when a rule size is first needed. Roots are found by growing a
+bracket geometrically and bisecting it in pure Python.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, QuadratureError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ADAPTIVE_SIMPSON = "adaptive-simpson"
 GAUSS_LEGENDRE = "gauss-legendre"
@@ -41,8 +43,8 @@ class QuadratureSpec:
         if self.method not in QUADRATURE_METHODS:
             raise DomainError(f"unknown quadrature method {self.method!r}; "
                               f"expected one of {QUADRATURE_METHODS}")
-        if not self.tolerance > 0.0:
-            raise DomainError("quadrature tolerance must be > 0")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError("quadrature tolerance must be finite and > 0")
         if self.max_depth < 1:
             raise DomainError("quadrature max_depth must be >= 1")
         if self.nodes < 2:
@@ -102,6 +104,8 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     rule = _GL_CACHE.get(nodes)
     if rule is None:
+        import numpy as np
+
         rule = np.polynomial.legendre.leggauss(nodes)
         _GL_CACHE[nodes] = rule
     return rule

@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, QuadratureError
 from .model import ModelParams, decoherence_factor, dephasing_multiplier
@@ -21,9 +20,14 @@ from .numerics import ADAPTIVE_SIMPSON, QuadratureSpec, adaptive_simpson, gauss_
 from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap,
                     eigenvalues_closed_form, require_bloch_angle)
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 DEGENERACY_GAP = 1e-6
+
+MAX_ORACLE_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,8 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
     not met.
     """
     require_bloch_angle(theta)
-    if not s_final >= 0.0:
-        raise DomainError(f"s_final must be >= 0, got {s_final}")
+    if not 0.0 <= s_final < math.inf:
+        raise DomainError(f"s_final must be finite and >= 0, got {s_final}")
     if quadrature is None:
         quadrature = QuadratureSpec()
 
@@ -99,20 +103,34 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
 
 
 def _angles_grid(theta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mirror of angles_closed_form over an array of r values."""
+    """Vectorized mirror of angles_closed_form over an array of r values.
+
+    r may underflow to 0 on the grid. Where r*sin(theta) is then 0 with
+    cos(theta) > 0, the r -> 0 limit (sin, cos) = (0, 1) is returned, as
+    the scalar route does; on the equator the angles do not depend on r.
+    """
+    import numpy as np
+
     c = bloch_cosine(theta)
+    if c == 0.0:
+        half = np.full(r.shape, math.sqrt(0.5))
+        return half, half
     q = r * math.sin(theta)
     spread = np.hypot(c, q)
-    if c >= 0.0:
+    if c > 0.0:
         rise = (q / (spread + c)) * q
-    else:
-        rise = spread - c
+        under = q == 0.0
+        norm = np.where(under, 1.0, np.hypot(q, rise))
+        return rise / norm, np.where(under, 1.0, q / norm)
+    rise = spread - c
     norm = np.hypot(q, rise)
     return rise / norm, q / norm
 
 
 def _kinematic_arg(params: ModelParams, theta: float, s_final: float,
                    step_count: int) -> float:
+    import numpy as np
+
     s = np.linspace(0.0, s_final, step_count + 1)
     h = s_final / step_count
     rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
@@ -144,15 +162,18 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     finite-difference connection, trapezoidal accumulation, the
     sqrt(eps_plus(s_final)*eps_plus(0)) weight (real positive, kept for
     fidelity to the definition), and a final argument. The step is checked
-    by recomputing at half step; an inconsistency above 1e-8 raises.
+    by recomputing at half step; an inconsistency above 1e-6 raises.
+    ``step_count`` may not exceed ``MAX_ORACLE_STEPS``: the grids cost
+    about 300 bytes per step.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """
     require_bloch_angle(theta)
-    if not s_final > 0.0:
-        raise DomainError(f"s_final must be > 0, got {s_final}")
-    if step_count < 10:
-        raise DomainError(f"step_count must be >= 10, got {step_count}")
+    if not 0.0 < s_final < math.inf:
+        raise DomainError(f"s_final must be finite and > 0, got {s_final}")
+    if not 10 <= step_count <= MAX_ORACLE_STEPS:
+        raise DomainError(f"step_count must lie in [10, {MAX_ORACLE_STEPS}], "
+                          f"got {step_count}")
     coarse = _kinematic_arg(params, theta, s_final, step_count)
     fine = _kinematic_arg(params, theta, s_final, 2 * step_count)
     # flags step counts too coarse for the decay rate; the residual O(h^2)

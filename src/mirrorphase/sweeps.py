@@ -26,13 +26,13 @@ TARGETS = ("decoherence_factor", "gp_exact", "gp_normalized",
 
 # name -> (validator, human description of the domain)
 _PARAMETER_DOMAINS = {
-    "gamma0": (lambda x: x >= 0.0, "gamma0 must be >= 0"),
-    "lambda": (lambda x: x >= 0.0, "lambda must be >= 0"),
-    "omega": (lambda x: x > 0.0, "omega must be > 0"),
+    "gamma0": (lambda x: 0.0 <= x < math.inf, "gamma0 must be finite and >= 0"),
+    "lambda": (lambda x: 0.0 <= x < math.inf, "lambda must be finite and >= 0"),
+    "omega": (lambda x: 0.0 < x < math.inf, "omega must be finite and > 0"),
     "velocity": (lambda x: 0.0 <= x < 1.0, "velocity must lie in [0, 1)"),
     "theta": (lambda x: 0.0 < x < math.pi,
               "theta must lie strictly inside (0, pi); the poles are excluded"),
-    "time": (lambda x: x >= 0.0, "time must be >= 0"),
+    "time": (lambda x: 0.0 <= x < math.inf, "time must be finite and >= 0"),
 }
 
 _MODEL_NAMES = ("gamma0", "lambda", "omega", "velocity")
@@ -57,6 +57,10 @@ TARGET_COLUMNS = {
 LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
+
+# run_sweep holds every row in memory, and writing a three-column dataset
+# peaks near 330 bytes per point; the cap keeps a sweep to a few hundred MB
+MAX_SWEEP_POINTS = 500_000
 
 
 @dataclass(frozen=True)
@@ -154,11 +158,16 @@ class SweepSpec:
         for name, value in self.fixed.items():
             _check_domain(name, value)
         for axis in self.axes:
-            for value in axis.grid():
+            # every parameter domain is an interval, and range grids run
+            # monotonically from min to max, so the endpoints decide
+            ends = axis.values if axis.scale == VALUES else (axis.start, axis.stop)
+            for value in ends:
                 _check_domain(axis.name, value, axis=True)
 
     def point_count(self) -> int:
-        return math.prod(len(axis.grid()) for axis in self.axes)
+        """Grid size, from the axis lengths alone."""
+        return math.prod(len(axis.values) if axis.scale == VALUES else axis.count
+                         for axis in self.axes)
 
 
 def _check_domain(name: str, value: float, axis: bool = False) -> None:
@@ -211,9 +220,14 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     Rows are ordered lexicographically by the axes (first axis slowest).
     By default any per-point failure aborts the sweep, reporting the
     offending coordinates; with ``allow_errors`` the failed points produce
-    NaN value columns instead.
+    NaN value columns instead. Grids of more than ``MAX_SWEEP_POINTS``
+    points are refused before any is evaluated.
     """
     spec.validate()
+    count = spec.point_count()
+    if count > MAX_SWEEP_POINTS:
+        raise DomainError(f"sweep has {count} points; at most {MAX_SWEEP_POINTS} "
+                          "are allowed")
     names = tuple(axis.name for axis in spec.axes)
     value_columns = TARGET_COLUMNS[spec.target]
     rows = []

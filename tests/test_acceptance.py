@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from mirrorphase import (ModelParams, circular_difference, dataset_to_csv,
-                         decoherence_factor, decoherence_time, density_matrix,
-                         eig_numeric, eigenvalues_closed_form, eigenvector_plus,
+                         decoherence_factor, decoherence_time, eigenvalues_closed_form,
                          figure_preset, gp_exact, gp_kinematic_oracle,
                          gp_perturbative, im_influence_action, run_sweep,
                          unitary_gp)
 
 from conftest import params_fig2, params_fig6, params_fig7
+from oracles import density_matrix, eig_numeric, eigenvector_plus
 
 TWO_PI = 2.0 * math.pi
 

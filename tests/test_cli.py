@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from mirrorphase import read_dataset_csv, run_sweep, figure_preset
+from mirrorphase import Axis, circular_difference, read_dataset_csv, run_sweep, figure_preset
+from mirrorphase import phase as phase_module
 from mirrorphase.cli import main
 
 DECO_FLAGS = ["--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
@@ -86,6 +87,19 @@ class TestPhaseCommand:
         fields = record_fields(capsys.readouterr().out.strip())
         assert 0.0 <= float(fields["phase"]) < 2.0 * math.pi
 
+    @pytest.mark.parametrize("theta,expected", [
+        ("0.3", 6.283174672551649), ("0.5pi", 0.0), ("0.7pi", 0.0),
+    ])
+    def test_oracle_with_underflowed_coherence_is_finite(self, theta, expected):
+        # the decay rate is about 1090, so r underflows to 0 early in the grid
+        result = run_cli(["phase", "--gamma0", "1", "--lambda", "15", "--omega", "0.01",
+                          "--velocity", "0.95", "--theta", theta, "--method", "oracle",
+                          "--periods", "2"])
+        assert result.returncode == 0
+        assert result.stderr == ""
+        phase = float(record_fields(result.stdout.strip())["phase"])
+        assert circular_difference(phase, expected) < 1e-3
+
     def test_pole_exits_2_and_names_the_unitary_formula(self, capsys):
         assert main(["phase", "--theta", "0", *DECO_FLAGS]) == 2
         assert "pi*(1+cos(theta))" in capsys.readouterr().err
@@ -158,6 +172,75 @@ count = 4
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg"),
                      "-o", str(tmp_path / "out.csv")]) == 3
+
+
+INF_TIME_CONFIG = """\
+target = decoherence_factor
+gamma0 = 0.05
+lambda = 5
+omega = 0.03
+velocity = 0.5
+time = inf
+"""
+
+HUGE_SWEEP_CONFIG = """\
+target = decoherence_factor
+gamma0 = 0.05
+lambda = 5
+omega = 0.03
+velocity = 0.5
+
+[axis.time]
+min = 0
+max = 10
+count = 1000000000
+"""
+
+
+def assert_one_line_error(capsys, names=""):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {names}")
+    assert err.count("\n") == 1
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv,names", [
+        (["decoherence", *DECO_FLAGS, "--time", "inf"], "time"),
+        (["decoherence", "--gamma0", "inf", "--lambda", "5", "--omega", "0.03",
+          "--velocity", "0.5", "--time", "1", "--solve-td"], "gamma0"),
+        (["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
+          "--s-final", "inf"], "s_final"),
+    ], ids=["time", "gamma0", "s_final"])
+    def test_flag_exits_2(self, argv, names, capsys):
+        assert main(argv) == 2
+        assert_one_line_error(capsys, names)
+
+    def test_sweep_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        config.write_text(INF_TIME_CONFIG)
+        assert main(["sweep", str(config), "-o", str(tmp_path / "out.csv")]) == 2
+        assert_one_line_error(capsys, "time")
+
+
+class TestAllocationCaps:
+    """Each cap trips before anything sized by the request is allocated."""
+
+    def test_oracle_steps(self, monkeypatch, capsys):
+        def no_grid(*args):
+            raise AssertionError("the oracle built a grid past the step cap")
+        monkeypatch.setattr(phase_module, "_kinematic_arg", no_grid)
+        assert main(["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
+                     "--steps", "1000000000"]) == 2
+        assert_one_line_error(capsys, "step_count")
+
+    def test_sweep_points(self, tmp_path, monkeypatch, capsys):
+        def no_grid(self):
+            raise AssertionError(f"axis {self.name!r} was enumerated")
+        monkeypatch.setattr(Axis, "grid", no_grid)
+        config = tmp_path / "huge.cfg"
+        config.write_text(HUGE_SWEEP_CONFIG)
+        assert main(["sweep", str(config), "-o", str(tmp_path / "out.csv")]) == 2
+        assert_one_line_error(capsys, "sweep has")
 
 
 class TestNumericFormatting:

@@ -30,6 +30,8 @@ class TestParams:
         dict(gamma0=-0.1), dict(lam=-1.0), dict(omega=0.0), dict(omega=-0.03),
         dict(omega0=0.0), dict(v=-0.1), dict(v=1.0), dict(v=1.5),
         dict(gamma0=math.nan), dict(v=math.nan),
+        dict(gamma0=math.inf), dict(lam=math.inf), dict(omega=math.inf),
+        dict(omega0=math.inf),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -96,6 +98,10 @@ class TestInfluenceAction:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             im_influence_action(make(), -0.1)
+
+    def test_infinite_time_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            im_influence_action(make(), math.inf)
 
 
 class TestDecoherenceFactor:

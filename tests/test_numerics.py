@@ -102,11 +102,42 @@ class TestRootFinder:
         assert abs(found - root) <= xtol
 
 
-def test_import_leaves_scipy_unloaded():
-    code = "import sys, mirrorphase; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "False"
+UNLOADED_PROBE = """\
+import sys
+import mirrorphase
+if sys.argv[1:]:
+    from mirrorphase.cli import main
+    assert main(sys.argv[1:]) == 0
+print(sorted(name for name in ("numpy", "scipy") if name in sys.modules))
+"""
+
+PHASE_FLAGS = ["phase", "--theta", "0.25pi", "--gamma0", "0.05", "--lambda", "5",
+               "--omega", "0.03", "--velocity", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["decoherence", "--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
+     "--velocity", "0.5", "--time", "1", "--solve-td"],
+    [*PHASE_FLAGS, "--method", "exact"],
+    ["figure", "3", "-o", "{tmp}/fig3.csv"],
+], ids=["import", "decoherence", "phase_exact", "figure"])
+def test_numpy_and_scipy_stay_unloaded(argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", UNLOADED_PROBE, *argv],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    [*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"],
+    [*PHASE_FLAGS, "--quad-method", "gauss-legendre", "--quad-tol", "1e-6"],
+], ids=["oracle", "gauss_legendre"])
+def test_numpy_routes_load_numpy_on_demand(argv):
+    proc = subprocess.run([sys.executable, "-m", "mirrorphase.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert 0.0 < float(proc.stdout.split()[1].split("=")[1]) < 2.0 * math.pi
 
 
 class TestQuadratureSpec:
@@ -117,7 +148,7 @@ class TestQuadratureSpec:
 
     @pytest.mark.parametrize("kwargs", [
         dict(method="trapezoid"), dict(tolerance=0.0), dict(tolerance=-1e-10),
-        dict(max_depth=0), dict(nodes=1),
+        dict(max_depth=0), dict(nodes=1), dict(tolerance=math.inf),
     ])
     def test_rejected(self, kwargs):
         with pytest.raises(DomainError):

@@ -110,6 +110,10 @@ class TestGpExact:
         with pytest.raises(DomainError):
             gp_exact(params_fig6(0.5), 0.3 * math.pi, s_final=-1.0)
 
+    def test_infinite_final_time_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            gp_exact(params_fig6(0.5), 0.3 * math.pi, s_final=math.inf)
+
 
 class TestAnglesGridMirror:
     @given(theta=st.floats(0.02 * math.pi, 0.98 * math.pi),
@@ -119,6 +123,16 @@ class TestAnglesGridMirror:
         grid_sin, grid_cos = _angles_grid(theta, np.array([r]))
         assert grid_sin[0] == pytest.approx(sin_t, abs=1e-15)
         assert grid_cos[0] == pytest.approx(cos_t, abs=1e-15)
+
+    @pytest.mark.parametrize("theta,limit", [
+        (0.3, (0.0, 1.0)), (1e-3, (0.0, 1.0)), (0.7 * math.pi, (1.0, 0.0)),
+        (0.5 * math.pi, (math.sqrt(0.5), math.sqrt(0.5))),
+    ])
+    def test_underflowed_coherence_gives_the_r_to_zero_limit(self, theta, limit):
+        with np.errstate(divide="raise", invalid="raise"):
+            grid_sin, grid_cos = _angles_grid(theta, np.array([0.0, 5e-324]))
+        assert list(grid_sin) == pytest.approx([limit[0]] * 2, abs=1e-15)
+        assert list(grid_cos) == pytest.approx([limit[1]] * 2, abs=1e-15)
 
 
 class TestKinematicOracle:
@@ -144,6 +158,10 @@ class TestKinematicOracle:
     def test_step_count_validated(self):
         with pytest.raises(DomainError):
             gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, step_count=5)
+
+    def test_infinite_final_time_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, s_final=math.inf)
 
     def test_returns_mod_two_pi(self):
         value = gp_kinematic_oracle(params_fig6(0.3), 0.1 * math.pi, step_count=20_000)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mirrorphase import (DegenerateStateError, DomainError, ModelParams,
-                         angles_closed_form, decoherence_factor, density_matrix,
-                         eig_numeric, eigenvalues_closed_form, eigenvector_plus)
+                         angles_closed_form, decoherence_factor, eigenvalues_closed_form)
+
+from oracles import density_matrix, eig_numeric, eigenvector_plus
 
 thetas = st.floats(min_value=0.02 * math.pi, max_value=0.98 * math.pi)
 rs = st.floats(min_value=0.01, max_value=1.0)

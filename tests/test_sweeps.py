@@ -10,6 +10,14 @@ from mirrorphase import (Axis, DomainError, ModelParams, SweepError, SweepSpec,
 TWO_PI = 2.0 * math.pi
 
 
+@pytest.fixture
+def no_grids(monkeypatch):
+    """Fail any test that enumerates an axis grid."""
+    def no_grid(self):
+        raise AssertionError(f"axis {self.name!r} was enumerated")
+    monkeypatch.setattr(Axis, "grid", no_grid)
+
+
 class TestAxis:
     def test_linear_grid_hits_endpoints(self):
         grid = Axis.linear("velocity", 0.1, 0.9, 5).grid()
@@ -92,6 +100,28 @@ class TestSweepSpecValidation:
                                 "theta": 0.25 * math.pi, "time": TWO_PI})
         with pytest.raises(DomainError, match="does not apply"):
             spec.validate()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(axes=(), fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03,
+                             "velocity": 0.5, "time": math.inf}),
+        dict(axes=(Axis.linear("time", 0.0, math.inf, 5),)),
+        dict(axes=(Axis.from_values("gamma0", (0.05, math.inf)),
+                   Axis.linear("time", 0.0, TWO_PI, 5)),
+             fixed={"lambda": 5.0, "omega": 0.03, "velocity": 0.5}),
+        dict(axes=(Axis.log("omega", 0.01, math.inf, 3),
+                   Axis.linear("time", 0.0, TWO_PI, 5)),
+             fixed={"gamma0": 0.05, "lambda": 5.0, "velocity": 0.5}),
+    ])
+    def test_infinite_values_rejected(self, overrides):
+        with pytest.raises(DomainError, match="finite"):
+            basic_spec(**overrides).validate()
+
+    def test_range_axes_checked_by_endpoints(self, no_grids):
+        spec = basic_spec(axes=(Axis.linear("time", 0.0, TWO_PI, 10**9),
+                                Axis.log("velocity", 1e-3, 0.9, 10**6)),
+                          fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03})
+        spec.validate()
+        assert spec.point_count() == 10**15
 
 
 class TestRunSweep:
