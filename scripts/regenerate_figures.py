@@ -4,7 +4,7 @@
 Usage:
   python scripts/regenerate_figures.py [--outdir data] [--format csv|json]
 
-Each file is self-describing (fixed parameters, grids, quadrature settings
+Each file is self-describing (version, target, grids and fixed parameters
 in the metadata block) and reproduces bit-identically across runs.
 """
 

@@ -12,8 +12,7 @@ from .errors import (ConfigError, DegenerateStateError, DomainError,
 from .model import (ModelParams, decoherence_factor, decoherence_time,
                     dephasing_multiplier, friction_factor, im_influence_action,
                     im_inout_action)
-from .numerics import (QuadratureSpec, adaptive_simpson, find_root_bracketed,
-                       gauss_legendre)
+from .numerics import adaptive_simpson, find_root_bracketed, gauss_legendre
 from .qubit import (MixedAngles, angles_closed_form, bloch_cosine, eigenvalue_gap,
                     eigenvalues_closed_form)
 from .phase import (PhaseResult, TWO_PI, circular_difference, dynamical_phase,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Axis", "ConfigError", "Dataset", "DegenerateStateError", "DomainError",
     "MixedAngles", "ModelParams", "NoDecoherenceError", "PhaseResult",
-    "QuadratureError", "QuadratureSpec", "SweepError", "SweepSpec", "TWO_PI",
+    "QuadratureError", "SweepError", "SweepSpec", "TWO_PI",
     "adaptive_simpson", "angles_closed_form", "bloch_cosine",
     "circular_difference", "dataset_to_csv", "dataset_to_json",
     "decoherence_factor", "decoherence_time", "dephasing_multiplier",

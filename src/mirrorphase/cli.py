@@ -11,7 +11,7 @@ import sys
 
 from .errors import ConfigError, DegenerateStateError, DomainError, QuadratureError, SweepError
 from .model import ModelParams, decoherence_factor, decoherence_time
-from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE, QuadratureSpec
+from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE
 from .phase import TWO_PI, gp_exact, gp_kinematic_oracle, gp_perturbative, unitary_gp
 from .datafiles import FORMATS, write_dataset
 from .sweepconfig import GRAMMAR_HELP, format_sweep_config, parse_number, parse_sweep_config
@@ -69,10 +69,9 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     params = _params(args)
     s_final = args.s_final if args.s_final is not None else \
         (args.periods * TWO_PI if args.periods is not None else TWO_PI)
-    quadrature = QuadratureSpec(method=args.quad_method, tolerance=args.quad_tol)
     try:
         if args.method == "exact":
-            result = gp_exact(params, args.theta, s_final=s_final, quadrature=quadrature)
+            result = gp_exact(params, args.theta, s_final=s_final, method=args.quad_method)
             record = [f"method=exact", f"phase={_fmt(result.phase)}",
                       f"normalized={_fmt(result.normalized)}",
                       f"quadrature_error={_fmt(result.quadrature_error)}",
@@ -154,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     total.add_argument("--s-final", type=_number, help="integrate up to this time")
     total.add_argument("--periods", type=_number, help="integrate over this many periods")
     phase.add_argument("--quad-method", choices=(ADAPTIVE_SIMPSON, GAUSS_LEGENDRE),
-                       default=ADAPTIVE_SIMPSON)
-    phase.add_argument("--quad-tol", type=_number, default=1e-10)
+                       default=ADAPTIVE_SIMPSON,
+                       help="integration rule of the exact method; gauss-legendre "
+                            "is a cross-check")
     phase.add_argument("--steps", type=int, default=100_000,
                        help="grid steps for the oracle method")
     phase.set_defaults(func=_cmd_phase)

@@ -31,12 +31,6 @@ def _metadata_lines(metadata: dict) -> list[str]:
         lines.append(f"# axis.{axis['name']} = {detail}")
     for name, value in metadata.get("fixed", {}).items():
         lines.append(f"# fixed.{name} = {_fmt(value)}")
-    quad = metadata.get("quadrature", {})
-    for key in ("method", "tolerance", "max_depth", "nodes"):
-        if key in quad:
-            value = quad[key]
-            text = _fmt(value) if isinstance(value, float) else str(value)
-            lines.append(f"# quadrature.{key} = {text}")
     lines.append(f"# allow_errors = {'true' if metadata.get('allow_errors') else 'false'}")
     return lines
 

@@ -4,14 +4,14 @@ Two independent integration routes are provided on purpose: the adaptive
 Simpson rule is the workhorse, and a fixed-node Gauss-Legendre rule serves
 as a cross-check against silent bias in either method. Both integrate in
 pure Python; only the Gauss-Legendre node table comes from numpy, which is
-imported when a rule size is first needed. Roots are found by growing a
-bracket geometrically and bisecting it in pure Python.
+imported when a rule size is first needed. The tolerance at which the phase
+is integrated is set in :mod:`mirrorphase.phase`, not here. Roots are found
+by growing a bracket geometrically and bisecting it in pure Python.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, QuadratureError
@@ -21,34 +21,6 @@ if TYPE_CHECKING:
 
 ADAPTIVE_SIMPSON = "adaptive-simpson"
 GAUSS_LEGENDRE = "gauss-legendre"
-
-QUADRATURE_METHODS = (ADAPTIVE_SIMPSON, GAUSS_LEGENDRE)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Integration method and accuracy settings.
-
-    ``tolerance`` is an absolute target for the integral; ``max_depth``
-    bounds the Simpson recursion and ``nodes`` sets the Gauss-Legendre
-    rule size.
-    """
-
-    method: str = ADAPTIVE_SIMPSON
-    tolerance: float = 1e-10
-    max_depth: int = 40
-    nodes: int = 256
-
-    def __post_init__(self) -> None:
-        if self.method not in QUADRATURE_METHODS:
-            raise DomainError(f"unknown quadrature method {self.method!r}; "
-                              f"expected one of {QUADRATURE_METHODS}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise DomainError("quadrature tolerance must be finite and > 0")
-        if self.max_depth < 1:
-            raise DomainError("quadrature max_depth must be >= 1")
-        if self.nodes < 2:
-            raise DomainError("quadrature node count must be >= 2")
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -135,11 +107,13 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float,
 
 def find_root_bracketed(f: Callable[[float], float], xtol: float = 1e-12,
                         bracket: tuple[float, float] = (0.0, 1.0),
-                        max_growth: int = 200) -> float:
+                        max_growth: int = 1023) -> float:
     """Solve ``f(x) = 0`` for increasing ``f`` by bracketed bisection.
 
     The initial bracket is grown geometrically until it straddles a sign
-    change, then bisected until it is no wider than ``xtol``. Bisection also
+    change, at most ``max_growth`` doublings: by default the bracket (0, 1)
+    can reach 2**1023, the largest power of two below the float limit. It
+    is then bisected until it is no wider than ``xtol``. Bisection also
     stops on an exact zero, or when the midpoint rounds to an endpoint,
     which ends the search for roots whose float spacing exceeds ``xtol``
     (above about 8e3 at the default): the result is then within one ulp.
@@ -151,14 +125,15 @@ def find_root_bracketed(f: Callable[[float], float], xtol: float = 1e-12,
     if flo == 0.0:
         return lo
     fhi = f(hi)
-    for _ in range(max_growth):
-        if flo * fhi <= 0.0:
-            break
+    growths = 0
+    # compare signs, not the product, which underflows to 0 for tiny values
+    while fhi != 0.0 and (fhi < 0.0) == (flo < 0.0):
+        if growths == max_growth:
+            raise DomainError("no sign change found while growing the bracket")
         lo, flo = hi, fhi
         hi *= 2.0
         fhi = f(hi)
-    else:
-        raise DomainError("no sign change found while growing the bracket")
+        growths += 1
     if fhi == 0.0:
         return hi
     while hi - lo > xtol:

@@ -1,7 +1,10 @@
 """Geometric phase of the open qubit: unitary, exact, oracle, and perturbative.
 
-The exact phase integrates cos^2(theta_t) over dimensionless time. The
-kinematic oracle instead evaluates the full mixed-state phase definition
+The exact phase integrates cos^2(theta_t) over dimensionless time with the
+adaptive Simpson rule at the absolute tolerance ``QUADRATURE_TOLERANCE``.
+This module is the one place that sets the integration policy; the
+Gauss-Legendre rule serves only as a cross-check. The kinematic oracle
+instead evaluates the full mixed-state phase definition
 (instantaneous eigenvectors, a finite-difference parallel-transport
 connection, and a final argument) and is the independent check on the
 closed-form route; the two agree modulo 2*pi at full periods.
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, QuadratureError
 from .model import ModelParams, decoherence_factor, dephasing_multiplier
-from .numerics import ADAPTIVE_SIMPSON, QuadratureSpec, adaptive_simpson, gauss_legendre
+from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE, adaptive_simpson, gauss_legendre
 from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap,
                     eigenvalues_closed_form, require_bloch_angle)
 
@@ -27,7 +30,12 @@ TWO_PI = 2.0 * math.pi
 
 DEGENERACY_GAP = 1e-6
 
+QUADRATURE_TOLERANCE = 1e-10
+
 MAX_ORACLE_STEPS = 1_000_000
+
+# the oracle's grid step must stay well below the precession period 2*pi
+MAX_ORACLE_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -66,34 +74,36 @@ def circular_difference(a: float, b: float) -> float:
 
 
 def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
-             quadrature: QuadratureSpec | None = None) -> PhaseResult:
+             method: str = ADAPTIVE_SIMPSON) -> PhaseResult:
     """Geometric phase of the open evolution up to ``s_final``.
 
     Quadrature of cos^2(theta_t(s)), a smooth integrand bounded in [0, 1],
-    with r(s) taken from the dephasing model. Defaults to one isolated
-    period; raises :class:`QuadratureError` if the requested tolerance is
-    not met.
+    with r(s) taken from the dephasing model; where r(s) underflows to 0 the
+    integrand takes its r -> 0 limit. Defaults to one isolated period.
+    ``method`` picks the adaptive Simpson rule or the Gauss-Legendre
+    cross-check; both must meet ``QUADRATURE_TOLERANCE``, or
+    :class:`QuadratureError` is raised.
     """
     require_bloch_angle(theta)
     if not 0.0 <= s_final < math.inf:
         raise DomainError(f"s_final must be finite and >= 0, got {s_final}")
-    if quadrature is None:
-        quadrature = QuadratureSpec()
+    if method not in (ADAPTIVE_SIMPSON, GAUSS_LEGENDRE):
+        raise DomainError(f"unknown quadrature method {method!r}; expected "
+                          f"{ADAPTIVE_SIMPSON!r} or {GAUSS_LEGENDRE!r}")
 
     def integrand(s: float) -> float:
         cos_t = angles_closed_form(theta, decoherence_factor(params, s)).cos_theta_t
         return cos_t * cos_t
 
-    if quadrature.method == ADAPTIVE_SIMPSON:
+    if method == ADAPTIVE_SIMPSON:
         value, error = adaptive_simpson(integrand, 0.0, s_final,
-                                        tolerance=quadrature.tolerance,
-                                        max_depth=quadrature.max_depth)
+                                        tolerance=QUADRATURE_TOLERANCE)
     else:
-        value, error = gauss_legendre(integrand, 0.0, s_final, nodes=quadrature.nodes)
-        if error > quadrature.tolerance:
+        value, error = gauss_legendre(integrand, 0.0, s_final)
+        if error > QUADRATURE_TOLERANCE:
             raise QuadratureError(
                 f"Gauss-Legendre error estimate {error:.3e} exceeds tolerance "
-                f"{quadrature.tolerance:.3e}",
+                f"{QUADRATURE_TOLERANCE:.3e}",
                 best_estimate=value, error_estimate=error)
     gap = eigenvalue_gap(theta, decoherence_factor(params, s_final))
     return PhaseResult(phase=value,
@@ -164,7 +174,9 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     fidelity to the definition), and a final argument. The step is checked
     by recomputing at half step; an inconsistency above 1e-6 raises.
     ``step_count`` may not exceed ``MAX_ORACLE_STEPS``: the grids cost
-    about 300 bytes per step.
+    about 300 bytes per step. The step ``s_final/step_count`` may not
+    exceed ``MAX_ORACLE_STEP``: a coarser grid cannot resolve the
+    precession, and the step-halving check need not notice.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """
@@ -174,6 +186,9 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     if not 10 <= step_count <= MAX_ORACLE_STEPS:
         raise DomainError(f"step_count must lie in [10, {MAX_ORACLE_STEPS}], "
                           f"got {step_count}")
+    if s_final / step_count > MAX_ORACLE_STEP:
+        raise DomainError(f"grid step s_final/step_count = {s_final / step_count:.3g} "
+                          f"exceeds {MAX_ORACLE_STEP}; raise step_count or lower s_final")
     coarse = _kinematic_arg(params, theta, s_final, step_count)
     fine = _kinematic_arg(params, theta, s_final, 2 * step_count)
     # flags step counts too coarse for the decay rate; the residual O(h^2)

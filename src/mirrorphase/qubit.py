@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .errors import DegenerateStateError, DomainError
 
 _HALF_PI = 0.5 * math.pi
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def bloch_cosine(theta: float) -> float:
@@ -75,19 +76,25 @@ def angles_closed_form(theta: float, r: float) -> MixedAngles:
     through its conjugate form (r sin)^2 / (sqrt(...) + cos), which avoids
     the catastrophic cancellation the direct difference suffers once r
     decays far below |cos(theta)|. hypot keeps every intermediate finite
-    even when r^2 would underflow. Where r sin(theta) itself underflows to 0
-    with cos(theta) > 0, both terms of D vanish and the r -> 0 limit
-    (sin, cos) = (0, 1) is returned.
+    even when r^2 would underflow.
+
+    r may be 0, as r(s) is once it underflows. Where r sin(theta) is 0, the
+    r -> 0 limit is returned: (sin, cos) = (0, 1) for cos(theta) > 0,
+    (1, 0) for cos(theta) < 0, and (sqrt(1/2), sqrt(1/2)) on the equator.
     """
     require_bloch_angle(theta)
-    if not 0.0 < r <= 1.0:
-        raise DomainError(f"decoherence factor must lie in (0, 1], got {r}")
+    if not 0.0 <= r <= 1.0:
+        raise DomainError(f"decoherence factor must lie in [0, 1], got {r}")
     c = bloch_cosine(theta)
     q = r * math.sin(theta)
+    if q == 0.0:
+        if c > 0.0:
+            return MixedAngles(sin_theta_t=0.0, cos_theta_t=1.0)
+        if c < 0.0:
+            return MixedAngles(sin_theta_t=1.0, cos_theta_t=0.0)
+        return MixedAngles(sin_theta_t=_SQRT_HALF, cos_theta_t=_SQRT_HALF)
     spread = math.hypot(c, q)
     if c >= 0.0:
-        if q == 0.0:
-            return MixedAngles(sin_theta_t=0.0, cos_theta_t=1.0)
         rise = (q / (spread + c)) * q
     else:
         rise = spread - c

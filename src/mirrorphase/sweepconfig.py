@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError, DomainError
-from .numerics import QuadratureSpec
 from .sweeps import Axis, LINEAR, LOG, SweepSpec, TARGETS, VALUES
 
 GRAMMAR_HELP = """\
@@ -22,12 +21,6 @@ Sweep config grammar (line oriented; '#' starts a comment):
   <parameter> = <number>        # fixed assignment: gamma0, lambda, omega,
                                 # velocity, theta, time
   allow_errors = true | false   # optional; record failed points as NaN rows
-
-  [quadrature]                  # optional section
-  method = adaptive-simpson | gauss-legendre
-  tolerance = <number>
-  max_depth = <integer>
-  nodes = <integer>
 
   [axis.<parameter>]            # one section per sweep dimension; the first
   min = <number>                # axis varies slowest in the output
@@ -87,9 +80,8 @@ def parse_sweep_config(text: str) -> SweepSpec:
     target: str | None = None
     fixed: dict[str, float] = {}
     allow_errors = False
-    quad_fields: dict[str, object] = {}
     axis_sections: list[tuple[str, dict[str, object], int]] = []
-    section: str | None = None  # None (top level), "quadrature", or axis name
+    section: str | None = None  # None (top level) or axis name
 
     seen_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -101,9 +93,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
             if not stripped.endswith("]"):
                 raise ConfigError(f"unterminated section header {stripped!r}", line=lineno)
             header = stripped[1:-1].strip()
-            if header == "quadrature":
-                section = "quadrature"
-            elif header.startswith("axis."):
+            if header.startswith("axis."):
                 name = header[len("axis."):].strip()
                 if not name:
                     raise ConfigError("axis section needs a parameter name", line=lineno)
@@ -134,17 +124,6 @@ def parse_sweep_config(text: str) -> SweepSpec:
                 except ValueError:
                     raise ConfigError(f"bad number {value!r} for {key!r}",
                                       line=lineno) from None
-        elif section == "quadrature":
-            if key == "method":
-                quad_fields["method"] = value
-            elif key == "tolerance":
-                quad_fields["tolerance"] = parse_number(value)
-            elif key == "max_depth":
-                quad_fields["max_depth"] = _parse_int(value, lineno)
-            elif key == "nodes":
-                quad_fields["nodes"] = _parse_int(value, lineno)
-            else:
-                raise ConfigError(f"unknown quadrature key {key!r}", line=lineno)
         else:
             fields = axis_sections[-1][1]
             if key in fields:
@@ -183,13 +162,8 @@ def parse_sweep_config(text: str) -> SweepSpec:
         except DomainError as exc:
             raise ConfigError(str(exc), line=lineno) from None
 
-    try:
-        quadrature = QuadratureSpec(**quad_fields)
-    except (DomainError, TypeError) as exc:
-        raise ConfigError(f"bad quadrature settings: {exc}") from None
-
     spec = SweepSpec(target=target, axes=tuple(axes), fixed=fixed,
-                     quadrature=quadrature, allow_errors=allow_errors)
+                     allow_errors=allow_errors)
     spec.validate()
     return spec
 
@@ -200,12 +174,6 @@ def format_sweep_config(spec: SweepSpec) -> str:
     for name in sorted(spec.fixed):
         lines.append(f"{name} = {spec.fixed[name]!r}")
     lines.append(f"allow_errors = {'true' if spec.allow_errors else 'false'}")
-    lines.append("")
-    lines.append("[quadrature]")
-    lines.append(f"method = {spec.quadrature.method}")
-    lines.append(f"tolerance = {spec.quadrature.tolerance!r}")
-    lines.append(f"max_depth = {spec.quadrature.max_depth}")
-    lines.append(f"nodes = {spec.quadrature.nodes}")
     for axis in spec.axes:
         lines.append("")
         lines.append(f"[axis.{axis.name}]")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, NoDecoherenceError, QuadratureError, SweepError
 from .model import ModelParams, decoherence_factor, decoherence_time
-from .numerics import QuadratureSpec
 from .phase import TWO_PI, gp_exact, gp_perturbative
 
 TARGETS = ("decoherence_factor", "gp_exact", "gp_normalized",
@@ -122,12 +121,11 @@ class Axis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Target quantity, sweep axes, fixed assignments and quadrature settings."""
+    """Target quantity, sweep axes, fixed assignments and the error policy."""
 
     target: str
     axes: tuple[Axis, ...] = ()
     fixed: dict[str, float] = field(default_factory=dict)
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     allow_errors: bool = False
 
     def validate(self) -> None:
@@ -195,8 +193,7 @@ class Dataset:
                 raise DomainError(f"non-finite entry in row {row!r}")
 
 
-def _evaluate(target: str, point: dict[str, float],
-              quadrature: QuadratureSpec) -> tuple[float, ...]:
+def _evaluate(target: str, point: dict[str, float]) -> tuple[float, ...]:
     params = ModelParams(gamma0=point["gamma0"], lambda_tilde=point["lambda"],
                          omega_tilde=point["omega"], velocity=point["velocity"])
     if target == "decoherence_factor":
@@ -204,11 +201,10 @@ def _evaluate(target: str, point: dict[str, float],
     if target == "decoherence_time":
         return (decoherence_time(params),)
     if target == "gp_perturbative_ratio":
-        exact = gp_exact(params, point["theta"], quadrature=quadrature)
+        exact = gp_exact(params, point["theta"])
         approx = gp_perturbative(params, point["theta"])
         return (exact.phase, approx, exact.phase / approx)
-    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI),
-                      quadrature=quadrature)
+    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
     if target == "gp_exact":
         return (result.phase, result.quadrature_error, float(result.near_degenerate))
     return (result.normalized, result.quadrature_error, float(result.near_degenerate))
@@ -235,7 +231,7 @@ def run_sweep(spec: SweepSpec) -> Dataset:
         point = dict(spec.fixed)
         point.update(zip(names, combo))
         try:
-            values = _evaluate(spec.target, point, spec.quadrature)
+            values = _evaluate(spec.target, point)
         except (DomainError, NoDecoherenceError, QuadratureError) as exc:
             if not spec.allow_errors:
                 coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
@@ -269,10 +265,6 @@ def describe_spec(spec: SweepSpec) -> dict:
         "target": spec.target,
         "axes": axes,
         "fixed": {name: spec.fixed[name] for name in sorted(spec.fixed)},
-        "quadrature": {"method": spec.quadrature.method,
-                       "tolerance": spec.quadrature.tolerance,
-                       "max_depth": spec.quadrature.max_depth,
-                       "nodes": spec.quadrature.nodes},
         "allow_errors": spec.allow_errors,
     }
 

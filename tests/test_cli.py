@@ -243,6 +243,58 @@ class TestAllocationCaps:
         assert_one_line_error(capsys, "sweep has")
 
 
+RETIRED_SECTION_CONFIG = """\
+target = decoherence_factor
+gamma0 = 0.05
+lambda = 5
+omega = 0.03
+velocity = 0.5
+time = 1
+
+[quadrature]
+tolerance = 1e-8
+"""
+
+# a pole axis is refused by spec validation before any point runs, so the
+# per-point failure comes from a coupling that never decoheres
+FAILING_POINT_CONFIG = """\
+target = decoherence_time
+lambda = 5
+omega = 0.03
+velocity = 0.5
+
+[axis.gamma0]
+values = 0.05, 0
+"""
+
+
+@pytest.mark.parametrize("argv,config,code,message", [
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], RETIRED_SECTION_CONFIG, 2,
+     "line 8: unknown section 'quadrature'"),
+    (["decoherence", "--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
+      "--velocity", "1.5", "--time", "1"], None, 2, "velocity must lie in [0, 1)"),
+    (["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
+      "--s-final", "1e8"], None, 2, "grid step s_final/step_count"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], FAILING_POINT_CONFIG, 2,
+     "sweep point failed at gamma0=0.0"),
+    (["phase", "--theta", "0", *DECO_FLAGS], None, 2, "theta must lie strictly inside"),
+    # step halving moves this phase by 1.7e-4
+    (["phase", "--theta", "1", *DECO_FLAGS, "--method", "oracle",
+      "--steps", "100"], None, 2, "kinematic phase not converged"),
+    (["figure", "2", "-o", "{tmp}"], None, 3, "cannot write"),
+], ids=["ConfigError", "DomainError", "DomainError_oracle_step", "SweepError",
+        "DegenerateStateError", "QuadratureError", "unwritable_output"])
+def test_error_class_contract(argv, config, code, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    argv = [arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 class TestNumericFormatting:
     def test_csv_reparses_to_identical_doubles(self, tmp_path):
         out = tmp_path / "fig6.csv"

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mirrorphase import Axis, ConfigError, QuadratureSpec, SweepSpec, figure_preset
+from mirrorphase import Axis, ConfigError, SweepSpec, figure_preset
 from mirrorphase.sweepconfig import (format_sweep_config, parse_number,
                                      parse_sweep_config)
 
@@ -44,7 +44,6 @@ class TestParsing:
         assert spec.target == "decoherence_factor"
         assert spec.fixed["time"] == math.pi
         assert spec.axes == (Axis.linear("velocity", 0.1, 0.9, 5),)
-        assert spec.quadrature == QuadratureSpec()
 
     def test_values_axis(self):
         spec = parse_sweep_config(BASIC.replace(
@@ -67,6 +66,10 @@ class TestParsing:
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ConfigError, match=f"line {line}"):
             parse_sweep_config(text)
+
+    def test_retired_quadrature_section_is_unknown(self):
+        with pytest.raises(ConfigError, match="line 13: unknown section 'quadrature'"):
+            parse_sweep_config(BASIC + "\n[quadrature]\ntolerance = 1e-8\n")
 
     def test_duplicate_fixed(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -157,6 +157,13 @@ class TestDecoherenceTime:
         with pytest.raises(NoDecoherenceError):
             decoherence_time(make(gamma0=0.0))
 
+    @pytest.mark.parametrize("gamma0", [1e-70, 1e-300])
+    def test_tiny_coupling_matches_analytic_inversion(self, gamma0):
+        # the time lies far beyond 2**200, so the bracket must keep growing
+        p = make(gamma0=gamma0)
+        expected = 2.0 / (gamma0 * dephasing_multiplier(p))
+        assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
+
 
 class TestInOutAction:
     def test_rest_is_zero(self):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from mirrorphase import (DomainError, QuadratureError, QuadratureSpec,
-                         adaptive_simpson, find_root_bracketed, gauss_legendre)
+from mirrorphase import (DomainError, QuadratureError, adaptive_simpson,
+                         find_root_bracketed, gauss_legendre)
 
 
 class TestAdaptiveSimpson:
@@ -101,6 +101,15 @@ class TestRootFinder:
         found = find_root_bracketed(lambda x: x * x - 2.0, xtol=xtol)
         assert abs(found - root) <= xtol
 
+    def test_tiny_function_values_keep_the_bracket_growing(self):
+        # f(0) * f(1) is about 1e-390, which underflows to 0
+        assert find_root_bracketed(lambda x: 1e-200 * (x - 1e5)) == pytest.approx(
+            1e5, abs=1e-6)
+
+    def test_bracket_reaches_the_float_limit(self):
+        # 2**1023 is the last power of two below the float limit
+        assert find_root_bracketed(lambda x: x - 2.0 ** 1023) == 2.0 ** 1023
+
 
 UNLOADED_PROBE = """\
 import sys
@@ -131,25 +140,10 @@ def test_numpy_and_scipy_stay_unloaded(argv, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     [*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"],
-    [*PHASE_FLAGS, "--quad-method", "gauss-legendre", "--quad-tol", "1e-6"],
+    [*PHASE_FLAGS, "--quad-method", "gauss-legendre"],
 ], ids=["oracle", "gauss_legendre"])
 def test_numpy_routes_load_numpy_on_demand(argv):
     proc = subprocess.run([sys.executable, "-m", "mirrorphase.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert 0.0 < float(proc.stdout.split()[1].split("=")[1]) < 2.0 * math.pi
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.method == "adaptive-simpson"
-        assert spec.tolerance == 1e-10
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(method="trapezoid"), dict(tolerance=0.0), dict(tolerance=-1e-10),
-        dict(max_depth=0), dict(nodes=1), dict(tolerance=math.inf),
-    ])
-    def test_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureSpec(**kwargs)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mirrorphase import (DegenerateStateError, DomainError, ModelParams,
-                         QuadratureSpec, circular_difference, decoherence_factor,
+                         QuadratureError, circular_difference, decoherence_factor,
                          angles_closed_form, dynamical_phase, gp_exact,
                          gp_kinematic_oracle, gp_perturbative, unitary_gp)
+from mirrorphase import phase as phase_module
 from mirrorphase.phase import _angles_grid
 
 from conftest import params_fig2, params_fig6, params_fig7
@@ -76,16 +77,20 @@ class TestGpExact:
     def test_gauss_legendre_route_agrees(self):
         p = params_fig6(0.5)
         simpson = gp_exact(p, 0.3 * math.pi)
-        gauss = gp_exact(p, 0.3 * math.pi,
-                         quadrature=QuadratureSpec(method="gauss-legendre"))
+        gauss = gp_exact(p, 0.3 * math.pi, method="gauss-legendre")
         assert gauss.phase == pytest.approx(simpson.phase, abs=1e-9)
 
-    def test_tolerance_halving_stays_within_estimate(self):
-        p = params_fig7(0.5)
-        for theta in (0.1 * math.pi, 0.45 * math.pi):
-            loose = gp_exact(p, theta, quadrature=QuadratureSpec(tolerance=1e-8))
-            tight = gp_exact(p, theta, quadrature=QuadratureSpec(tolerance=5e-9))
-            assert abs(loose.phase - tight.phase) <= loose.quadrature_error + 1e-15
+    def test_unknown_method_rejected(self):
+        with pytest.raises(DomainError, match="quadrature method"):
+            gp_exact(params_fig6(0.5), 0.3 * math.pi, method="trapezoid")
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5 * math.pi, 2.5])
+    def test_underflowed_coherence_agrees_with_oracle(self, theta):
+        # the decay rate is about 1090, so r(s) underflows to 0 inside the period
+        p = ModelParams(gamma0=1.0, lambda_tilde=15.0, omega_tilde=0.01, velocity=0.95)
+        assert decoherence_factor(p, TWO_PI) == 0.0
+        exact = gp_exact(p, theta).phase
+        assert circular_difference(exact, gp_kinematic_oracle(p, theta)) <= 5.2e-8
 
     def test_near_degenerate_flag(self):
         # strong decoherence at the equator collapses the eigenvalue gap
@@ -158,6 +163,22 @@ class TestKinematicOracle:
     def test_step_count_validated(self):
         with pytest.raises(DomainError):
             gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, step_count=5)
+
+    @pytest.mark.parametrize("s_final,step_count", [(1e8, 100_000), (1e300, 100_000),
+                                                    (1.1, 10)])
+    def test_grid_step_bounded(self, s_final, step_count, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the oracle built a grid past the step bound")
+        monkeypatch.setattr(phase_module, "_kinematic_arg", no_grid)
+        with pytest.raises(DomainError, match="grid step"):
+            gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, s_final=s_final,
+                                step_count=step_count)
+
+    def test_grid_step_at_the_bound_reaches_the_halving_check(self):
+        # h = 0.1 passes the bound; step halving then finds it unconverged
+        with pytest.raises(QuadratureError, match="step halving"):
+            gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, s_final=1.0,
+                                step_count=10)
 
     def test_infinite_final_time_rejected(self):
         with pytest.raises(DomainError, match="finite"):

@@ -108,9 +108,17 @@ class TestAnglesClosedForm:
         # r*sin(theta) rounds to 0 although r > 0
         assert angles_closed_form(theta, 5e-324) == (0.0, 1.0)
 
-    def test_zero_coherence_rejected(self):
+    @pytest.mark.parametrize("theta,limit", [
+        (0.3, (0.0, 1.0)), (1e-3, (0.0, 1.0)), (0.7 * math.pi, (1.0, 0.0)),
+        (0.5 * math.pi, (math.sqrt(0.5), math.sqrt(0.5))),
+    ])
+    def test_zero_coherence_gives_the_r_to_zero_limit(self, theta, limit):
+        assert angles_closed_form(theta, 0.0) == pytest.approx(limit, abs=1e-15)
+
+    @pytest.mark.parametrize("r", [-1e-300, -0.5, 1.0 + 1e-15, math.nan])
+    def test_coherence_outside_unit_interval_rejected(self, r):
         with pytest.raises(DomainError):
-            angles_closed_form(math.pi / 3, 0.0)
+            angles_closed_form(math.pi / 3, r)
 
     def test_poles_rejected(self):
         with pytest.raises(DegenerateStateError):
