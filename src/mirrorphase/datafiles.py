@@ -38,18 +38,22 @@ def _metadata_lines(metadata: dict) -> list[str]:
 def dataset_to_csv(dataset: Dataset) -> str:
     lines = _metadata_lines(dataset.metadata)
     lines.append(",".join(dataset.columns))
-    for row in dataset.rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    # repr(float(x)) per entry, as _fmt, with both steps mapped in C
+    lines.extend(",".join(map(repr, map(float, row))) for row in dataset.rows)
     return "\n".join(lines) + "\n"
 
 
 def dataset_to_json(dataset: Dataset) -> str:
     metadata = dict(dataset.metadata)
     metadata["columns"] = list(dataset.columns)
-    # error rows (opt-in) carry NaN, which strict JSON spells as null
-    rows = [[x if math.isfinite(x) else None for x in row] for row in dataset.rows]
-    payload = {"metadata": metadata, "rows": rows}
-    return json.dumps(payload, allow_nan=False) + "\n"
+    payload = {"metadata": metadata, "rows": dataset.rows}
+    try:
+        return json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError:
+        # only opt-in error rows hold NaN, which strict JSON spells as null
+        payload["rows"] = [[x if math.isfinite(x) else None for x in row]
+                           for row in dataset.rows]
+        return json.dumps(payload, allow_nan=False) + "\n"
 
 
 FORMATS = ("csv", "json")
@@ -84,7 +88,7 @@ def read_dataset_csv(path: str) -> Dataset:
             if columns is None:
                 columns = tuple(line.split(","))
                 continue
-            rows.append(tuple(float(tok) for tok in line.split(",")))
+            rows.append(tuple(map(float, line.split(","))))
     if columns is None:
         raise DomainError(f"{path}: no header row found")
     return Dataset(columns=columns, rows=tuple(rows),
@@ -97,6 +101,7 @@ def read_dataset_json(path: str) -> Dataset:
         payload = json.load(handle)
     metadata = payload["metadata"]
     columns = tuple(metadata["columns"])
-    rows = tuple(tuple(float(x) if x is not None else math.nan for x in row)
+    rows = tuple(tuple(map(float, row)) if None not in row
+                 else tuple(math.nan if x is None else float(x) for x in row)
                  for row in payload["rows"])
     return Dataset(columns=columns, rows=rows, metadata=metadata)

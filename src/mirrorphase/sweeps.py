@@ -3,7 +3,10 @@
 A sweep is a Cartesian grid over named axes plus fixed parameter
 assignments, evaluated for one target quantity. Evaluation is
 deterministic: the same spec always produces the same numeric table,
-row-ordered lexicographically by the axes.
+row-ordered lexicographically by the axes. Every axis value and fixed
+value is a double from construction on, so both file formats spell it
+alike. The model parameters are built once per cell of the model axes
+(gamma0, lambda, omega, velocity), and each row is checked as it is made.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -57,9 +60,21 @@ LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
 
-# run_sweep holds every row in memory, and writing a three-column dataset
-# peaks near 330 bytes per point; the cap keeps a sweep to a few hundred MB
+# run_sweep holds every row in memory (about 100 bytes per point), and
+# writing the dataset as CSV and then JSON peaks near 350 bytes per point
+# (tracemalloc, a 250,000-point sweep of four columns); the cap keeps a
+# sweep below about 175 MB
 MAX_SWEEP_POINTS = 500_000
+
+
+def _as_float(value: object, label: str) -> float:
+    """``value`` as a double; a string or a value ``float`` refuses is a DomainError."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{label}: expected a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,15 @@ class Axis:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        # every coordinate is a double, so CSV and JSON spell it alike
+        label = f"axis {self.name!r}"
+        for key in ("start", "stop"):
+            value = getattr(self, key)
+            if value is not None:
+                object.__setattr__(self, key, _as_float(value, label))
+        if self.values is not None:
+            object.__setattr__(self, "values",
+                               tuple(_as_float(v, label) for v in self.values))
         if self.scale == VALUES:
             if not self.values:
                 raise DomainError(f"axis {self.name!r}: explicit axis needs at least one value")
@@ -104,7 +128,7 @@ class Axis:
 
     @classmethod
     def from_values(cls, name: str, values: tuple[float, ...]) -> Axis:
-        return cls(name=name, scale=VALUES, values=tuple(float(v) for v in values))
+        return cls(name=name, scale=VALUES, values=values)
 
     def grid(self) -> tuple[float, ...]:
         if self.scale == VALUES:
@@ -127,6 +151,11 @@ class SweepSpec:
     axes: tuple[Axis, ...] = ()
     fixed: dict[str, float] = field(default_factory=dict)
     allow_errors: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fixed", {
+            name: _as_float(value, f"fixed parameter {name!r}")
+            for name, value in self.fixed.items()})
 
     def validate(self) -> None:
         if self.target not in TARGETS:
@@ -183,19 +212,14 @@ class Dataset:
     rows: tuple[tuple[float, ...], ...]
     metadata: dict
 
-    def validate(self) -> None:
-        width = len(self.columns)
-        allow_errors = bool(self.metadata.get("allow_errors", False))
-        for row in self.rows:
-            if len(row) != width:
-                raise DomainError(f"row width {len(row)} != column count {width}")
-            if not allow_errors and any(not math.isfinite(x) for x in row):
-                raise DomainError(f"non-finite entry in row {row!r}")
+
+def _model_params(point: dict[str, float]) -> ModelParams:
+    return ModelParams(gamma0=point["gamma0"], lambda_tilde=point["lambda"],
+                       omega_tilde=point["omega"], velocity=point["velocity"])
 
 
-def _evaluate(target: str, point: dict[str, float]) -> tuple[float, ...]:
-    params = ModelParams(gamma0=point["gamma0"], lambda_tilde=point["lambda"],
-                         omega_tilde=point["omega"], velocity=point["velocity"])
+def _evaluate(target: str, params: ModelParams,
+              point: dict[str, float]) -> tuple[float, ...]:
     if target == "decoherence_factor":
         return (decoherence_factor(params, point["time"]),)
     if target == "decoherence_time":
@@ -214,6 +238,12 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     """Evaluate the target over the Cartesian grid of the spec's axes.
 
     Rows are ordered lexicographically by the axes (first axis slowest).
+    The model parameters are built once per model cell: the axes up to the
+    last model axis (gamma0, lambda, omega, velocity) pick the cell, and
+    the axes after it (time, theta) vary inside it. Each row is checked as
+    it is made: its width must match the columns and, unless errors are
+    allowed, every entry must be finite (``DomainError`` otherwise).
+
     By default any per-point failure aborts the sweep, reporting the
     offending coordinates; with ``allow_errors`` the failed points produce
     NaN value columns instead. Grids of more than ``MAX_SWEEP_POINTS``
@@ -224,27 +254,42 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     if count > MAX_SWEEP_POINTS:
         raise DomainError(f"sweep has {count} points; at most {MAX_SWEEP_POINTS} "
                           "are allowed")
+    target, allow_errors = spec.target, spec.allow_errors
     names = tuple(axis.name for axis in spec.axes)
-    value_columns = TARGET_COLUMNS[spec.target]
+    value_columns = TARGET_COLUMNS[target]
+    width = len(names) + len(value_columns)
+    split = max((i + 1 for i, name in enumerate(names) if name in _MODEL_NAMES),
+                default=0)
+    cell_names, inner_names = names[:split], names[split:]
+    inner_grids = [axis.grid() for axis in spec.axes[split:]]
+    point = dict(spec.fixed)
     rows = []
-    for combo in itertools.product(*(axis.grid() for axis in spec.axes)):
-        point = dict(spec.fixed)
-        point.update(zip(names, combo))
-        try:
-            values = _evaluate(spec.target, point)
-        except (DomainError, NoDecoherenceError, QuadratureError) as exc:
-            if not spec.allow_errors:
-                coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
-                where = f" at {coords}" if coords else ""
-                raise SweepError(f"sweep point failed{where}: {exc}",
-                                 coordinates=dict(zip(names, combo))) from exc
-            values = (math.nan,) * len(value_columns)
-        rows.append(tuple(combo) + values)
-    dataset = Dataset(columns=names + value_columns,
-                      rows=tuple(rows),
-                      metadata=describe_spec(spec))
-    dataset.validate()
-    return dataset
+    for cell in itertools.product(*(axis.grid() for axis in spec.axes[:split])):
+        point.update(zip(cell_names, cell))
+        params = None
+        for inner in itertools.product(*inner_grids):
+            point.update(zip(inner_names, inner))
+            try:
+                # built inside the try: a model that fails fails each point of its cell
+                if params is None:
+                    params = _model_params(point)
+                values = _evaluate(target, params, point)
+            except (DomainError, NoDecoherenceError, QuadratureError) as exc:
+                if not allow_errors:
+                    combo = cell + inner
+                    coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
+                    where = f" at {coords}" if coords else ""
+                    raise SweepError(f"sweep point failed{where}: {exc}",
+                                     coordinates=dict(zip(names, combo))) from exc
+                values = (math.nan,) * len(value_columns)
+            row = cell + inner + values
+            if len(row) != width:
+                raise DomainError(f"row width {len(row)} != column count {width}")
+            if not (allow_errors or all(map(math.isfinite, row))):
+                raise DomainError(f"non-finite entry in row {row!r}")
+            rows.append(row)
+    return Dataset(columns=names + value_columns, rows=tuple(rows),
+                   metadata=describe_spec(spec))
 
 
 def describe_spec(spec: SweepSpec) -> dict:

@@ -1,11 +1,13 @@
 """Sweep grids, validation, determinism, and the figure presets."""
 
+import itertools
 import math
 
 import pytest
 
 from mirrorphase import (Axis, DomainError, ModelParams, SweepError, SweepSpec,
-                         figure_preset, run_sweep, unitary_gp)
+                         decoherence_factor, decoherence_time, figure_preset, gp_exact,
+                         run_sweep, sweeps, unitary_gp)
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,10 +43,25 @@ class TestAxis:
         lambda: Axis(name="velocity", scale="geometric", start=0.0, stop=1.0, count=3),
         lambda: Axis(name="velocity", scale="linear", start=0.0, stop=0.9,
                      count=3, values=(0.1,)),
+        lambda: Axis.linear("velocity", "0.1", 0.9, 5),
+        lambda: Axis.linear("velocity", 0.1, None, 5),
+        lambda: Axis.from_values("lambda", (1.0, "5")),
+        lambda: Axis.from_values("lambda", (1.0, [5.0])),
+        lambda: SweepSpec(target="decoherence_factor", fixed={"gamma0": "0.05"}),
+        lambda: SweepSpec(target="decoherence_factor", fixed={"gamma0": None}),
     ])
     def test_rejected(self, bad):
         with pytest.raises(DomainError):
             bad()
+
+    def test_numbers_become_doubles(self):
+        axis = Axis.linear("time", 0, 10, 3)
+        assert (type(axis.start), type(axis.stop)) == (float, float)
+        assert all(type(x) is float for x in axis.grid())
+        assert all(type(x) is float for x in Axis.from_values("lambda", (1, 5)).values)
+        spec = SweepSpec(target="decoherence_factor", fixed={"gamma0": 1, "omega": 0.03})
+        assert spec.fixed == {"gamma0": 1.0, "omega": 0.03}
+        assert all(type(x) is float for x in spec.fixed.values())
 
 
 def basic_spec(**overrides):
@@ -194,6 +211,149 @@ class TestRunSweep:
                                 "phase_ratio")
         _, exact, approx, ratio = data.rows[0]
         assert ratio == pytest.approx(exact / approx, rel=1e-15)
+
+
+MODEL = {"gamma0": 0.05, "lambda": 5.0, "omega": 0.03, "velocity": 0.5}
+
+
+def without(*names):
+    return {name: value for name, value in MODEL.items() if name not in names}
+
+
+def reference_rows(spec):
+    """The sweep's rows evaluated point by point, with a fresh model each time."""
+    names = tuple(axis.name for axis in spec.axes)
+    rows = []
+    for combo in itertools.product(*(axis.grid() for axis in spec.axes)):
+        point = dict(spec.fixed)
+        point.update(zip(names, combo))
+        params = ModelParams(gamma0=point["gamma0"], lambda_tilde=point["lambda"],
+                             omega_tilde=point["omega"], velocity=point["velocity"])
+        if spec.target == "decoherence_factor":
+            values = (decoherence_factor(params, point["time"]),)
+        elif spec.target == "decoherence_time":
+            values = (decoherence_time(params),)
+        else:
+            result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
+            phase = result.phase if spec.target == "gp_exact" else result.normalized
+            values = (phase, result.quadrature_error, float(result.near_degenerate))
+        rows.append(combo + values)
+    return tuple(rows)
+
+
+class TestPerCellEvaluation:
+    """run_sweep builds one model per cell of the model axes; its rows must be
+    bit-identical to a fresh model at every point, whatever the axis order."""
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(target="decoherence_factor",
+                  axes=(Axis.linear("time", 0.0, TWO_PI, 4),
+                        Axis.linear("velocity", 0.1, 0.9, 5)),
+                  fixed=without("velocity")),
+        SweepSpec(target="gp_exact",
+                  axes=(Axis.linear("theta", 0.1 * math.pi, 0.9 * math.pi, 3),
+                        Axis.from_values("lambda", (1.0, 15.0))),
+                  fixed=without("lambda")),
+        SweepSpec(target="decoherence_factor",
+                  axes=(Axis.from_values("lambda", (1.0, 5.0, 15.0)),
+                        Axis.linear("velocity", 0.05, 0.95, 4),
+                        Axis.linear("time", 0.0, 2.0 * TWO_PI, 7)),
+                  fixed=without("lambda", "velocity")),
+        SweepSpec(target="gp_exact",
+                  axes=(Axis.from_values("velocity", (0.1, 0.9)),
+                        Axis.linear("theta", 0.2, 2.9, 2),
+                        Axis.linear("time", 1.0, TWO_PI, 2)),
+                  fixed=without("velocity")),
+        SweepSpec(target="decoherence_factor",
+                  axes=(Axis.linear("time", 0.0, TWO_PI, 9),),
+                  fixed=MODEL),
+        SweepSpec(target="gp_normalized",
+                  axes=(Axis.linear("time", 1.0, TWO_PI, 2),
+                        Axis.from_values("theta", (0.3, 2.5))),
+                  fixed=MODEL),
+        SweepSpec(target="decoherence_time",
+                  axes=(Axis.log("gamma0", 1e-3, 1.0, 5),
+                        Axis.log("omega", 0.01, 1.0, 3)),
+                  fixed=without("gamma0", "omega")),
+        SweepSpec(target="decoherence_factor",
+                  axes=(Axis.from_values("velocity", (0.2, 0.7)),
+                        Axis.log("time", 1e-3, 100.0, 6)),
+                  fixed=without("velocity")),
+    ], ids=["model_axis_innermost", "model_axis_innermost_phase",
+            "model_axes_outermost", "model_axis_outermost_phase",
+            "all_fixed_model", "all_fixed_model_phase",
+            "log_model_axes", "log_time_axis"])
+    def test_rows_match_a_fresh_model_per_point(self, spec):
+        assert run_sweep(spec).rows == reference_rows(spec)
+
+    @staticmethod
+    def fail_at_half_period(monkeypatch):
+        real = sweeps.decoherence_factor
+
+        def factor(params, s):
+            if s == math.pi:
+                raise DomainError("refused at s = pi")
+            return real(params, s)
+        monkeypatch.setattr(sweeps, "decoherence_factor", factor)
+
+    def test_fail_fast_names_the_point_that_failed_mid_cell(self, monkeypatch):
+        self.fail_at_half_period(monkeypatch)
+        spec = SweepSpec(target="decoherence_factor",
+                         axes=(Axis.from_values("velocity", (0.1, 0.5)),
+                               Axis.linear("time", 0.0, TWO_PI, 5)),
+                         fixed=without("velocity"))
+        with pytest.raises(SweepError, match=r"at velocity=0\.1, time=3\.14159265358979"
+                                              r"3: refused at s = pi$") as info:
+            run_sweep(spec)
+        assert info.value.coordinates == {"velocity": 0.1, "time": math.pi}
+
+    def test_error_rows_mid_cell(self, monkeypatch):
+        self.fail_at_half_period(monkeypatch)
+        spec = SweepSpec(target="decoherence_factor",
+                         axes=(Axis.from_values("velocity", (0.1, 0.5)),
+                               Axis.linear("time", 0.0, TWO_PI, 5)),
+                         fixed=without("velocity"), allow_errors=True)
+        data = run_sweep(spec)
+        for row, expected in zip(data.rows, reference_rows(spec), strict=True):
+            assert row[:2] == expected[:2]
+            if row[1] == math.pi:
+                assert math.isnan(row[2])
+            else:
+                assert row[2] == expected[2]
+
+    def test_each_row_is_checked_as_it_is_made(self, monkeypatch):
+        spec = SweepSpec(target="decoherence_factor",
+                         axes=(Axis.linear("time", 0.0, TWO_PI, 3),), fixed=MODEL)
+        monkeypatch.setattr(sweeps, "decoherence_factor",
+                            lambda params, s: math.inf if s == math.pi else 0.5)
+        with pytest.raises(DomainError, match=r"non-finite entry in row \(3\.14"):
+            run_sweep(spec)
+        rows = run_sweep(SweepSpec(target=spec.target, axes=spec.axes, fixed=MODEL,
+                                   allow_errors=True)).rows
+        assert rows == ((0.0, 0.5), (math.pi, math.inf), (TWO_PI, 0.5))
+        monkeypatch.setattr(sweeps, "_evaluate", lambda target, params, point: (0.5, 0.5))
+        with pytest.raises(DomainError, match="row width 3 != column count 2"):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("allow_errors", [False, True])
+    def test_a_cell_whose_model_fails(self, monkeypatch, allow_errors):
+        real = sweeps.ModelParams
+
+        def params(**fields):
+            if fields["velocity"] == 0.5:
+                raise DomainError("refused at v = 0.5")
+            return real(**fields)
+        monkeypatch.setattr(sweeps, "ModelParams", params)
+        spec = SweepSpec(target="decoherence_factor",
+                         axes=(Axis.from_values("velocity", (0.1, 0.5, 0.9)),
+                               Axis.linear("time", 0.0, TWO_PI, 3)),
+                         fixed=without("velocity"), allow_errors=allow_errors)
+        if not allow_errors:
+            with pytest.raises(SweepError, match=r"at velocity=0\.5, time=0\.0: "):
+                run_sweep(spec)
+            return
+        values = [row[2] for row in run_sweep(spec).rows]
+        assert [math.isnan(x) for x in values] == [False] * 3 + [True] * 3 + [False] * 3
 
 
 class TestFigurePresets:
