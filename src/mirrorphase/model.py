@@ -22,7 +22,9 @@ class ModelParams:
     """Physical couplings and dimensionless frequencies of the friction model.
 
     ``omega0_tilde`` only enters the in-out action and defaults to 1; all
-    other fields must be supplied explicitly.
+    other fields must be supplied explicitly. The dephasing multiplier is
+    computed once, at construction, and kept beside the fields, not as one:
+    ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the fields alone.
     """
 
     gamma0: float
@@ -46,6 +48,9 @@ class ModelParams:
             raise DomainError(
                 f"velocity must lie in [0, 1); got {self.velocity} "
                 "(the influence action diverges as 1/(1 - velocity^2))")
+        v = self.velocity
+        object.__setattr__(self, "_multiplier",
+                           1.0 + (2.0 / 3.0) * v * v + friction_factor(self))
 
 
 def _require_time(s: float) -> None:
@@ -76,9 +81,11 @@ def friction_factor(params: ModelParams) -> float:
 
 
 def dephasing_multiplier(params: ModelParams) -> float:
-    """Dimensionless bracket multiplying gamma0*s/2 in the influence action."""
-    v = params.velocity
-    return 1.0 + (2.0 / 3.0) * v * v + friction_factor(params)
+    """Dimensionless bracket multiplying gamma0*s/2 in the influence action.
+
+    1 + (2/3)v^2 + friction_factor, computed once when ``params`` is built.
+    """
+    return params._multiplier
 
 
 def im_influence_action(params: ModelParams, s: float) -> float:

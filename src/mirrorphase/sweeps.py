@@ -61,9 +61,9 @@ LOG = "log"
 VALUES = "values"
 
 # run_sweep holds every row in memory (about 100 bytes per point), and
-# writing the dataset as CSV and then JSON peaks near 350 bytes per point
-# (tracemalloc, a 250,000-point sweep of four columns); the cap keeps a
-# sweep below about 175 MB
+# writing the dataset as CSV and then JSON peaks near 300 bytes per point
+# (tracemalloc: 294 for a 250,000-point sweep of four columns, 250 for a
+# 500,000-point sweep of one axis); the cap keeps a sweep below about 150 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -135,9 +135,14 @@ class Axis:
             return self.values
         n = self.count - 1
         if self.scale == LINEAR:
-            inner = (self.start + (self.stop - self.start) * i / n
-                     for i in range(1, n))
-            return (self.start, *inner, self.stop)
+            start, span = self.start, self.stop - self.start
+            if math.isfinite(span * n):
+                inner = (start + span * i / n for i in range(1, n))
+            else:
+                # span * i overflows near the float limit, so divide first
+                step = span / n
+                inner = (start + step * i for i in range(1, n))
+            return (start, *inner, self.stop)
         la, lb = math.log(self.start), math.log(self.stop)
         inner = (math.exp(la + (lb - la) * i / n) for i in range(1, n))
         return (self.start, *inner, self.stop)

@@ -1,21 +1,27 @@
-"""Matrix oracles for the closed-form eigensystem of the dephasing state.
+"""Reference routes the tests compare the package against.
 
-The reduced density matrix keeps the initial populations and damps the
+Matrix oracles for the closed-form eigensystem of the dephasing state: the
+reduced density matrix keeps the initial populations and damps the
 off-diagonals by the decoherence factor ``r``. Building it explicitly and
 diagonalizing it with a direct 2x2 Hermitian eigensolver gives a route
-independent of the closed forms in :mod:`mirrorphase.qubit`; the tests
-compare the two.
+independent of the closed forms in :mod:`mirrorphase.qubit`.
+
+The dataset writers' per-value formula, written out entry by entry: every
+entry is ``repr(float(x))`` in both formats, and strict JSON spells a
+non-finite entry ``null``.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from mirrorphase import DomainError, angles_closed_form
+from mirrorphase.datafiles import _metadata_lines
 from mirrorphase.qubit import require_bloch_angle
 
 HERMITICITY_TOL = 1e-14
@@ -119,3 +125,19 @@ def eigenvector_plus(theta: float, s: float, r: float) -> np.ndarray:
         raise DomainError(f"time must be >= 0, got {s}")
     sin_t, cos_t = angles_closed_form(theta, r)
     return np.array([cos_t, sin_t * cmath.exp(1j * s)])
+
+
+def reference_csv(dataset) -> str:
+    lines = _metadata_lines(dataset.metadata)
+    lines.append(",".join(dataset.columns))
+    for row in dataset.rows:
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(dataset) -> str:
+    metadata = dict(dataset.metadata)
+    metadata["columns"] = list(dataset.columns)
+    rows = [[x if math.isfinite(x) else None for x in map(float, row)]
+            for row in dataset.rows]
+    return json.dumps({"metadata": metadata, "rows": rows}, allow_nan=False) + "\n"

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from mirrorphase import (ModelParams, circular_difference, dataset_to_csv,
-                         decoherence_factor, decoherence_time, eigenvalues_closed_form,
-                         figure_preset, gp_exact, gp_kinematic_oracle,
-                         gp_perturbative, im_influence_action, run_sweep,
-                         unitary_gp)
+                         dataset_to_json, decoherence_factor, decoherence_time,
+                         eigenvalues_closed_form, figure_preset, gp_exact,
+                         gp_kinematic_oracle, gp_perturbative, im_influence_action,
+                         run_sweep, unitary_gp)
 
 from conftest import params_fig2, params_fig6, params_fig7
-from oracles import density_matrix, eig_numeric, eigenvector_plus
+from oracles import (density_matrix, eig_numeric, eigenvector_plus, reference_csv,
+                     reference_json)
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,7 +259,8 @@ _FIGURE_CHECKS = {2: _check_fig2, 3: _check_fig3, 4: _check_fig4,
 @pytest.mark.parametrize("n", range(2, 9))
 def test_c8_figure_regeneration(n):
     """Each preset completes in < 60 s, is NaN-free, satisfies its ordering or
-    boundary property, and reproduces bit-identically."""
+    boundary property, reproduces bit-identically, and both writers spell it
+    as the per-value formula does."""
     start = time.monotonic()
     dataset = run_sweep(figure_preset(n))
     elapsed = time.monotonic() - start
@@ -268,6 +270,10 @@ def test_c8_figure_regeneration(n):
     _FIGURE_CHECKS[n](dataset)
     repeat = run_sweep(figure_preset(n))
     identical = dataset_to_csv(dataset) == dataset_to_csv(repeat)
-    report(f"8 figure {n} regeneration", identical and elapsed < 60.0,
-           f"{len(dataset.rows)} rows, {elapsed:.2f}s, bit-identical repeat: {identical}")
+    formula = (dataset_to_csv(dataset) == reference_csv(dataset)
+               and dataset_to_json(dataset) == reference_json(dataset))
+    report(f"8 figure {n} regeneration", identical and formula and elapsed < 60.0,
+           f"{len(dataset.rows)} rows, {elapsed:.2f}s, bit-identical repeat: {identical}, "
+           f"writers match the per-value formula: {formula}")
     assert identical
+    assert formula

@@ -4,11 +4,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirrorphase import (Axis, Dataset, DomainError, SweepSpec, dataset_to_csv,
                          dataset_to_json, read_dataset_csv, read_dataset_json,
                          run_sweep, write_dataset)
-from mirrorphase.datafiles import FORMATS, _metadata_lines
+from mirrorphase import datafiles
+from mirrorphase.datafiles import FORMATS
+
+from oracles import reference_csv, reference_json
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +32,13 @@ def factor_spec(**overrides):
     return SweepSpec(**settings)
 
 
+def signed_zero_spec(times):
+    """decoherence_factor over two velocities and a time axis of the given
+    zeros, so the time column repeats its values and is spelled by a memo."""
+    return factor_spec(axes=(Axis.from_values("velocity", (0.1, 0.5)),
+                             Axis.from_values("time", times)))
+
+
 def error_spec():
     """decoherence_time over gamma0 = 0 (no decoherence) and 0.1, error rows kept."""
     return SweepSpec(target="decoherence_time",
@@ -42,30 +53,18 @@ def awkward_dataset():
                    metadata={"generator": "mirrorphase", "target": "test"})
 
 
+def empty_dataset():
+    """A sweep's columns and metadata, axes included, without a row."""
+    dataset = run_sweep(factor_spec())
+    return Dataset(columns=dataset.columns, rows=(), metadata=dataset.metadata)
+
+
 def same_entries(left, right):
     """Row tuples equal entry by entry, NaN matching NaN."""
     return len(left) == len(right) and all(
         len(a) == len(b) and all(x == y or (math.isnan(x) and math.isnan(y))
                                  for x, y in zip(a, b))
         for a, b in zip(left, right))
-
-
-# The writers' per-value formula, written out entry by entry: every CSV
-# entry is repr(float(x)), and JSON keeps each entry as it is except a
-# non-finite one, which becomes null.
-def reference_csv(dataset):
-    lines = _metadata_lines(dataset.metadata)
-    lines.append(",".join(dataset.columns))
-    for row in dataset.rows:
-        lines.append(",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def reference_json(dataset):
-    metadata = dict(dataset.metadata)
-    metadata["columns"] = list(dataset.columns)
-    rows = [[x if math.isfinite(x) else None for x in row] for row in dataset.rows]
-    return json.dumps({"metadata": metadata, "rows": rows}, allow_nan=False) + "\n"
 
 
 class TestRoundTrip:
@@ -149,7 +148,11 @@ class TestWrittenBytes:
         awkward_dataset,
         lambda: Dataset(columns=("n", "x"), rows=((0, 1.5), (2, -0.0)),
                         metadata={"target": "integers"}),
-    ], ids=["sweep", "error_rows", "awkward", "integer_entries"])
+        lambda: run_sweep(signed_zero_spec((-0.0, 0.0, -0.0))),
+        empty_dataset,
+        lambda: Dataset(columns=(), rows=((), ()), metadata={"target": "no columns"}),
+    ], ids=["sweep", "error_rows", "awkward", "integer_entries", "signed_zero_axis",
+            "no_rows", "no_columns"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_match_the_per_value_formula(self, tmp_path, make, fmt):
         dataset = make()
@@ -181,3 +184,76 @@ class TestWrittenBytes:
         assert '"min": 0.0, "max": 10.0' in json_text
         assert '"gamma0": 1.0' in json_text
         assert '"rows": [[0.0, 1.0]' in json_text
+
+    @pytest.mark.parametrize("make", [lambda: run_sweep(factor_spec()),
+                                      lambda: run_sweep(signed_zero_spec((-0.0, 0.0, -0.0))),
+                                      awkward_dataset],
+                             ids=["sweep", "signed_zero_axis", "awkward"])
+    def test_rows_spelled_in_blocks(self, monkeypatch, make):
+        """A memo carries an axis column's spellings from one block to the next."""
+        monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
+        dataset = make()
+        assert dataset_to_csv(dataset) == reference_csv(dataset)
+        assert dataset_to_json(dataset) == reference_json(dataset)
+
+    @pytest.mark.parametrize("rows", [((0.0, 1.0, 2.0), (1.0, 2.0)),
+                                      ((0.0, 1.0, 2.0, 3.0),),
+                                      ((0.0, 1.0, 2.0), ())],
+                             ids=["short", "long", "empty_row"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_row_width_must_match_the_columns(self, tmp_path, rows, fmt):
+        dataset = Dataset(columns=("a", "b", "c"), rows=rows, metadata={})
+        path = tmp_path / f"data.{fmt}"
+        with pytest.raises(DomainError, match=f"row {len(rows) - 1} has "
+                                              f"{len(rows[-1])} entries"):
+            write_dataset(dataset, str(path), fmt)
+        assert not path.exists()
+
+
+# Entries a column may hold: both zeros, the non-finite values, the extreme
+# doubles, integers and arbitrary doubles.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.1]),
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def hand_built_datasets(draw):
+    """Datasets of 1-4 columns, a random subset of them named as sweep axes
+    with a random point count, one column holding both zeros whenever there
+    are two rows or more."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    columns = tuple(f"c{i}" for i in range(width))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
+                         max_size=12))
+    if len(rows) >= 2:
+        zeros = draw(st.integers(min_value=0, max_value=width - 1))
+        rows[0][zeros], rows[-1][zeros] = -0.0, 0.0
+    axes = [{"name": name, "scale": "linear", "min": 0.0, "max": 1.0,
+             "count": draw(st.integers(min_value=2, max_value=12))}
+            for name in columns if draw(st.booleans())]
+    return Dataset(columns=columns, rows=tuple(map(tuple, rows)),
+                   metadata={"target": "hand-built", "axes": axes})
+
+
+@given(dataset=hand_built_datasets())
+@settings(max_examples=150, deadline=None)
+def test_writers_follow_the_per_value_formula(tmp_path_factory, dataset):
+    """Written bytes equal the per-value formula, and every finite entry
+    reads back exactly, the sign of zero included."""
+    directory = tmp_path_factory.mktemp("property")
+    for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
+        path = directory / f"data.{fmt}"
+        write_dataset(dataset, str(path), fmt)
+        assert path.read_bytes() == reference(dataset).encode()
+        back = READERS[fmt](str(path))
+        assert len(back.rows) == len(dataset.rows)
+        for row, back_row in zip(dataset.rows, back.rows):
+            for entry, read in zip(row, back_row):
+                entry = float(entry)
+                if math.isfinite(entry) or fmt == "csv":
+                    assert repr(read) == repr(entry)
+                else:  # strict JSON wrote null
+                    assert math.isnan(read)

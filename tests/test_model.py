@@ -4,6 +4,7 @@ Frozen reference numbers were computed independently with mpmath at 50
 digits, straight from the closed formulas.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 from mirrorphase import (DomainError, ModelParams, NoDecoherenceError,
                          decoherence_factor, decoherence_time,
                          dephasing_multiplier, friction_factor,
-                         im_influence_action, im_inout_action)
+                         im_influence_action, im_inout_action, model)
 
 from conftest import params_fig2
 
@@ -36,6 +37,39 @@ class TestParams:
     def test_rejected(self, kwargs):
         with pytest.raises(DomainError):
             make(**kwargs)
+
+    def test_multiplier_is_kept_beside_the_fields(self, monkeypatch):
+        """Computed once at construction, the multiplier is no field: equality,
+        hashing, repr and dataclasses.replace see the five fields alone."""
+        params = make()
+        assert [f.name for f in dataclasses.fields(params)] == [
+            "gamma0", "lambda_tilde", "omega_tilde", "velocity", "omega0_tilde"]
+        assert params == make() and hash(params) == hash(make())
+        assert params != make(v=0.9)
+        assert repr(params) == ("ModelParams(gamma0=0.05, lambda_tilde=5.0, "
+                                "omega_tilde=0.03, velocity=0.5, omega0_tilde=1.0)")
+        moved = dataclasses.replace(params, velocity=0.9)
+        assert dephasing_multiplier(moved) == dephasing_multiplier(make(v=0.9))
+        assert dephasing_multiplier(moved) != dephasing_multiplier(params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.velocity = 0.9
+
+        def recomputed(_):
+            raise AssertionError("friction_factor called after construction")
+        monkeypatch.setattr(model, "friction_factor", recomputed)
+        dephasing_multiplier(params)
+        decoherence_factor(params, 1.0)
+        decoherence_time(params)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 15.0), st.floats(1e-3, 1.0),
+           st.floats(0.0, 0.99), st.floats(0.0, 100.0))
+    def test_cached_multiplier_keeps_every_bit(self, gamma0, lam, omega, v, s):
+        """The kept value and the rate's operation order give the bits of
+        the per-call formula 0.5*gamma0*s*(1 + (2/3)v^2 + friction_factor)."""
+        params = make(gamma0=gamma0, lam=lam, omega=omega, v=v)
+        multiplier = 1.0 + (2.0 / 3.0) * v * v + friction_factor(params)
+        assert dephasing_multiplier(params) == multiplier
+        assert decoherence_factor(params, s) == math.exp(-(0.5 * gamma0 * s * multiplier))
 
 
 class TestFrictionFactor:

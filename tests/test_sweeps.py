@@ -26,6 +26,31 @@ class TestAxis:
         assert grid[0] == 0.1 and grid[-1] == 0.9
         assert grid == pytest.approx((0.1, 0.3, 0.5, 0.7, 0.9), rel=1e-15)
 
+    def test_linear_grid_near_the_float_limit(self):
+        """(max - min) * (count - 1) overflows here; the grid stays finite."""
+        grid = Axis.linear("time", 0.0, 1.7e308, 5).grid()
+        assert all(map(math.isfinite, grid))
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert grid == pytest.approx((0.0, 4.25e307, 8.5e307, 1.275e308, 1.7e308),
+                                     rel=1e-15)
+        dataset = run_sweep(SweepSpec(
+            target="decoherence_factor", axes=(Axis.linear("time", 0.0, 1.7e308, 5),),
+            fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03, "velocity": 0.5}))
+        assert [row[0] for row in dataset.rows] == list(grid)
+
+    @pytest.mark.parametrize("axis", list(dict.fromkeys([
+        *(axis for n in range(2, 9) for axis in figure_preset(n).axes
+          if axis.scale == "linear"),
+        Axis.linear("velocity", 0.01, 0.95, 250),
+        Axis.linear("velocity", 0.0731, 0.95, 250),
+        Axis.linear("time", 0.0, 2.0 * TWO_PI, 250),
+    ])), ids=lambda axis: f"{axis.name}-{axis.start!r}-{axis.stop!r}-{axis.count}")
+    def test_linear_grid_bits(self, axis):
+        """Figure and dense grids keep start + (stop - start) * i / n, bit for bit."""
+        n = axis.count - 1
+        formula = [axis.start + (axis.stop - axis.start) * i / n for i in range(1, n)]
+        assert axis.grid() == (axis.start, *formula, axis.stop)
+
     def test_log_grid(self):
         grid = Axis.log("gamma0", 0.01, 1.0, 3).grid()
         assert grid == pytest.approx((0.01, 0.1, 1.0), rel=1e-12)
