@@ -5,16 +5,20 @@ Usage:
   python scripts/regenerate_figures.py [--outdir data] [--format csv|json]
 
 Each file is self-describing (version, target, grids and fixed parameters
-in the metadata block) and reproduces bit-identically across runs.
+in the metadata block) and reproduces bit-identically across runs. Each is
+read back after it is written; a file whose rows differ from the rows
+written is reported on one line, and the script exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
 
-from mirrorphase import figure_preset, run_sweep, write_dataset
+from mirrorphase import (figure_preset, read_dataset_csv, read_dataset_json, run_sweep,
+                         write_dataset)
 from mirrorphase.sweeps import FIGURE_RANGE
 
 
@@ -28,10 +32,17 @@ def main() -> int:
 
     os.makedirs(args.outdir, exist_ok=True)
     numbers = [args.only] if args.only is not None else list(FIGURE_RANGE)
+    read = read_dataset_csv if args.format == "csv" else read_dataset_json
     for n in numbers:
         path = os.path.join(args.outdir, f"fig{n}.{args.format}")
         start = time.monotonic()
-        rows = write_dataset(run_sweep(figure_preset(n)), path, args.format)
+        dataset = run_sweep(figure_preset(n))
+        rows = write_dataset(dataset, path, args.format)
+        back = read(path)
+        if back.columns != dataset.columns or back.rows != dataset.rows:
+            print(f"figure {n}: {path} does not read back as the rows written",
+                  file=sys.stderr)
+            return 1
         print(f"figure {n}: {rows} rows -> {path} ({time.monotonic() - start:.2f}s)")
     return 0
 

@@ -61,9 +61,12 @@ LOG = "log"
 VALUES = "values"
 
 # run_sweep holds every row in memory (about 100 bytes per point), and
-# writing the dataset as CSV and then JSON peaks near 300 bytes per point
-# (tracemalloc: 294 for a 250,000-point sweep of four columns, 250 for a
-# 500,000-point sweep of one axis); the cap keeps a sweep below about 150 MB
+# writing the dataset as CSV and then JSON peaks near 300 bytes per point;
+# reading it back peaks near 110 bytes per point from CSV and 180 from JSON,
+# whose reader also holds the file text (tracemalloc, the held rows
+# included: write 308, read 105 and 181 for a 250,000-point sweep of four
+# columns; write 254, read 113 and 157 for a 500,000-point sweep of one
+# axis); the cap keeps a sweep below about 150 MB
 MAX_SWEEP_POINTS = 500_000
 
 
