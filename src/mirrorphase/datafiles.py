@@ -14,13 +14,26 @@ takes, such as ``1_000``, ``.5``, ``+1``, ``inf`` and ``nan``; no writer
 writes them. Rows are parsed a block at a time, each column mapped to
 doubles in C. A sweep-axis column repeats its values, so each distinct
 spelling in it is parsed once and its rows share one float object.
+
+No write or read holds a file's whole text. The writers spell and write
+a block of rows at a time; a write that fails after the file is opened
+removes the partial file. The CSV reader reads a block of lines at a time,
+and rebuilds the metadata block from the comments, so a CSV read back
+writes the same bytes again. The JSON reader reads a piece of characters
+at a time in two passes over the file: the first decodes the members other
+than ``rows`` through ``json``, the second parses the rows, so the members
+may come in any order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
+from collections.abc import Iterator
+from contextlib import suppress
 from itertools import chain, islice, repeat
 
 from .errors import DomainError
@@ -51,8 +64,8 @@ def _metadata_lines(metadata: dict) -> list[str]:
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
 _JSON_NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
 
-# rows are spelled a block at a time, so only one block's strings are held
-# beside the finished row texts
+# rows are spelled and written a block at a time, so only one block's
+# strings are held
 _BLOCK_ROWS = 4096
 
 
@@ -89,76 +102,105 @@ def _memos(columns, counts: dict[str, int], rows: int) -> list[dict | None]:
             for name in columns]
 
 
-def _row_texts(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> list[str]:
-    """Each row's entries spelled ``repr(float(x))`` and joined by ``sep``.
+def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
+    """Each block of rows as row texts: entries spelled ``repr(float(x))`` and
+    joined by ``sep``.
 
     A spelling that ``nonfinite`` names is replaced by its value. Each block
-    of rows is transposed into columns. A sweep axis whose metadata gives it
-    fewer grid points than there are rows repeats its values, so its column
-    spells each distinct value once through a memo; every other column is
-    spelled entry by entry, mapped in C. A row whose width differs from the
-    column count is a ``DomainError``.
+    of ``_BLOCK_ROWS`` rows is transposed into columns. A sweep axis whose
+    metadata gives it fewer grid points than there are rows repeats its
+    values, so its column spells each distinct value once through a memo
+    shared by the blocks; every other column is spelled entry by entry,
+    mapped in C. The row widths are checked at the call, before any block
+    is spelled: a row whose width differs from the column count is a
+    ``DomainError``.
     """
     rows, width = dataset.rows, len(dataset.columns)
     if set(map(len, rows)) - {width}:
         index = next(i for i, row in enumerate(rows) if len(row) != width)
         raise DomainError(f"row {index} has {len(rows[index])} entries; "
                           f"the dataset has {width} columns")
-    if not width:
-        return [""] * len(rows)
     memos = _memos(dataset.columns, _axis_counts(dataset.metadata.get("axes", ())),
                    len(rows))
-    texts = []
-    for begin in range(0, len(rows), _BLOCK_ROWS):
-        columns = []
-        for memo, column in zip(memos, zip(*rows[begin:begin + _BLOCK_ROWS])):
-            if memo is None:
-                columns.append(_spell(column, nonfinite))
-                continue
-            new = set(column).difference(memo)
-            memo.update(zip(new, _spell(new, nonfinite)))
-            # 0.0 == -0.0 share one memo entry, so a zero is spelled by its own sign
-            columns.append([memo[x] if x else repr(float(x)) for x in column])
-        texts.extend(map(sep.join, zip(*columns)))
-    return texts
+    return (_spell_block(rows[begin:begin + _BLOCK_ROWS], memos, sep, nonfinite)
+            for begin in range(0, len(rows), _BLOCK_ROWS))
+
+
+def _spell_block(rows, memos: list, sep: str, nonfinite: dict[str, str]) -> list[str]:
+    """The row texts of one block, as ``_row_blocks`` describes them."""
+    if not memos:
+        return [""] * len(rows)
+    columns = []
+    for memo, column in zip(memos, zip(*rows)):
+        if memo is None:
+            columns.append(_spell(column, nonfinite))
+            continue
+        new = set(column).difference(memo)
+        memo.update(zip(new, _spell(new, nonfinite)))
+        # 0.0 == -0.0 share one memo entry, so a zero is spelled by its own sign
+        columns.append([memo[x] if x else repr(float(x)) for x in column])
+    return list(map(sep.join, zip(*columns)))
+
+
+def _csv_pieces(dataset: Dataset) -> Iterator[str]:
+    """The CSV text in pieces: the metadata comments and the header, then
+    one piece per block of rows."""
+    blocks = _row_blocks(dataset, ",", {})
+    head = _metadata_lines(dataset.metadata) + [",".join(dataset.columns), ""]
+    return chain(["\n".join(head)], map("{}\n".format, map("\n".join, blocks)))
+
+
+def _json_pieces(dataset: Dataset) -> Iterator[str]:
+    """The JSON text in pieces: the object up to the rows array, one piece
+    per block of rows, and the close."""
+    blocks = _row_blocks(dataset, ", ", _JSON_NONFINITE)
+    metadata = dict(dataset.metadata)
+    metadata["columns"] = list(dataset.columns)
+    head = json.dumps({"metadata": metadata}, allow_nan=False)[:-1] + ', "rows": ['
+    # "[" opens the first row and ", [" each block's first row after it
+    return chain([head], map("{}[{}]".format, chain([""], repeat(", ")),
+                             map("], [".join, blocks)), ["]}\n"])
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
-    lines = _metadata_lines(dataset.metadata)
-    lines.append(",".join(dataset.columns))
-    lines += _row_texts(dataset, ",", {})
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_csv_pieces(dataset))
 
 
 def dataset_to_json(dataset: Dataset) -> str:
     """The bytes of ``json.dumps({"metadata": ..., "rows": ...})``, every entry
     spelled ``repr(float(x))`` and a non-finite one ``null``."""
-    texts = _row_texts(dataset, ", ", _JSON_NONFINITE)
-    metadata = dict(dataset.metadata)
-    metadata["columns"] = list(dataset.columns)
-    head = json.dumps({"metadata": metadata}, allow_nan=False)[:-1] + ', "rows": ['
-    rows = "], [".join(texts)
-    del texts  # freed before the rows are copied into the file text
-    return f"{head}[{rows}]]}}\n" if dataset.rows else head + "]}\n"
+    return "".join(_json_pieces(dataset))
 
 
 FORMATS = ("csv", "json")
 
 
 def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
-    """Write the dataset to ``path``; returns the number of data rows."""
+    """Write the dataset to ``path`` a block of rows at a time; returns the
+    number of data rows.
+
+    A row of the wrong width is refused before the file is opened. If the
+    write fails after that, the partial file is removed (unless ``path`` is
+    not a regular file, such as ``/dev/stdout``) and the error re-raised.
+    """
     if fmt not in FORMATS:
         raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
-    text = dataset_to_csv(dataset) if fmt == "csv" else dataset_to_json(dataset)
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
+    pieces = _csv_pieces(dataset) if fmt == "csv" else _json_pieces(dataset)
+    handle = open(path, "w", newline="\n")
+    try:
+        with handle:
+            handle.writelines(pieces)
+    except BaseException:
+        with suppress(OSError):  # the write's own error is the one to report
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise
     return len(dataset.rows)
 
 
-# rows are read a block at a time too, but in small blocks, so a block's
-# strings stay small beside the row tuples already built: blocks of 4,096
-# rows raised the figures workload's peak memory by 12%
+# CSV rows are read a block of lines at a time, in small blocks, so a
+# block's strings stay small beside the row tuples already built: blocks of
+# 4,096 rows raised the figures workload's peak memory by 12%
 _READ_ROWS = 256
 
 
@@ -225,19 +267,39 @@ def _data_line(line: str, raw_meta: dict[str, str]) -> bool:
     return bool(line)
 
 
-def _csv_axis_counts(raw_meta: dict[str, str]) -> dict[str, int]:
-    """Grid counts of the ``# axis.<name> = values v...`` and
-    ``# axis.<name> = <scale> min max count`` comments."""
-    counts = {}
-    for key, value in raw_meta.items():
-        fields = value.split()
-        if not (key.startswith("axis.") and fields):
-            continue
+def _csv_axis(name: str, value: str) -> dict | None:
+    """The metadata entry that an ``# axis.<name> = values v...`` or
+    ``# axis.<name> = <scale> min max count`` comment spells, or ``None``."""
+    fields = value.split()
+    try:
         if fields[0] == "values":
-            counts[key[5:]] = len(fields) - 1
-        elif fields[-1].isdecimal() and len(fields[-1]) < 19:  # no row count is longer
-            counts[key[5:]] = int(fields[-1])
-    return counts
+            return {"name": name, "scale": "values", "values": list(map(float, fields[1:]))}
+        scale, low, high, count = fields
+        if count.isdecimal() and len(count) < 19:  # no grid count is longer
+            return {"name": name, "scale": scale, "min": float(low), "max": float(high),
+                    "count": int(count)}
+    except (IndexError, ValueError):
+        pass
+    return None
+
+
+def _csv_metadata(raw_meta: dict[str, str]) -> dict:
+    """The metadata block that the CSV comments spell, as the writers take
+    it: ``version``, ``target``, the ``axis.*`` and ``fixed.*`` lines and
+    ``allow_errors``, with every comment also kept as text under ``raw``.
+    A line that does not parse is kept only under ``raw``."""
+    metadata = {key: raw_meta[key] for key in ("version", "target") if key in raw_meta}
+    axes, fixed = [], {}
+    for key, value in raw_meta.items():
+        kind, _, name = key.partition(".")
+        if kind == "axis" and (axis := _csv_axis(name, value)) is not None:
+            axes.append(axis)
+        elif kind == "fixed":
+            with suppress(ValueError):
+                fixed[name] = float(value)
+    metadata.update(axes=axes, fixed=fixed, allow_errors=raw_meta.get("allow_errors") == "true",
+                    raw=raw_meta)
+    return metadata
 
 
 def _csv_rows(handle, width: int, memos: list, raw_meta: dict[str, str], path: str):
@@ -254,7 +316,7 @@ def _csv_rows(handle, width: int, memos: list, raw_meta: dict[str, str], path: s
 
 
 def read_dataset_csv(path: str) -> Dataset:
-    """Read back a CSV dataset; metadata comments are kept as raw strings."""
+    """Read back a CSV dataset; the metadata block is rebuilt from the comments."""
     raw_meta: dict[str, str] = {}
     with open(path) as handle:
         for line in handle:
@@ -264,107 +326,174 @@ def read_dataset_csv(path: str) -> Dataset:
                 break
         else:
             raise DomainError(f"{path}: no header row found")
-        counts = _csv_axis_counts(raw_meta)
+        counts = _axis_counts(_csv_metadata(raw_meta)["axes"])
         memos = _memos(columns, counts, math.prod(counts.values()))
         rows = tuple(chain.from_iterable(_csv_rows(handle, len(columns), memos,
                                                    raw_meta, path)))
-    return Dataset(columns=columns, rows=rows,
-                   metadata={"raw": raw_meta, "allow_errors":
-                             raw_meta.get("allow_errors") == "true"})
+    return Dataset(columns=columns, rows=rows, metadata=_csv_metadata(raw_meta))
 
 
+# a JSON file is read this many characters at a time: about 240 rows of a
+# four-column sweep, so its blocks are as small as the CSV reader's
+_READ_CHARS = 1 << 14
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
-_JSON_COMMA = re.compile(r"[ \t\n\r]*,[ \t\n\r]*")
+# what may still continue a number that ends where the text read so far ends
+_JSON_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")
 # where one row of the rows array ends and the next begins
 _JSON_ROW_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 # the last row's close and the rows array's
 _JSON_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
+_JSON_DECODER = json.JSONDecoder()
 
 
-def _skip_space(text: str, pos: int) -> int:
-    return _JSON_SPACE.match(text, pos).end()
+class _JsonText:
+    """The text of an open JSON file, read ``_READ_CHARS`` characters at a
+    time: ``buf[pos:]`` is what has been read and not yet consumed, and
+    ``offset`` the number of characters dropped before ``buf``."""
+
+    def __init__(self, handle, path: str) -> None:
+        self.handle, self.path = handle, path
+        self.buf, self.pos, self.offset = "", 0, 0
+
+    def fail(self, message: str) -> DomainError:
+        return DomainError(f"{self.path}: {message}")
+
+    def more(self, size: int = 0) -> bool:
+        """Drop the consumed text and read one more piece of at least
+        ``size`` characters; False, with nothing changed, at the end of the file."""
+        piece = self.handle.read(max(size, _READ_CHARS))
+        if piece:
+            self.offset += self.pos
+            self.buf, self.pos = self.buf[self.pos:] + piece, 0
+        return bool(piece)
+
+    def skip_space(self) -> bool:
+        """Consume any whitespace; whether text follows it."""
+        while True:
+            self.pos = _JSON_SPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.pos < len(self.buf)
+
+    def at(self, char: str) -> bool:
+        """Whether ``char`` comes next, after any whitespace."""
+        self.skip_space()
+        return self.buf.startswith(char, self.pos)
+
+    def expect(self, char: str) -> None:
+        if not self.at(char):
+            raise self.fail(f"expected {char!r} at character {self.offset + self.pos}")
+        self.pos += 1
+
+    def value(self):
+        """The JSON value next, decoded by ``json``.
+
+        Until the value decodes, and while a number may run on past the text
+        read so far, the text read is doubled; a value that is malformed is
+        therefore refused only at the end of the file.
+        """
+        self.skip_space()
+        while True:
+            try:
+                value, end = _JSON_DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more(len(self.buf)):
+                    continue
+                raise self.fail(f"{exc.msg} at character {self.offset + exc.pos}") from None
+            if not _JSON_NUMBER_TAIL.match(self.buf, end) or not self.more(len(self.buf)):
+                self.pos = end
+                return value
 
 
-def _expect(text: str, pos: int, char: str, path: str) -> int:
-    """The position after ``char``, which must stand at ``text[pos]``."""
-    if not text.startswith(char, pos):
-        raise DomainError(f"{path}: expected {char!r} at character {pos}")
-    return pos + 1
-
-
-def _json_rows_span(text: str, pos: int, path: str) -> tuple[tuple[int, int], int]:
-    """Where the rows of the array that opens at ``text[pos]`` begin and end,
-    and the position after the array."""
-    start = _skip_space(text, _expect(text, pos, "[", path))
-    if text.startswith("]", start):
-        return (start, start), start + 1
-    end = _JSON_ROWS_END.search(text, start)
-    if end is None:
-        raise DomainError(f"{path}: the rows array at character {pos} is not closed")
-    return (start, end.start() + 1), end.end()
-
-
-def _json_members(text: str, path: str) -> tuple[dict, tuple[int, int] | None]:
-    """The top-level object's members except ``rows``, each decoded by
-    ``json``, and the span of the rows inside the ``rows`` array."""
-    decoder, members, rows = json.JSONDecoder(), {}, None
-    pos = _skip_space(text, _expect(text, _skip_space(text, 0), "{", path))
-    more = not text.startswith("}", pos)
+def _json_object(text: _JsonText, rows) -> dict:
+    """The top-level object's members: ``rows`` as ``rows(text)`` reads its
+    array, every other member decoded by ``json``."""
+    members = {}
+    text.expect("{")
+    more = not text.at("}")
     while more:
-        _expect(text, pos, '"', path)
-        key, pos = decoder.raw_decode(text, pos)
-        pos = _skip_space(text, _expect(text, _skip_space(text, pos), ":", path))
-        if key == "rows":
-            rows, pos = _json_rows_span(text, pos, path)
-        else:
-            members[key], pos = decoder.raw_decode(text, pos)
-        pos = _skip_space(text, pos)
-        more = text.startswith(",", pos)
+        if not text.at('"'):
+            raise text.fail(f"expected '\"' at character {text.offset + text.pos}")
+        key = text.value()
+        text.expect(":")
+        members[key] = rows(text) if key == "rows" else text.value()
+        more = text.at(",")
         if more:
-            pos = _skip_space(text, pos + 1)
-    pos = _expect(text, pos, "}", path)
-    if _skip_space(text, pos) != len(text):
-        raise DomainError(f"{path}: unexpected text after character {pos}")
-    return members, rows
+            text.pos += 1
+    text.expect("}")
+    if text.skip_space():
+        raise text.fail(f"unexpected text after character {text.offset + text.pos}")
+    return members
 
 
-def _json_rows(text: str, span: tuple[int, int], width: int, memos: list, path: str):
-    """Blocks of row tuples from the rows ``[...], [...]`` in ``text[span[0]:span[1]]``.
+def _skip_rows(text: _JsonText) -> None:
+    """Read past the rows array, keeping no more than one row of it."""
+    text.expect("[")
+    if text.at("]"):
+        text.pos += 1
+        return
+    while (end := _JSON_ROWS_END.search(text.buf, text.pos)) is None:
+        last = text.buf.rfind("]", text.pos)  # may close the last row
+        text.pos = last if last >= 0 else len(text.buf)
+        if not text.more():
+            raise text.fail("the rows array is not closed")
+    text.pos = end.end()
 
-    A block is the rows that end within a window of about ``_READ_ROWS``
-    rows' characters. It is cut into rows at ``]``, ``,`` and ``[`` with
-    any JSON whitespace between; a bracket left in an entry fails as an
-    entry that is not a number.
+
+def _json_rows(text: _JsonText, width: int, memos: list):
+    """Blocks of row tuples from the rows array ``[[...], [...]]`` next.
+
+    Each block is the rows that the text read so far holds whole. It is cut
+    into rows at ``]``, ``,`` and ``[`` with any JSON whitespace between; a
+    bracket left in an entry fails as an entry that is not a number. The
+    row begun last is carried into the next block.
     """
-    pos, end = span
-    window = max(1, (end - pos) * _READ_ROWS // max(1, text.count("]", pos, end)))
+    text.expect("[")
+    if text.at("]"):
+        text.pos += 1
+        return
     first = 0
-    while pos < end:
-        stop = text.rfind("]", pos, min(pos + window, end)) + 1 or text.find("]", pos) + 1
-        comma = _JSON_COMMA.match(text, stop, end)
-        if not text.startswith("[", pos) or (stop < end and comma is None):
-            raise DomainError(f"{path}: the rows array is not an array of number arrays "
-                              f"after row {first}")
-        texts = _JSON_ROW_BREAK.split(text[pos + 1:stop - 1])
-        yield _parse_rows(texts, width, memos, "null", first, path)
-        first += len(texts)
-        pos = comma.end() if stop < end else end
+    while True:
+        buf, pos = text.buf, text.pos
+        if not buf.startswith("[", pos):
+            raise text.fail(f"the rows array is not an array of number arrays after row {first}")
+        end = _JSON_ROWS_END.search(buf, pos)
+        if end is not None:
+            text.pos = end.end()
+            yield _parse_rows(_JSON_ROW_BREAK.split(buf[pos + 1:end.start()]), width, memos,
+                              "null", first, text.path)
+            return
+        cut = buf.rfind("[", pos + 1)  # where the row begun last opens
+        if cut > pos:
+            block = buf[pos:cut].rstrip(" \t\n\r")
+            rows = block[:-1].rstrip(" \t\n\r")  # without the comma after the last row
+            if not (block.endswith(",") and rows.endswith("]")):
+                raise text.fail("the rows array is not an array of number arrays "
+                                f"after row {first}")
+            texts = _JSON_ROW_BREAK.split(rows[1:-1])
+            text.pos = cut
+            yield _parse_rows(texts, width, memos, "null", first, text.path)
+            first += len(texts)
+        if not text.more():
+            raise text.fail("the rows array is not closed")
 
 
 def read_dataset_json(path: str) -> Dataset:
-    """Read back a JSON dataset: the members other than ``rows`` through
-    ``json``, the rows straight into tuples, with no list of lists between."""
+    """Read back a JSON dataset in pieces of ``_READ_CHARS`` characters.
+
+    A first pass decodes the members other than ``rows`` through ``json``
+    and reads past the rows; a second parses the rows straight into tuples,
+    a block at a time, so neither the file's text nor a list of lists is
+    held. The members may come in any order.
+    """
     with open(path) as handle:
-        text = handle.read()
-    try:
-        members, span = _json_members(text, path)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: {exc}") from None
-    metadata = members.get("metadata")
-    if span is None or not isinstance(metadata, dict) or "columns" not in metadata:
-        raise DomainError(f"{path}: expected an object with rows and metadata.columns")
-    columns = tuple(metadata["columns"])
-    counts = _axis_counts(metadata.get("axes", ()))
-    memos = _memos(columns, counts, math.prod(counts.values()))
-    rows = tuple(chain.from_iterable(_json_rows(text, span, len(columns), memos, path)))
+        members = _json_object(_JsonText(handle, path), _skip_rows)
+        metadata = members.get("metadata")
+        if "rows" not in members or not isinstance(metadata, dict) or "columns" not in metadata:
+            raise DomainError(f"{path}: expected an object with rows and metadata.columns")
+        columns = tuple(metadata["columns"])
+        counts = _axis_counts(metadata.get("axes", ()))
+        memos = _memos(columns, counts, math.prod(counts.values()))
+        handle.seek(0)
+        rows = _json_object(_JsonText(handle, path), lambda text: tuple(
+            chain.from_iterable(_json_rows(text, len(columns), memos))))["rows"]
     return Dataset(columns=columns, rows=rows, metadata=metadata)

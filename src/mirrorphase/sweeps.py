@@ -60,13 +60,13 @@ LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
 
-# run_sweep holds every row in memory (about 100 bytes per point), and
-# writing the dataset as CSV and then JSON peaks near 300 bytes per point;
-# reading it back peaks near 110 bytes per point from CSV and 180 from JSON,
-# whose reader also holds the file text (tracemalloc, the held rows
-# included: write 308, read 105 and 181 for a 250,000-point sweep of four
-# columns; write 254, read 113 and 157 for a 500,000-point sweep of one
-# axis); the cap keeps a sweep below about 150 MB
+# run_sweep holds every row in memory (about 105 bytes per point); the
+# writers add only a block's strings to that, and reading a file back peaks
+# near what its rows hold, about 110 bytes per point in either format
+# (tracemalloc: held 104, writing CSV then JSON with the rows held 108,
+# reading 105 from CSV and 106 from JSON, for a 250,000-point sweep of four
+# columns; held 112, write 114, read 113 and 113 for a 500,000-point sweep
+# of one axis); the cap keeps a sweep and its writing below about 60 MB
 MAX_SWEEP_POINTS = 500_000
 
 

@@ -15,7 +15,7 @@ from mirrorphase import (ModelParams, circular_difference, dataset_to_csv,
                          dataset_to_json, decoherence_factor, decoherence_time,
                          eigenvalues_closed_form, figure_preset, gp_exact,
                          gp_kinematic_oracle, gp_perturbative, im_influence_action,
-                         run_sweep, unitary_gp)
+                         read_dataset_csv, run_sweep, unitary_gp, write_dataset)
 
 from conftest import params_fig2, params_fig6, params_fig7
 from oracles import (density_matrix, eig_numeric, eigenvector_plus, reference_csv,
@@ -257,10 +257,11 @@ _FIGURE_CHECKS = {2: _check_fig2, 3: _check_fig3, 4: _check_fig4,
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_c8_figure_regeneration(n):
+def test_c8_figure_regeneration(n, tmp_path):
     """Each preset completes in < 60 s, is NaN-free, satisfies its ordering or
-    boundary property, reproduces bit-identically, and both writers spell it
-    as the per-value formula does."""
+    boundary property, reproduces bit-identically, both writers spell it
+    as the per-value formula does, and its CSV read back writes the same
+    bytes again."""
     start = time.monotonic()
     dataset = run_sweep(figure_preset(n))
     elapsed = time.monotonic() - start
@@ -272,8 +273,13 @@ def test_c8_figure_regeneration(n):
     identical = dataset_to_csv(dataset) == dataset_to_csv(repeat)
     formula = (dataset_to_csv(dataset) == reference_csv(dataset)
                and dataset_to_json(dataset) == reference_json(dataset))
-    report(f"8 figure {n} regeneration", identical and formula and elapsed < 60.0,
+    path = tmp_path / f"fig{n}.csv"
+    write_dataset(dataset, str(path), "csv")
+    rewritten = dataset_to_csv(read_dataset_csv(str(path))) == path.read_text()
+    report(f"8 figure {n} regeneration", identical and formula and rewritten and elapsed < 60.0,
            f"{len(dataset.rows)} rows, {elapsed:.2f}s, bit-identical repeat: {identical}, "
-           f"writers match the per-value formula: {formula}")
+           f"writers match the per-value formula: {formula}, "
+           f"CSV read back writes the same bytes: {rewritten}")
     assert identical
     assert formula
+    assert rewritten

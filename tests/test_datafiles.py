@@ -18,6 +18,9 @@ from oracles import reference_csv, reference_json
 
 TWO_PI = 2.0 * math.pi
 
+# read-piece sizes in characters, small enough to split every token
+PIECES = range(1, 8)
+
 READERS = {"csv": read_dataset_csv, "json": read_dataset_json}
 
 AWKWARD = (0.1, 1.0 / 3.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -144,8 +147,9 @@ class TestReaders:
         back = read_dataset_csv(str(path))
         assert back.columns == ("time", "value")
         assert back.rows == ((0.0, 1.0), (2.5, 0.25))
-        assert back.metadata == {"raw": {"target": "decoherence_factor"},
-                                 "allow_errors": False}
+        assert back.metadata == {"target": "decoherence_factor", "axes": [], "fixed": {},
+                                 "allow_errors": False,
+                                 "raw": {"target": "decoherence_factor"}}
 
     @pytest.mark.parametrize("rows, message", [
         ((("0.0", "1.0"), ("2.0",), ("3.0", "4.0", "5.0")), "row 1 has 1 entries"),
@@ -179,11 +183,14 @@ class TestReaders:
         '[[0]]',
     ], ids=["no_comma", "trailing_comma", "bare_entry", "nested", "trailing_text", "unclosed",
             "no_rows", "bad_metadata", "not_an_object"])
-    def test_json_that_is_not_a_dataset_object(self, tmp_path, text):
+    @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
+    def test_json_that_is_not_a_dataset_object(self, tmp_path, text, piece):
         path = tmp_path / "hand.json"
         path.write_text(text)
-        with pytest.raises(DomainError, match=str(path)):
+        with mock.patch.object(datafiles, "_READ_CHARS", piece), \
+                pytest.raises(DomainError, match=str(path)) as caught:
             read_dataset_json(str(path))
+        assert "\n" not in str(caught.value)
 
     @pytest.mark.parametrize("axes", [
         '[{"count": 2}]', "null", "5", '{"name": "a", "count": 2}',
@@ -216,19 +223,31 @@ class TestReaders:
         assert back.rows == ((0.0, 1.0), (2.5, 0.25), (3.0, 4.0), (5.0, 6.0))
         assert back.metadata["raw"] == {"target": "t", "between": "rows"}
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 256])
-    def test_json_rows_before_metadata_with_irregular_whitespace(self, tmp_path, block_rows):
+    @pytest.mark.parametrize("piece", [*PIECES, 256])
+    def test_json_rows_before_metadata_with_irregular_whitespace(self, tmp_path, piece):
         path = tmp_path / "hand.json"
         path.write_text('{"rows":[[0,1] ,\n\t[ 2 ,0.5 ],[3,\r\n null]\n,[-0.0,4e1]\n] ,\n'
                         ' "metadata" : {"columns": ["time","value"], "axes": '
                         '[{"name": "time", "count": 1}, {"name": "value", "count": 2}]}}')
-        with mock.patch.object(datafiles, "_READ_ROWS", block_rows):
+        with mock.patch.object(datafiles, "_READ_CHARS", piece):
             back = read_dataset_json(str(path))
         assert back.columns == ("time", "value")
         assert same_entries(back.rows, ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan),
                                         (-0.0, 40.0)))
         assert repr(back.rows[3][0]) == "-0.0"
         assert all(type(x) is float for row in back.rows for x in row)
+
+    @pytest.mark.parametrize("piece", PIECES)
+    def test_json_members_split_across_pieces(self, tmp_path, piece):
+        """A top-level number member and a metadata value spelled "rows" read
+        whole, wherever the pieces end."""
+        path = tmp_path / "hand.json"
+        path.write_text('{"count": 123456789e-3, "metadata": {"note": "rows", "rows": [1],'
+                        ' "columns": ["a"]}, "rows": [[1.5], [-2]], "tail": -0.25}')
+        with mock.patch.object(datafiles, "_READ_CHARS", piece):
+            back = read_dataset_json(str(path))
+        assert back.rows == ((1.5,), (-2.0,))
+        assert back.metadata == {"note": "rows", "rows": [1], "columns": ["a"]}
 
     @pytest.mark.parametrize("fmt, nan", [("csv", "nan"), ("json", "null"), ("json", "NaN")])
     def test_nan_in_memo_and_plain_columns(self, tmp_path, fmt, nan):
@@ -253,7 +272,8 @@ class TestReaders:
         dataset = run_sweep(factor_spec())
         path = tmp_path / f"data.{fmt}"
         write_dataset(dataset, str(path), fmt)
-        with mock.patch.object(datafiles, "_READ_ROWS", 2):
+        with mock.patch.object(datafiles, "_READ_ROWS", 2), \
+                mock.patch.object(datafiles, "_READ_CHARS", 40):
             back = READERS[fmt](str(path))
         assert back.rows == dataset.rows
         for column in list(zip(*back.rows))[:2]:  # velocity and time
@@ -264,6 +284,31 @@ class TestReaders:
         path.write_text("# mirrorphase dataset\n\n# allow_errors = false\n")
         with pytest.raises(DomainError, match="no header row found"):
             read_dataset_csv(str(path))
+
+
+def test_csv_read_back_writes_the_same_bytes(tmp_path):
+    """The metadata block is rebuilt from the comments, so a CSV read back
+    and written again is the same file; figures 2-8 are checked with C8."""
+    for number, make in enumerate((lambda: run_sweep(factor_spec()),
+                                   lambda: run_sweep(error_spec()), empty_dataset)):
+        path = tmp_path / f"data{number}.csv"
+        write_dataset(make(), str(path), "csv")
+        back = read_dataset_csv(str(path))
+        assert dataset_to_csv(back) == path.read_text()
+        assert back.metadata["allow_errors"] is (number == 1)
+
+
+@pytest.mark.parametrize("value, axis", [
+    ("values 0.5 -0.0 inf", {"name": "a", "scale": "values", "values": [0.5, -0.0, math.inf]}),
+    ("log 0.01 1.0 3", {"name": "a", "scale": "log", "min": 0.01, "max": 1.0, "count": 3}),
+    ("linear 0.0 1.0", None), ("linear 0.0 x 3", None), ("linear 0.0 1.0 -3", None),
+    ("", None), ("linear 0.0 1.0 " + "9" * 30, None), ("values 1 two", None),
+])
+def test_csv_axis_comments(value, axis):
+    """An axis comment that does not parse stays in ``raw`` only."""
+    metadata = datafiles._csv_metadata({"axis.a": value, "fixed.x": "1e-3", "fixed.y": "?"})
+    assert metadata["axes"] == ([axis] if axis else [])
+    assert metadata["fixed"] == {"x": 0.001}
 
 
 def test_unknown_format_rejected_before_writing(tmp_path):
@@ -342,6 +387,41 @@ class TestWrittenBytes:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
+    """An error after the first block is written removes the partial file."""
+    path = tmp_path / f"data.{fmt}"
+    spell_block = datafiles._spell_block
+    calls = []
+
+    def failing_second_block(*args):
+        calls.append(path.exists())
+        if len(calls) == 2:
+            raise RuntimeError("spelling failed")
+        return spell_block(*args)
+
+    monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(datafiles, "_spell_block", failing_second_block)
+    with pytest.raises(RuntimeError, match="spelling failed"):
+        write_dataset(run_sweep(factor_spec()), str(path), fmt)
+    assert calls == [True, True]
+    assert not path.exists()
+
+
+def test_failed_write_keeps_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch):
+    """Only a regular file is removed: a link, such as ``/dev/stdout``, stays."""
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+
+    def failing(*args):
+        raise RuntimeError("spelling failed")
+
+    monkeypatch.setattr(datafiles, "_spell_block", failing)
+    with pytest.raises(RuntimeError, match="spelling failed"):
+        write_dataset(run_sweep(factor_spec()), str(link), "csv")
+    assert link.is_symlink()
+
+
 # Entries a column may hold: both zeros, the non-finite values, the extreme
 # doubles, integers and arbitrary doubles.
 _ENTRIES = st.one_of(
@@ -396,13 +476,15 @@ def test_writers_follow_the_per_value_formula(tmp_path_factory, dataset):
     check_round_trip(tmp_path_factory.mktemp("property"), dataset)
 
 
-@given(dataset=hand_built_datasets())
+@given(dataset=hand_built_datasets(), piece=st.sampled_from(PIECES))
 @settings(max_examples=150, deadline=None)
-def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset):
-    """The same property with rows written and read two at a time, so the
-    rows and the memos cross block boundaries."""
+def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece):
+    """The same property with rows written and read two at a time, and the
+    JSON text read ``piece`` characters at a time, so the rows, the memos
+    and every JSON token cross piece boundaries."""
     with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
-            mock.patch.object(datafiles, "_READ_ROWS", 2):
+            mock.patch.object(datafiles, "_READ_ROWS", 2), \
+            mock.patch.object(datafiles, "_READ_CHARS", piece):
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
 
 
@@ -419,23 +501,41 @@ def grid_files(tmp_path_factory):
     directory = tmp_path_factory.mktemp("grid")
     for fmt in FORMATS:
         write_dataset(dataset, str(directory / f"grid.{fmt}"), fmt)
-    return directory, len(dataset.rows)
+    return directory, dataset
 
 
-# tracemalloc peak per row of each reader on grid_files, at least 25% above
-# what it measured (CSV 106 B, JSON 181 B). Readers that parse every entry
-# apart, and JSON through a list of lists, peaked at 185 and 274 B.
-READ_PEAK_BYTES_PER_ROW = {"csv": 135, "json": 230}
+def traced_peak(call):
+    """The tracemalloc peak of ``call()``, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peak per row of each reader and writer on grid_files, at least
+# 25% above what it measured (read: CSV 110 B, JSON 107 B; write: CSV 26.6 B,
+# JSON 27.0 B). Readers that parse every entry apart peaked at 185 B (CSV),
+# and JSON readers holding the list of lists or the file's text at 274 and
+# 180 B; writers that built the file's text first peaked at 194 B (CSV) and
+# 204 B (JSON).
+READ_PEAK_BYTES_PER_ROW = {"csv": 135, "json": 134}
+WRITE_PEAK_BYTES_PER_ROW = {"csv": 34, "json": 34}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_read_back_peak_memory_per_row(grid_files, fmt):
-    directory, count = grid_files
-    tracemalloc.start()
-    try:
-        back = READERS[fmt](str(directory / f"grid.{fmt}"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(back.rows) == count == 40_000
-    assert peak / count < READ_PEAK_BYTES_PER_ROW[fmt]
+    directory, dataset = grid_files
+    peak, back = traced_peak(lambda: READERS[fmt](str(directory / f"grid.{fmt}")))
+    assert len(back.rows) == len(dataset.rows) == 40_000
+    assert peak / len(back.rows) < READ_PEAK_BYTES_PER_ROW[fmt]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write_peak_memory_per_row(grid_files, tmp_path, fmt):
+    _, dataset = grid_files
+    path = tmp_path / f"grid.{fmt}"
+    peak, count = traced_peak(lambda: write_dataset(dataset, str(path), fmt))
+    assert count == 40_000
+    assert peak / count < WRITE_PEAK_BYTES_PER_ROW[fmt]
