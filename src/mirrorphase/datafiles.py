@@ -5,24 +5,23 @@ decimal form of a double, in both formats (JSON spells a non-finite entry
 ``null``), so re-parsing a file reproduces the original binary doubles
 exactly and repeated runs of the same sweep produce byte-identical files.
 
-Both readers refuse the rows the writers refuse: every row must have one
-entry per column and every entry must parse as a double, or the read is a
-``DomainError`` naming the file and the row. Entries are parsed by Python's
-``float()`` in both formats (a JSON ``null`` reads as NaN), so the JSON
-reader also reads spellings outside JSON's number grammar that ``float()``
-takes, such as ``1_000``, ``.5``, ``+1``, ``inf`` and ``nan``; no writer
-writes them. Rows are parsed a block at a time, each column mapped to
-doubles in C. A sweep-axis column repeats its values, so each distinct
-spelling in it is parsed once and its rows share one float object.
+Both readers refuse a row without one entry per column, an entry that
+``float()`` refuses (a JSON ``null`` reads as NaN) and text that is not
+UTF-8, with a ``DomainError`` naming the file. So the JSON reader also
+reads spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
+``+1``, ``inf`` and ``nan``; no writer writes them.
 
-No write or read holds a file's whole text. The writers spell and write
-a block of rows at a time; a write that fails after the file is opened
-removes the partial file. The CSV reader reads a block of lines at a time,
-and rebuilds the metadata block from the comments, so a CSV read back
-writes the same bytes again. The JSON reader reads a piece of characters
-at a time in two passes over the file: the first decodes the members other
-than ``rows`` through ``json``, the second parses the rows, so the members
-may come in any order.
+No write or read holds a file's whole text. The writers spell and write a
+block of rows at a time from slices of the dataset's columns; a write that
+fails after the file is opened removes the partial file. The readers parse
+a block of rows at a time, each column mapped to doubles in C and appended
+to the dataset's column. A sweep-axis column repeats its values, so each
+distinct value in it is spelled once and each distinct spelling parsed
+once. The CSV reader rebuilds the metadata block from the comments, so a
+CSV read back writes the same bytes again. The JSON reader reads a piece of
+characters at a time in two passes over the file: the first decodes the
+members other than ``rows`` through ``json``, the second parses the rows,
+so the members may come in any order.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ import os
 import re
 import stat
 from collections.abc import Iterator
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import chain, islice, repeat
 
 from .errors import DomainError
-from .sweeps import Dataset
+from .sweeps import Dataset, Rows
 
 
 def _fmt(value: float) -> str:
@@ -70,8 +69,8 @@ _BLOCK_ROWS = 4096
 
 
 def _spell(values, nonfinite: dict[str, str]) -> list[str]:
-    """``repr(float(x))`` of each value, mapped in C, with ``nonfinite`` swapped in."""
-    texts = list(map(repr, map(float, values)))
+    """``repr(x)`` of each float, mapped in C, with ``nonfinite`` swapped in."""
+    texts = list(map(repr, values))
     return list(map(nonfinite.get, texts, texts)) if nonfinite else texts
 
 
@@ -85,13 +84,11 @@ def _axis_counts(axes) -> dict[str, int]:
     """
     counts = {}
     for axis in axes if isinstance(axes, (list, tuple)) else ():
-        if not (isinstance(axis, dict) and isinstance(axis.get("name"), str)):
-            continue
-        count = axis.get("count", axis.get("values"))
-        if isinstance(count, (list, tuple)):
-            count = len(count)
-        if isinstance(count, int):
-            counts[axis["name"]] = count
+        if isinstance(axis, dict) and isinstance(axis.get("name"), str):
+            count = axis.get("count", axis.get("values"))
+            count = len(count) if isinstance(count, (list, tuple)) else count
+            if isinstance(count, int):
+                counts[axis["name"]] = count
     return counts
 
 
@@ -103,43 +100,38 @@ def _memos(columns, counts: dict[str, int], rows: int) -> list[dict | None]:
 
 
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
-    """Each block of rows as row texts: entries spelled ``repr(float(x))`` and
-    joined by ``sep``.
+    """Each block of ``_BLOCK_ROWS`` rows as row texts: entries spelled
+    ``repr(x)``, a spelling that ``nonfinite`` names replaced by its value,
+    and joined by ``sep``.
 
-    A spelling that ``nonfinite`` names is replaced by its value. Each block
-    of ``_BLOCK_ROWS`` rows is transposed into columns. A sweep axis whose
-    metadata gives it fewer grid points than there are rows repeats its
-    values, so its column spells each distinct value once through a memo
-    shared by the blocks; every other column is spelled entry by entry,
-    mapped in C. The row widths are checked at the call, before any block
-    is spelled: a row whose width differs from the column count is a
-    ``DomainError``.
+    A sweep axis whose metadata gives it fewer grid points than there are
+    rows repeats its values, so its column spells each distinct value once
+    through a memo shared by the blocks; every other column is spelled
+    entry by entry, mapped in C.
     """
-    rows, width = dataset.rows, len(dataset.columns)
-    if set(map(len, rows)) - {width}:
-        index = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise DomainError(f"row {index} has {len(rows[index])} entries; "
-                          f"the dataset has {width} columns")
+    rows = dataset.rows
     memos = _memos(dataset.columns, _axis_counts(dataset.metadata.get("axes", ())),
                    len(rows))
-    return (_spell_block(rows[begin:begin + _BLOCK_ROWS], memos, sep, nonfinite)
-            for begin in range(0, len(rows), _BLOCK_ROWS))
+    for begin in range(0, len(rows), _BLOCK_ROWS):
+        yield _spell_block(rows[begin:begin + _BLOCK_ROWS], memos, sep, nonfinite)
 
 
-def _spell_block(rows, memos: list, sep: str, nonfinite: dict[str, str]) -> list[str]:
-    """The row texts of one block, as ``_row_blocks`` describes them."""
+def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -> list[str]:
+    """The row texts of one block of ``rows``; see ``_row_blocks``."""
     if not memos:
         return [""] * len(rows)
-    columns = []
-    for memo, column in zip(memos, zip(*rows)):
+    texts = []
+    for index, memo in enumerate(memos):
+        column = rows.column(index)
         if memo is None:
-            columns.append(_spell(column, nonfinite))
+            texts.append(_spell(column, nonfinite))
             continue
+        column = column.tolist()  # a NaN is found only by its own object, which the list keeps
         new = set(column).difference(memo)
         memo.update(zip(new, _spell(new, nonfinite)))
         # 0.0 == -0.0 share one memo entry, so a zero is spelled by its own sign
-        columns.append([memo[x] if x else repr(float(x)) for x in column])
-    return list(map(sep.join, zip(*columns)))
+        texts.append([memo[x] if x else repr(x) for x in column])
+    return list(map(sep.join, zip(*texts)))
 
 
 def _csv_pieces(dataset: Dataset) -> Iterator[str]:
@@ -179,14 +171,14 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
     """Write the dataset to ``path`` a block of rows at a time; returns the
     number of data rows.
 
-    A row of the wrong width is refused before the file is opened. If the
-    write fails after that, the partial file is removed (unless ``path`` is
-    not a regular file, such as ``/dev/stdout``) and the error re-raised.
+    Every row was checked when the dataset was built. If the write fails
+    after the file is opened, the partial file is removed (unless ``path``
+    is not a regular file, such as ``/dev/stdout``) and the error re-raised.
     """
     if fmt not in FORMATS:
         raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
     pieces = _csv_pieces(dataset) if fmt == "csv" else _json_pieces(dataset)
-    handle = open(path, "w", newline="\n")
+    handle = open(path, "w", encoding="utf-8", newline="\n")
     try:
         with handle:
             handle.writelines(pieces)
@@ -199,13 +191,18 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
 
 
 # CSV rows are read a block of lines at a time, in small blocks, so a
-# block's strings stay small beside the row tuples already built: blocks of
+# block's strings stay small beside the columns already built: blocks of
 # 4,096 rows raised the figures workload's peak memory by 12%
 _READ_ROWS = 256
 
 
-def _to_floats(texts, null: str | None) -> list[float]:
-    """``float`` of each text, mapped in C; the spelling ``null`` reads as NaN."""
+def _floats(texts, memo: dict | None, null: str | None) -> list[float]:
+    """``float`` of each text, mapped in C, through ``memo`` (text -> float)
+    if given; the spelling ``null`` reads as NaN."""
+    if memo is not None:
+        new = set(texts).difference(memo)
+        memo.update(zip(new, _floats(new, None, null)))
+        return list(map(memo.__getitem__, texts))
     try:
         return list(map(float, texts))
     except ValueError:
@@ -214,19 +211,10 @@ def _to_floats(texts, null: str | None) -> list[float]:
         return [math.nan if text.strip() == null else float(text) for text in texts]
 
 
-def _floats(texts: list[str], memo: dict | None, null: str | None) -> list[float]:
-    """The column ``texts`` as doubles; through ``memo`` (text -> float) if given."""
-    if memo is None:
-        return _to_floats(texts, null)
-    new = set(texts).difference(memo)
-    if new:
-        memo.update(zip(new, _to_floats(new, null)))
-    return list(map(memo.__getitem__, texts))
-
-
 def _parse_rows(texts: list[str], width: int, memos: list, null: str | None,
-                first: int, path: str):
-    """Row tuples of the comma-separated entries that ``texts`` spell.
+                first: int, path: str) -> tuple[int, list[list[float]]]:
+    """The row count and the columns of the comma-separated entries that
+    ``texts`` spell, a block as ``Rows.from_blocks`` takes it.
 
     The block's entries are split at once and sliced into columns, each
     parsed by ``_floats`` with its memo. ``first`` is the index of
@@ -240,7 +228,7 @@ def _parse_rows(texts: list[str], width: int, memos: list, null: str | None,
         except ValueError:
             pass
         else:
-            return zip(*columns)
+            return len(texts), columns
     for index, text in enumerate(texts, first):  # find the row at fault
         entries = text.split(",") if text.strip() else []
         if len(entries) != width:
@@ -248,11 +236,11 @@ def _parse_rows(texts: list[str], width: int, memos: list, null: str | None,
                               f"the dataset has {width} columns")
         for entry in entries:
             try:
-                _to_floats([entry], null)
+                _floats([entry], None, null)
             except ValueError:
                 raise DomainError(f"{path}: row {index}: {entry.strip()!r} is not a number"
                                   ) from None
-    return [()] * len(texts)  # only a dataset without columns gets here
+    return len(texts), []  # only a dataset without columns gets here
 
 
 def _data_line(line: str, raw_meta: dict[str, str]) -> bool:
@@ -303,7 +291,7 @@ def _csv_metadata(raw_meta: dict[str, str]) -> dict:
 
 
 def _csv_rows(handle, width: int, memos: list, raw_meta: dict[str, str], path: str):
-    """Blocks of row tuples from the lines left in ``handle``."""
+    """Blocks of rows, as ``_parse_rows`` gives them, from the lines left in ``handle``."""
     first = 0
     while lines := list(islice(handle, _READ_ROWS)):
         joined = "".join(lines)
@@ -315,10 +303,21 @@ def _csv_rows(handle, width: int, memos: list, raw_meta: dict[str, str], path: s
             first += len(texts)
 
 
+@contextmanager
+def _text_file(path: str):
+    """``path`` open for reading as UTF-8 text; text that is not UTF-8 is a
+    DomainError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_dataset_csv(path: str) -> Dataset:
     """Read back a CSV dataset; the metadata block is rebuilt from the comments."""
     raw_meta: dict[str, str] = {}
-    with open(path) as handle:
+    with _text_file(path) as handle:
         for line in handle:
             line = line.rstrip("\n")
             if _data_line(line, raw_meta):
@@ -328,8 +327,8 @@ def read_dataset_csv(path: str) -> Dataset:
             raise DomainError(f"{path}: no header row found")
         counts = _axis_counts(_csv_metadata(raw_meta)["axes"])
         memos = _memos(columns, counts, math.prod(counts.values()))
-        rows = tuple(chain.from_iterable(_csv_rows(handle, len(columns), memos,
-                                                   raw_meta, path)))
+        rows = Rows.from_blocks(len(columns), _csv_rows(handle, len(columns), memos,
+                                                        raw_meta, path))
     return Dataset(columns=columns, rows=rows, metadata=_csv_metadata(raw_meta))
 
 
@@ -440,7 +439,7 @@ def _skip_rows(text: _JsonText) -> None:
 
 
 def _json_rows(text: _JsonText, width: int, memos: list):
-    """Blocks of row tuples from the rows array ``[[...], [...]]`` next.
+    """Blocks of rows, as ``_parse_rows`` gives them, from the rows array next.
 
     Each block is the rows that the text read so far holds whole. It is cut
     into rows at ``]``, ``,`` and ``[`` with any JSON whitespace between; a
@@ -481,11 +480,11 @@ def read_dataset_json(path: str) -> Dataset:
     """Read back a JSON dataset in pieces of ``_READ_CHARS`` characters.
 
     A first pass decodes the members other than ``rows`` through ``json``
-    and reads past the rows; a second parses the rows straight into tuples,
-    a block at a time, so neither the file's text nor a list of lists is
-    held. The members may come in any order.
+    and reads past the rows; a second parses the rows straight into the
+    columns, a block at a time, so neither the file's text nor a list of
+    lists is held. The members may come in any order.
     """
-    with open(path) as handle:
+    with _text_file(path) as handle:
         members = _json_object(_JsonText(handle, path), _skip_rows)
         metadata = members.get("metadata")
         if "rows" not in members or not isinstance(metadata, dict) or "columns" not in metadata:
@@ -494,6 +493,6 @@ def read_dataset_json(path: str) -> Dataset:
         counts = _axis_counts(metadata.get("axes", ()))
         memos = _memos(columns, counts, math.prod(counts.values()))
         handle.seek(0)
-        rows = _json_object(_JsonText(handle, path), lambda text: tuple(
-            chain.from_iterable(_json_rows(text, len(columns), memos))))["rows"]
+        rows = _json_object(_JsonText(handle, path), lambda text: Rows.from_blocks(
+            len(columns), _json_rows(text, len(columns), memos)))["rows"]
     return Dataset(columns=columns, rows=rows, metadata=metadata)

@@ -6,7 +6,8 @@ deterministic: the same spec always produces the same numeric table,
 row-ordered lexicographically by the axes. Every axis value and fixed
 value is a double from construction on, so both file formats spell it
 alike. The model parameters are built once per cell of the model axes
-(gamma0, lambda, omega, velocity), and each row is checked as it is made.
+(gamma0, lambda, omega, velocity), each point is checked as it is made,
+and the table is held as one array of doubles per column.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -17,6 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from array import array
+from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NoDecoherenceError, QuadratureError, SweepError
@@ -60,13 +64,14 @@ LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
 
-# run_sweep holds every row in memory (about 105 bytes per point); the
-# writers add only a block's strings to that, and reading a file back peaks
-# near what its rows hold, about 110 bytes per point in either format
-# (tracemalloc: held 104, writing CSV then JSON with the rows held 108,
-# reading 105 from CSV and 106 from JSON, for a 250,000-point sweep of four
-# columns; held 112, write 114, read 113 and 113 for a 500,000-point sweep
-# of one axis); the cap keeps a sweep and its writing below about 60 MB
+# run_sweep holds every entry in memory as a double, 8 bytes each; while it
+# runs, the axis grids and one model cell's values add to that, and the
+# writers add only a block's strings; reading a file back peaks near what
+# its columns hold (tracemalloc: held 32, peak 32, writing CSV then JSON
+# adds 5, reading 34 from CSV and 35 from JSON, for a 250,000-point sweep
+# of four columns; held 16.5, peak 89, write adds 2.5, read 16.5 and 17 for
+# a 500,000-point sweep of one axis); the cap keeps a sweep and its writing
+# below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -212,13 +217,132 @@ def _check_domain(name: str, value: float, axis: bool = False) -> None:
         raise DomainError(f"{message} ({where} {value!r})")
 
 
+def _same_entries(left, right) -> bool:
+    """Equal entry by entry, a NaN equal to a NaN; the caller checks the lengths."""
+    return all(x == y or (x != x and y != y) for x, y in zip(left, right))
+
+
+def _same_column(left: array, right: array) -> bool:
+    # memoryviews of doubles compare as C doubles, so -0.0 == 0.0 and only NaN fails
+    return memoryview(left) == memoryview(right) or _same_entries(left, right)
+
+
+def _same_row(left: tuple, right) -> bool:
+    return left == right or (type(right) is tuple and len(left) == len(right)
+                             and _same_entries(left, right))
+
+
+def _doubles(name: str, column: tuple) -> array:
+    """``column`` as an array of doubles; an entry that ``float`` refuses is a
+    DomainError naming its row and the column."""
+    try:
+        return array("d", map(float, column))
+    except (TypeError, ValueError, OverflowError):
+        for index, entry in enumerate(column):
+            try:
+                float(entry)
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"row {index}, column {name!r}: {entry!r} is not a number"
+                                  ) from None
+        raise
+
+
+class Rows(Sequence):
+    """The rows of a ``Dataset``: a read-only sequence of tuples of floats.
+
+    It stores one array of doubles per column, 8 bytes an entry, and the
+    row count, which a dataset without columns needs. Indexing, slicing,
+    ``len`` and iteration behave as on a tuple of row tuples, and so does
+    ``==``, except that a NaN equals a NaN. Two ``Rows`` compare column
+    against column; a ``Rows`` also compares with a tuple of row tuples.
+    """
+
+    __slots__ = ("_columns", "_count")
+
+    def __init__(self, columns: Sequence[array], count: int) -> None:
+        """Rows that take over ``columns``, arrays of doubles ``count`` long."""
+        if any(len(column) != count for column in columns):
+            raise ValueError(f"every column must hold {count} entries")
+        self._columns, self._count = tuple(columns), count
+
+    @classmethod
+    def from_rows(cls, rows: Iterable, names: Sequence[str]) -> Rows:
+        """The rows of any iterable of rows, one entry per name in ``names``.
+
+        A row of another width, or an entry that ``float`` refuses, is a
+        one-line ``DomainError`` naming the row (and the column).
+        """
+        rows = rows if isinstance(rows, (tuple, list)) else tuple(rows)
+        for index, row in enumerate(rows):
+            if not isinstance(row, Sized) or len(row) != len(names):
+                got = f"{len(row)} entries" if isinstance(row, Sized) else repr(row)
+                raise DomainError(f"row {index} has {got}; "
+                                  f"the dataset has {len(names)} columns")
+        columns = [_doubles(name, column) for name, column in zip(names, zip(*rows))]
+        return cls(columns, len(rows))
+
+    @classmethod
+    def from_blocks(cls, width: int, blocks: Iterable[tuple[int, list[list[float]]]]) -> Rows:
+        """The rows of ``blocks``, each a row count and one list of floats per column."""
+        columns, count = [array("d") for _ in range(width)], 0
+        for size, block in blocks:
+            for column, values in zip(columns, block, strict=True):
+                column.fromlist(values)
+            count += size
+        return cls(columns, count)
+
+    @property
+    def width(self) -> int:
+        return len(self._columns)
+
+    def column(self, index: int) -> memoryview:
+        """Column ``index`` as a read-only view of its doubles."""
+        return memoryview(self._columns[index]).toreadonly()
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Rows([column[key] for column in self._columns],
+                        len(range(*key.indices(self._count))))
+        index = operator.index(key)
+        if not -self._count <= index < self._count:
+            raise IndexError("row index out of range")
+        return tuple([column[index] for column in self._columns])
+
+    def __iter__(self) -> Iterator[tuple[float, ...]]:
+        return zip(*self._columns) if self._columns else itertools.repeat((), self._count)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Rows):
+            return (self._count == other._count and self.width == other.width
+                    and all(map(_same_column, self._columns, other._columns)))
+        if isinstance(other, tuple):
+            return self._count == len(other) and all(map(_same_row, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<Rows: {self._count} rows x {self.width} columns>"
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Columnar numeric table plus the metadata that regenerates it."""
+    """Columnar numeric table plus the metadata that regenerates it.
+
+    ``rows`` may be given as any iterable of rows; it is held as ``Rows``,
+    one array of doubles per column, 8 bytes an entry. A row whose width
+    differs from the column count, or an entry that ``float`` refuses, is a
+    ``DomainError`` here, before any file is touched.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: Rows
     metadata: dict
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.rows, Rows) and self.rows.width == len(self.columns)):
+            object.__setattr__(self, "rows", Rows.from_rows(self.rows, self.columns))
 
 
 def _model_params(point: dict[str, float]) -> ModelParams:
@@ -242,15 +366,29 @@ def _evaluate(target: str, params: ModelParams,
     return (result.normalized, result.quadrature_error, float(result.near_degenerate))
 
 
+def _product_columns(grids: list[tuple[float, ...]]) -> list[array]:
+    """The columns of the grids' Cartesian product, first grid slowest."""
+    columns, tile, run = [], 1, math.prod(map(len, grids))
+    for grid in grids:
+        run //= len(grid)
+        columns.append(array("d", itertools.chain.from_iterable(
+            map(itertools.repeat, grid, itertools.repeat(run)))) * tile)
+        tile *= len(grid)
+    return columns
+
+
 def run_sweep(spec: SweepSpec) -> Dataset:
     """Evaluate the target over the Cartesian grid of the spec's axes.
 
     Rows are ordered lexicographically by the axes (first axis slowest).
-    The model parameters are built once per model cell: the axes up to the
-    last model axis (gamma0, lambda, omega, velocity) pick the cell, and
-    the axes after it (time, theta) vary inside it. Each row is checked as
-    it is made: its width must match the columns and, unless errors are
-    allowed, every entry must be finite (``DomainError`` otherwise).
+    The coordinate columns are the grids' product, built once. The model
+    parameters are built once per model cell: the axes up to the last
+    model axis (gamma0, lambda, omega, velocity) pick the cell, and the
+    axes after it (time, theta) vary inside it. Each point's values are
+    checked as they are made, and moved into the value columns at the end
+    of their cell: their width must match the value columns and, unless
+    errors are allowed, every entry must be finite (``DomainError``
+    otherwise).
 
     By default any per-point failure aborts the sweep, reporting the
     offending coordinates; with ``allow_errors`` the failed points produce
@@ -269,13 +407,16 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     split = max((i + 1 for i, name in enumerate(names) if name in _MODEL_NAMES),
                 default=0)
     cell_names, inner_names = names[:split], names[split:]
-    inner_grids = [axis.grid() for axis in spec.axes[split:]]
+    grids = [axis.grid() for axis in spec.axes]
+    for name, grid in zip(names, grids):
+        if not (allow_errors or all(map(math.isfinite, grid))):
+            raise DomainError(f"non-finite entry in the {name} grid")
+    columns = _product_columns(grids) + [array("d") for _ in value_columns]
     point = dict(spec.fixed)
-    rows = []
-    for cell in itertools.product(*(axis.grid() for axis in spec.axes[:split])):
+    for cell in itertools.product(*grids[:split]):
         point.update(zip(cell_names, cell))
-        params = None
-        for inner in itertools.product(*inner_grids):
+        params, cell_values = None, []
+        for inner in itertools.product(*grids[split:]):
             point.update(zip(inner_names, inner))
             try:
                 # built inside the try: a model that fails fails each point of its cell
@@ -290,13 +431,15 @@ def run_sweep(spec: SweepSpec) -> Dataset:
                     raise SweepError(f"sweep point failed{where}: {exc}",
                                      coordinates=dict(zip(names, combo))) from exc
                 values = (math.nan,) * len(value_columns)
-            row = cell + inner + values
-            if len(row) != width:
-                raise DomainError(f"row width {len(row)} != column count {width}")
-            if not (allow_errors or all(map(math.isfinite, row))):
-                raise DomainError(f"non-finite entry in row {row!r}")
-            rows.append(row)
-    return Dataset(columns=names + value_columns, rows=tuple(rows),
+            if len(values) != len(value_columns):
+                raise DomainError(f"row width {len(names) + len(values)} != "
+                                  f"column count {width}")
+            if not (allow_errors or all(map(math.isfinite, values))):
+                raise DomainError(f"non-finite entry in row {cell + inner + values!r}")
+            cell_values.extend(values)
+        for offset, column in enumerate(columns[len(names):]):
+            column.fromlist(cell_values[offset::len(value_columns)])
+    return Dataset(columns=names + value_columns, rows=Rows(columns, count),
                    metadata=describe_spec(spec))
 
 

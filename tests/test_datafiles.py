@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -82,14 +83,6 @@ def hand_file(tmp_path, fmt, columns, rows, axes=None):
     return str(path)
 
 
-def same_entries(left, right):
-    """Row tuples equal entry by entry, NaN matching NaN."""
-    return len(left) == len(right) and all(
-        len(a) == len(b) and all(x == y or (math.isnan(x) and math.isnan(y))
-                                 for x, y in zip(a, b))
-        for a, b in zip(left, right))
-
-
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_sweep_rows_come_back_exactly(self, tmp_path, fmt):
@@ -117,7 +110,7 @@ class TestRoundTrip:
         write_dataset(dataset, path, fmt)
         back = READERS[fmt](path)
         assert back.metadata["allow_errors"] is True
-        assert same_entries(back.rows, dataset.rows)
+        assert back.rows == dataset.rows  # NaN equals NaN
 
     def test_error_rows_spell_nan_as_null_in_json(self):
         payload = json.loads(dataset_to_json(run_sweep(error_spec())))
@@ -136,7 +129,7 @@ class TestReaders:
                         ' "rows": [[0, 1], [2, 0.5], [3, null]]}\n')
         back = read_dataset_json(str(path))
         assert back.columns == ("time", "value")
-        assert same_entries(back.rows, ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan)))
+        assert back.rows == ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan))
         assert all(type(x) is float for row in back.rows for x in row)
 
     def test_csv_blank_and_comment_lines(self, tmp_path):
@@ -232,8 +225,7 @@ class TestReaders:
         with mock.patch.object(datafiles, "_READ_CHARS", piece):
             back = read_dataset_json(str(path))
         assert back.columns == ("time", "value")
-        assert same_entries(back.rows, ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan),
-                                        (-0.0, 40.0)))
+        assert back.rows == ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan), (-0.0, 40.0))
         assert repr(back.rows[3][0]) == "-0.0"
         assert all(type(x) is float for row in back.rows for x in row)
 
@@ -255,8 +247,8 @@ class TestReaders:
                 ("1.0", "1.0", "2.0")]
         path = hand_file(tmp_path, fmt, ("a", "b", "v"), rows, axes={"a": 2, "b": 2})
         back = READERS[fmt](path)
-        assert same_entries(back.rows, ((math.nan, 0.0, 1.0), (1.0, 0.0, math.nan),
-                                        (math.nan, 1.0, math.nan), (1.0, 1.0, 2.0)))
+        assert back.rows == ((math.nan, 0.0, 1.0), (1.0, 0.0, math.nan),
+                             (math.nan, 1.0, math.nan), (1.0, 1.0, 2.0))
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_signed_zeros_in_a_memo_column(self, tmp_path, fmt):
@@ -267,23 +259,52 @@ class TestReaders:
         assert [list(map(repr, row)) for row in back.rows] == [list(row) for row in rows]
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_axis_columns_share_one_float_per_spelling(self, tmp_path, fmt):
-        """A repeated axis coordinate is parsed once, also across blocks."""
+    def test_axis_columns_spell_and_parse_each_value_once(self, tmp_path, fmt):
+        """A repeated axis coordinate is spelled once and parsed once, also
+        across blocks."""
         dataset = run_sweep(factor_spec())
+        axis_texts = {repr(x) for row in dataset.rows for x in row[:2]}  # velocity, time
         path = tmp_path / f"data.{fmt}"
-        write_dataset(dataset, str(path), fmt)
+        spelled, parsed = Counter(), Counter()
+        spell, floats = datafiles._spell, datafiles._floats
+
+        def counted_spell(values, nonfinite):
+            texts = spell(values, nonfinite)
+            spelled.update(texts)
+            return texts
+
+        def counted_floats(texts, memo, null):
+            if memo is None:  # a memo passes its new spellings on without one
+                parsed.update(text.strip() for text in texts)
+            return floats(texts, memo, null)
+
+        with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
+                mock.patch.object(datafiles, "_spell", counted_spell):
+            write_dataset(dataset, str(path), fmt)
         with mock.patch.object(datafiles, "_READ_ROWS", 2), \
-                mock.patch.object(datafiles, "_READ_CHARS", 40):
+                mock.patch.object(datafiles, "_READ_CHARS", 40), \
+                mock.patch.object(datafiles, "_floats", counted_floats):
             back = READERS[fmt](str(path))
         assert back.rows == dataset.rows
-        for column in list(zip(*back.rows))[:2]:  # velocity and time
-            assert len(set(map(id, column))) == len(set(map(repr, column))) < len(column)
+        assert len(axis_texts) == 6
+        assert {text: spelled[text] for text in axis_texts} == dict.fromkeys(axis_texts, 1)
+        assert {text: parsed[text] for text in axis_texts} == dict.fromkeys(axis_texts, 1)
 
     def test_csv_without_header_row(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# mirrorphase dataset\n\n# allow_errors = false\n")
         with pytest.raises(DomainError, match="no header row found"):
             read_dataset_csv(str(path))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_file_that_is_not_utf8(self, tmp_path, fmt):
+        path = hand_file(tmp_path, fmt, ("time", "value"), [("0.0", "1.0")])
+        with open(path, "ab") as handle:
+            handle.write(b"\xff\n")
+        with pytest.raises(DomainError, match="not UTF-8 text") as caught:
+            READERS[fmt](path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert "\n" not in str(caught.value)
 
 
 def test_csv_read_back_writes_the_same_bytes(tmp_path):
@@ -379,12 +400,22 @@ class TestWrittenBytes:
                              ids=["short", "long", "empty_row"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_row_width_must_match_the_columns(self, tmp_path, rows, fmt):
-        dataset = Dataset(columns=("a", "b", "c"), rows=rows, metadata={})
         path = tmp_path / f"data.{fmt}"
         with pytest.raises(DomainError, match=f"row {len(rows) - 1} has "
                                               f"{len(rows[-1])} entries"):
-            write_dataset(dataset, str(path), fmt)
+            write_dataset(Dataset(columns=("a", "b", "c"), rows=rows, metadata={}),
+                          str(path), fmt)
         assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_entry_that_is_not_a_number_leaves_an_old_file(self, tmp_path, fmt):
+        """The entry is refused when the dataset is built, before the file is opened."""
+        path = tmp_path / f"data.{fmt}"
+        path.write_text("old contents")
+        with pytest.raises(DomainError, match=r"^row 1, column 'a': 'x' is not a number$"):
+            write_dataset(Dataset(columns=("a",), rows=((1.0,), ("x",)), metadata={}),
+                          str(path), fmt)
+        assert path.read_text() == "old contents"
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -432,10 +463,10 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def hand_built_datasets(draw):
-    """Datasets of 1-4 columns, a random subset of them named as sweep axes
-    with a random point count, one column holding both zeros whenever there
-    are two rows or more."""
+def hand_built_tables(draw):
+    """The columns, rows and metadata of datasets of 1-4 columns, a random
+    subset of them named as sweep axes with a random point count, one column
+    holding both zeros whenever there are two rows or more."""
     width = draw(st.integers(min_value=1, max_value=4))
     columns = tuple(f"c{i}" for i in range(width))
     rows = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
@@ -446,8 +477,28 @@ def hand_built_datasets(draw):
     axes = [{"name": name, "scale": "linear", "min": 0.0, "max": 1.0,
              "count": draw(st.integers(min_value=2, max_value=12))}
             for name in columns if draw(st.booleans())]
-    return Dataset(columns=columns, rows=tuple(map(tuple, rows)),
-                   metadata={"target": "hand-built", "axes": axes})
+    return columns, tuple(map(tuple, rows)), {"target": "hand-built", "axes": axes}
+
+
+def hand_built_datasets():
+    return hand_built_tables().map(lambda table: Dataset(*table))
+
+
+@given(table=hand_built_tables())
+@settings(max_examples=150, deadline=None)
+def test_dataset_rows_hold_the_rows_given(table):
+    """The rows equal the rows given (NaN equal to NaN) and iterate, index
+    and slice as ``tuple(map(float, row))`` does, the sign of zero included."""
+    columns, rows, metadata = table
+    held = Dataset(columns=columns, rows=rows, metadata=metadata).rows
+    assert held == rows and not held != rows
+    assert len(held) == len(rows)
+    spelled = [tuple(map(repr, map(float, row))) for row in rows]
+    assert [tuple(map(repr, row)) for row in held] == spelled
+    assert all(type(row) is tuple and all(type(x) is float for x in row) for row in held)
+    for index in range(-len(rows), len(rows)):
+        assert tuple(map(repr, held[index])) == spelled[index]
+    assert held[1::2] == rows[1::2] and held[::-1] == rows[::-1]
 
 
 def check_round_trip(directory, dataset):
@@ -488,40 +539,60 @@ def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece):
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
 
 
-@pytest.fixture(scope="module")
-def grid_files(tmp_path_factory):
-    """A 4 x 100 x 100 decoherence_factor sweep whose axes all repeat, written
-    in both formats."""
-    spec = SweepSpec(target="decoherence_factor",
+def grid_spec():
+    """A 4 x 100 x 100 decoherence_factor sweep whose axes all repeat."""
+    return SweepSpec(target="decoherence_factor",
                      axes=(Axis.linear("lambda", 1.0, 15.0, 4),
                            Axis.linear("velocity", 0.05, 0.9, 100),
                            Axis.linear("time", 0.0, 2.0 * TWO_PI, 100)),
                      fixed={"gamma0": 0.05, "omega": 0.03})
-    dataset = run_sweep(spec)
+
+
+@pytest.fixture(scope="module")
+def grid_files(tmp_path_factory):
+    """The ``grid_spec`` sweep, written in both formats."""
+    dataset = run_sweep(grid_spec())
     directory = tmp_path_factory.mktemp("grid")
     for fmt in FORMATS:
         write_dataset(dataset, str(directory / f"grid.{fmt}"), fmt)
     return directory, dataset
 
 
-def traced_peak(call):
-    """The tracemalloc peak of ``call()``, and its result."""
+def traced(call):
+    """The tracemalloc size held after ``call()``, its peak, and the result."""
     tracemalloc.start()
     try:
         result = call()
-        return tracemalloc.get_traced_memory()[1], result
+        return (*tracemalloc.get_traced_memory(), result)
     finally:
         tracemalloc.stop()
 
 
-# tracemalloc peak per row of each reader and writer on grid_files, at least
-# 25% above what it measured (read: CSV 110 B, JSON 107 B; write: CSV 26.6 B,
-# JSON 27.0 B). Readers that parse every entry apart peaked at 185 B (CSV),
-# and JSON readers holding the list of lists or the file's text at 274 and
-# 180 B; writers that built the file's text first peaked at 194 B (CSV) and
-# 204 B (JSON).
-READ_PEAK_BYTES_PER_ROW = {"csv": 135, "json": 134}
+def traced_peak(call):
+    """The tracemalloc peak of ``call()``, and its result."""
+    _, peak, result = traced(call)
+    return peak, result
+
+
+# tracemalloc size per row of the grid_spec dataset that run_sweep returns,
+# about 25% above what it measured (32.2 B: four columns of doubles). Row
+# tuples of floats held 104 B.
+SWEEP_BYTES_PER_ROW = 40
+# tracemalloc peak per row of each reader and writer on grid_files, above
+# what it measured by about 25% (read: CSV 37.7 B, JSON 38.7 B) and 18%
+# (write: CSV 28.4 B, JSON 28.8 B). Readers that built row tuples peaked at
+# 110 B (CSV) and 107 B (JSON), readers that parse every entry apart at
+# 185 B (CSV), and JSON readers holding the list of lists or the file's
+# text at 274 and 180 B; writers that built the file's text first peaked at
+# 194 B (CSV) and 204 B (JSON).
+READ_PEAK_BYTES_PER_ROW = {"csv": 47, "json": 48}
 WRITE_PEAK_BYTES_PER_ROW = {"csv": 34, "json": 34}
+
+
+def test_sweep_dataset_size_per_row():
+    held, _, dataset = traced(lambda: run_sweep(grid_spec()))
+    assert len(dataset.rows) == 40_000
+    assert held / len(dataset.rows) < SWEEP_BYTES_PER_ROW
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from mirrorphase import (Axis, DomainError, ModelParams, SweepError, SweepSpec,
+from mirrorphase import (Axis, Dataset, DomainError, ModelParams, SweepError, SweepSpec,
                          decoherence_factor, decoherence_time, figure_preset, gp_exact,
                          run_sweep, sweeps, unitary_gp)
+from mirrorphase.sweeps import Rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -379,6 +380,90 @@ class TestPerCellEvaluation:
             return
         values = [row[2] for row in run_sweep(spec).rows]
         assert [math.isnan(x) for x in values] == [False] * 3 + [True] * 3 + [False] * 3
+
+
+def held(rows, columns=("a", "b")):
+    return Dataset(columns=columns, rows=rows, metadata={}).rows
+
+
+class TestRows:
+    ROWS = ((0.0, 1.5), (1.0, -2.5), (2.0, 3.5), (3.0, 4.5))
+
+    def test_indexing_and_len(self):
+        rows = held(self.ROWS)
+        assert len(rows) == 4
+        assert [rows[i] for i in range(-4, 4)] == list(self.ROWS * 2)
+        assert type(rows[0]) is tuple and type(rows[0][0]) is float
+        for index in (4, -5):
+            with pytest.raises(IndexError):
+                rows[index]
+
+    @pytest.mark.parametrize("key", [slice(1, 3), slice(None, None, -1), slice(3, 1),
+                                     slice(-3, None, 2), slice(None, -1)])
+    def test_slices(self, key):
+        part = held(self.ROWS)[key]
+        assert part == self.ROWS[key]
+        assert list(part) == list(self.ROWS[key])
+        assert len(part) == len(self.ROWS[key])
+
+    def test_iteration_and_membership(self):
+        rows = held(self.ROWS)
+        assert list(rows) == list(self.ROWS)
+        assert (1.0, -2.5) in rows and rows.index((2.0, 3.5)) == 2
+        assert list(reversed(rows)) == list(reversed(self.ROWS))
+
+    def test_nan_equals_nan(self):
+        rows = held(((math.nan, 1.0), (0.5, float("nan"))))
+        assert rows == held(((float("nan"), 1.0), (0.5, math.inf - math.inf)))
+        assert rows == ((math.nan, 1.0), (0.5, math.nan))
+        assert rows != ((math.nan, 1.0), (0.5, 0.5))
+        assert rows != held(((math.nan, 1.0), (0.5, 0.5)))
+
+    def test_signed_zeros_compare_equal_and_keep_their_sign(self):
+        rows = held(((-0.0, 0.0),))
+        assert rows == held(((0.0, -0.0),)) and rows == ((0.0, 0.0),)
+        assert [repr(x) for x in rows[0]] == ["-0.0", "0.0"]
+
+    def test_unequal_shapes_and_other_types(self):
+        rows = held(self.ROWS)
+        assert rows != self.ROWS[:3] and rows != held(self.ROWS[:3])
+        assert rows != held(((0.0,), (1.0,), (2.0,), (3.0,)), columns=("a",))
+        assert rows != list(self.ROWS) and rows != 4 and rows != "rows"
+        assert rows != tuple(map(list, self.ROWS))
+
+    def test_zero_columns_keep_the_row_count(self):
+        rows = held(((), (), ()), columns=())
+        assert len(rows) == 3
+        assert list(rows) == [(), (), ()] and rows[-1] == ()
+        assert len(rows[1:]) == 2 and rows == ((), (), ())
+        assert rows != held(((), ()), columns=())
+
+    def test_short_repr(self):
+        dataset = run_sweep(SweepSpec(target="decoherence_factor",
+                                      axes=(Axis.linear("time", 0.0, TWO_PI, 50_000),),
+                                      fixed=MODEL))
+        assert repr(dataset.rows) == "<Rows: 50000 rows x 2 columns>"
+        assert len(repr(dataset)) < 1000
+
+    def test_a_rows_of_the_right_width_is_kept(self):
+        rows = held(self.ROWS)
+        assert Dataset(columns=("x", "y"), rows=rows, metadata={}).rows is rows
+        assert held(rows[:2], columns=("x", "y")) == self.ROWS[:2]
+
+    @pytest.mark.parametrize("rows, message", [
+        (((0.0, 1.0), (2.0,)), r"^row 1 has 1 entries; the dataset has 2 columns$"),
+        (((0.0, 1.0), 2.0), r"^row 1 has 2\.0; the dataset has 2 columns$"),
+        (((0.0, 1.0), (2.0, "x")), r"^row 1, column 'b': 'x' is not a number$"),
+        (((None, 1.0),), r"^row 0, column 'a': None is not a number$"),
+        (((10**400, 1.0),), r"^row 0, column 'a': 1000\d+ is not a number$"),
+    ], ids=["short_row", "not_a_row", "text", "none", "too_large"])
+    def test_bad_rows_are_refused(self, rows, message):
+        with pytest.raises(DomainError, match=message):
+            held(rows)
+
+    def test_any_iterable_of_rows(self):
+        assert held(iter([[0, 1], (2.0, "3.5")])) == ((0.0, 1.0), (2.0, 3.5))
+        assert held(Rows([], 0)) == ()
 
 
 class TestFigurePresets:
