@@ -6,8 +6,9 @@ decimal form of a double, in both formats (JSON spells a non-finite entry
 exactly and repeated runs of the same sweep produce byte-identical files.
 
 Both readers refuse a row without one entry per column, an entry that
-``float()`` refuses (a JSON ``null`` reads as NaN) and text that is not
-UTF-8, with a ``DomainError`` naming the file. So the JSON reader also
+``float()`` refuses (a JSON ``null`` reads as NaN), text that is not UTF-8
+and a JSON ``metadata.columns`` that is not a list of strings, with a
+one-line ``DomainError`` naming the file. So the JSON reader also
 reads spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
 ``+1``, ``inf`` and ``nan``; no writer writes them.
 
@@ -15,13 +16,15 @@ No write or read holds a file's whole text. The writers spell and write a
 block of rows at a time from slices of the dataset's columns; a write that
 fails after the file is opened removes the partial file. The readers parse
 a block of rows at a time, each column mapped to doubles in C and appended
-to the dataset's column. A sweep-axis column repeats its values, so each
-distinct value in it is spelled once and each distinct spelling parsed
-once. The CSV reader rebuilds the metadata block from the comments, so a
-CSV read back writes the same bytes again. The JSON reader reads a piece of
-characters at a time in two passes over the file: the first decodes the
-members other than ``rows`` through ``json``, the second parses the rows,
-so the members may come in any order.
+to the dataset's column. Writers and readers alike pass each column through
+a memo while it holds at most ``_MEMO_SIZE`` distinct values, so a column
+that repeats its values, such as a sweep axis, spells each value once and
+parses each spelling once; a column whose next block would take its memo
+past that drops the memo and is spelled or parsed entry by entry from then
+on. The CSV reader rebuilds the metadata block from the comments, so a CSV
+read back writes the same bytes again. The JSON reader reads the file once,
+a piece of characters at a time, and decodes the members other than
+``rows`` through ``json``; the members may come in any order.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ _JSON_NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
 # rows are spelled and written a block at a time, so only one block's
 # strings are held
 _BLOCK_ROWS = 4096
+# the most distinct values a column's memo holds, in a writer or a reader
+_MEMO_SIZE = 1024
 
 
 def _spell(values, nonfinite: dict[str, str]) -> list[str]:
@@ -74,44 +79,12 @@ def _spell(values, nonfinite: dict[str, str]) -> list[str]:
     return list(map(nonfinite.get, texts, texts)) if nonfinite else texts
 
 
-def _axis_counts(axes) -> dict[str, int]:
-    """Each sweep axis's grid count, from the metadata ``axes`` list.
-
-    An entry that is not an object with a string ``name`` and an integer
-    ``count`` (or a ``values`` list) is skipped: the counts decide only
-    which columns go through a memo, so a hand-written file reads the same
-    without them.
-    """
-    counts = {}
-    for axis in axes if isinstance(axes, (list, tuple)) else ():
-        if isinstance(axis, dict) and isinstance(axis.get("name"), str):
-            count = axis.get("count", axis.get("values"))
-            count = len(count) if isinstance(count, (list, tuple)) else count
-            if isinstance(count, int):
-                counts[axis["name"]] = count
-    return counts
-
-
-def _memos(columns, counts: dict[str, int], rows: int) -> list[dict | None]:
-    """A memo for each column naming an axis with fewer grid points than the
-    dataset has rows, so that its values repeat; ``None`` for every other."""
-    return [{} if isinstance(name, str) and counts.get(name, rows) < rows else None
-            for name in columns]
-
-
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
     """Each block of ``_BLOCK_ROWS`` rows as row texts: entries spelled
     ``repr(x)``, a spelling that ``nonfinite`` names replaced by its value,
-    and joined by ``sep``.
-
-    A sweep axis whose metadata gives it fewer grid points than there are
-    rows repeats its values, so its column spells each distinct value once
-    through a memo shared by the blocks; every other column is spelled
-    entry by entry, mapped in C.
-    """
-    rows = dataset.rows
-    memos = _memos(dataset.columns, _axis_counts(dataset.metadata.get("axes", ())),
-                   len(rows))
+    and joined by ``sep``. Each column is spelled through a memo shared by
+    the blocks, until the memo would outgrow ``_MEMO_SIZE``."""
+    rows, memos = dataset.rows, [{} for _ in dataset.columns]
     for begin in range(0, len(rows), _BLOCK_ROWS):
         yield _spell_block(rows[begin:begin + _BLOCK_ROWS], memos, sep, nonfinite)
 
@@ -122,15 +95,18 @@ def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -
         return [""] * len(rows)
     texts = []
     for index, memo in enumerate(memos):
+        values = new = None  # the last column's floats go before this column is spelled
         column = rows.column(index)
-        if memo is None:
-            texts.append(_spell(column, nonfinite))
-            continue
-        column = column.tolist()  # a NaN is found only by its own object, which the list keeps
-        new = set(column).difference(memo)
-        memo.update(zip(new, _spell(new, nonfinite)))
-        # 0.0 == -0.0 share one memo entry, so a zero is spelled by its own sign
-        texts.append([memo[x] if x else repr(x) for x in column])
+        if memo is not None:
+            values = column.tolist()  # a NaN is found only by its own object, which the list keeps
+            new = set(values).difference(memo)
+            if len(memo) + len(new) <= _MEMO_SIZE:
+                memo.update(zip(new, _spell(new, nonfinite)))
+                # 0.0 == -0.0 share one memo entry, so a zero is spelled by its own sign
+                texts.append([memo[x] if x else repr(x) for x in values])
+                continue
+            memos[index] = values = new = None  # from this block on, spelled entry by entry
+        texts.append(_spell(column, nonfinite))
     return list(map(sep.join, zip(*texts)))
 
 
@@ -196,11 +172,14 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
 _READ_ROWS = 256
 
 
-def _floats(texts, memo: dict | None, null: str | None) -> list[float]:
+def _floats(texts, memo: dict | None, null: str | None) -> list[float] | None:
     """``float`` of each text, mapped in C, through ``memo`` (text -> float)
-    if given; the spelling ``null`` reads as NaN."""
+    if given; the spelling ``null`` reads as NaN. ``None``, with ``memo``
+    unchanged, if the new spellings would take the memo past ``_MEMO_SIZE``."""
     if memo is not None:
         new = set(texts).difference(memo)
+        if len(memo) + len(new) > _MEMO_SIZE:
+            return None
         memo.update(zip(new, _floats(new, None, null)))
         return list(map(memo.__getitem__, texts))
     try:
@@ -211,29 +190,42 @@ def _floats(texts, memo: dict | None, null: str | None) -> list[float]:
         return [math.nan if text.strip() == null else float(text) for text in texts]
 
 
-def _parse_rows(texts: list[str], width: int, memos: list, null: str | None,
-                first: int, path: str) -> tuple[int, list[list[float]]]:
+def _entries(text: str) -> list[str]:
+    return text.split(",") if text.strip() else []
+
+
+def _parse_rows(texts: list[str], memos: list, null: str | None, first: int, path: str,
+                source: str) -> tuple[int, list[list[float]]]:
     """The row count and the columns of the comma-separated entries that
     ``texts`` spell, a block as ``Rows.from_blocks`` takes it.
 
-    The block's entries are split at once and sliced into columns, each
-    parsed by ``_floats`` with its memo. ``first`` is the index of
-    ``texts[0]`` among the file's rows. A row whose width differs from
-    ``width``, or an entry that is not a number, is a ``DomainError``.
+    A row has one entry per memo in ``memos``, as ``source`` (the header,
+    ``metadata.columns`` or row 0) shows. The entries are split at once and
+    sliced into columns, each parsed by ``_floats`` through its memo, or
+    entry by entry once the memo would outgrow ``_MEMO_SIZE``. ``first`` is
+    the index of ``texts[0]`` among the file's rows. A row of another width,
+    or an entry that is not a number, is a ``DomainError``.
     """
+    width = len(memos)
     if set(map(str.count, texts, repeat(","))) <= {width - 1}:
         entries = ",".join(texts).split(",")
         try:
-            columns = [_floats(entries[i::width], memo, null) for i, memo in enumerate(memos)]
+            columns = []
+            for index, memo in enumerate(memos):
+                values = _floats(entries[index::width], memo, null)
+                if values is None:
+                    memos[index] = None  # from this block on, parsed entry by entry in C
+                    values = _floats(entries[index::width], None, null)
+                columns.append(values)
         except ValueError:
             pass
         else:
             return len(texts), columns
     for index, text in enumerate(texts, first):  # find the row at fault
-        entries = text.split(",") if text.strip() else []
+        entries = _entries(text)
         if len(entries) != width:
             raise DomainError(f"{path}: row {index} has {len(entries)} entries; "
-                              f"the dataset has {width} columns")
+                              f"{source} has {width}")
         for entry in entries:
             try:
                 _floats([entry], None, null)
@@ -290,16 +282,16 @@ def _csv_metadata(raw_meta: dict[str, str]) -> dict:
     return metadata
 
 
-def _csv_rows(handle, width: int, memos: list, raw_meta: dict[str, str], path: str):
+def _csv_rows(handle, width: int, raw_meta: dict[str, str], path: str):
     """Blocks of rows, as ``_parse_rows`` gives them, from the lines left in ``handle``."""
-    first = 0
+    first, memos = 0, [{} for _ in range(width)]
     while lines := list(islice(handle, _READ_ROWS)):
         joined = "".join(lines)
         texts = joined.split("\n")[:len(lines)]
         if "" in texts or "#" in joined:
             texts = [text for text in texts if _data_line(text, raw_meta)]
         if texts:
-            yield _parse_rows(texts, width, memos, None, first, path)
+            yield _parse_rows(texts, memos, None, first, path, "the header")
             first += len(texts)
 
 
@@ -325,10 +317,7 @@ def read_dataset_csv(path: str) -> Dataset:
                 break
         else:
             raise DomainError(f"{path}: no header row found")
-        counts = _axis_counts(_csv_metadata(raw_meta)["axes"])
-        memos = _memos(columns, counts, math.prod(counts.values()))
-        rows = Rows.from_blocks(len(columns), _csv_rows(handle, len(columns), memos,
-                                                        raw_meta, path))
+        rows = Rows.from_blocks(_csv_rows(handle, len(columns), raw_meta, path))
     return Dataset(columns=columns, rows=rows, metadata=_csv_metadata(raw_meta))
 
 
@@ -403,9 +392,18 @@ class _JsonText:
                 return value
 
 
-def _json_object(text: _JsonText, rows) -> dict:
-    """The top-level object's members: ``rows`` as ``rows(text)`` reads its
-    array, every other member decoded by ``json``."""
+def _json_columns(metadata) -> tuple[str, ...] | None:
+    """``metadata["columns"]`` as a tuple, if ``metadata`` is an object whose
+    ``columns`` is a list of strings; otherwise ``None``."""
+    columns = metadata.get("columns") if isinstance(metadata, dict) else None
+    if isinstance(columns, list) and all(isinstance(name, str) for name in columns):
+        return tuple(columns)
+    return None
+
+
+def _json_object(text: _JsonText) -> dict:
+    """The top-level object's members: ``rows`` read into ``Rows`` by
+    ``_json_rows``, every other member decoded by ``json``."""
     members = {}
     text.expect("{")
     more = not text.at("}")
@@ -414,7 +412,11 @@ def _json_object(text: _JsonText, rows) -> dict:
             raise text.fail(f"expected '\"' at character {text.offset + text.pos}")
         key = text.value()
         text.expect(":")
-        members[key] = rows(text) if key == "rows" else text.value()
+        if key == "rows":
+            members[key] = Rows.from_blocks(_json_rows(text, _json_columns(
+                members.get("metadata"))))
+        else:
+            members[key] = text.value()
         more = text.at(",")
         if more:
             text.pos += 1
@@ -424,75 +426,66 @@ def _json_object(text: _JsonText, rows) -> dict:
     return members
 
 
-def _skip_rows(text: _JsonText) -> None:
-    """Read past the rows array, keeping no more than one row of it."""
-    text.expect("[")
-    if text.at("]"):
-        text.pos += 1
-        return
-    while (end := _JSON_ROWS_END.search(text.buf, text.pos)) is None:
-        last = text.buf.rfind("]", text.pos)  # may close the last row
-        text.pos = last if last >= 0 else len(text.buf)
-        if not text.more():
-            raise text.fail("the rows array is not closed")
-    text.pos = end.end()
-
-
-def _json_rows(text: _JsonText, width: int, memos: list):
+def _json_rows(text: _JsonText, columns: tuple[str, ...] | None):
     """Blocks of rows, as ``_parse_rows`` gives them, from the rows array next.
 
-    Each block is the rows that the text read so far holds whole. It is cut
-    into rows at ``]``, ``,`` and ``[`` with any JSON whitespace between; a
-    bracket left in an entry fails as an entry that is not a number. The
-    row begun last is carried into the next block.
+    A row has one entry per name in ``columns``, the metadata's if they came
+    first, or else as many as row 0. Each block is the rows that the text
+    read so far holds whole. It is cut into rows at ``]``, ``,`` and ``[``
+    with any JSON whitespace between; a bracket left in an entry fails as an
+    entry that is not a number. The row begun last is carried into the next
+    block.
     """
     text.expect("[")
     if text.at("]"):
         text.pos += 1
         return
-    first = 0
+    memos, first = None if columns is None else [{} for _ in columns], 0
     while True:
         buf, pos = text.buf, text.pos
         if not buf.startswith("[", pos):
             raise text.fail(f"the rows array is not an array of number arrays after row {first}")
         end = _JSON_ROWS_END.search(buf, pos)
-        if end is not None:
-            text.pos = end.end()
-            yield _parse_rows(_JSON_ROW_BREAK.split(buf[pos + 1:end.start()]), width, memos,
-                              "null", first, text.path)
-            return
-        cut = buf.rfind("[", pos + 1)  # where the row begun last opens
-        if cut > pos:
+        if end is None:
+            cut = max(buf.rfind("[", pos + 1), pos)  # where the row begun last opens
             block = buf[pos:cut].rstrip(" \t\n\r")
             rows = block[:-1].rstrip(" \t\n\r")  # without the comma after the last row
-            if not (block.endswith(",") and rows.endswith("]")):
+            if block and not (block.endswith(",") and rows.endswith("]")):
                 raise text.fail("the rows array is not an array of number arrays "
                                 f"after row {first}")
-            texts = _JSON_ROW_BREAK.split(rows[1:-1])
             text.pos = cut
-            yield _parse_rows(texts, width, memos, "null", first, text.path)
+        else:
+            rows, text.pos = buf[pos:end.start() + 1], end.end()
+        if rows:
+            texts = _JSON_ROW_BREAK.split(rows[1:-1])
+            memos = [{} for _ in _entries(texts[0])] if memos is None else memos
+            yield _parse_rows(texts, memos, "null", first, text.path,
+                              "row 0" if columns is None else "metadata.columns")
             first += len(texts)
+        if end is not None:
+            return
         if not text.more():
             raise text.fail("the rows array is not closed")
 
 
 def read_dataset_json(path: str) -> Dataset:
-    """Read back a JSON dataset in pieces of ``_READ_CHARS`` characters.
+    """Read back a JSON dataset in one pass, in pieces of ``_READ_CHARS``
+    characters.
 
-    A first pass decodes the members other than ``rows`` through ``json``
-    and reads past the rows; a second parses the rows straight into the
-    columns, a block at a time, so neither the file's text nor a list of
-    lists is held. The members may come in any order.
+    The members other than ``rows`` are decoded through ``json``; the rows
+    are parsed straight into the columns, a block at a time, so neither the
+    file's text nor a list of lists is held. The members may come in any
+    order: rows that come before ``metadata`` take their width from row 0.
     """
     with _text_file(path) as handle:
-        members = _json_object(_JsonText(handle, path), _skip_rows)
-        metadata = members.get("metadata")
-        if "rows" not in members or not isinstance(metadata, dict) or "columns" not in metadata:
-            raise DomainError(f"{path}: expected an object with rows and metadata.columns")
-        columns = tuple(metadata["columns"])
-        counts = _axis_counts(metadata.get("axes", ()))
-        memos = _memos(columns, counts, math.prod(counts.values()))
-        handle.seek(0)
-        rows = _json_object(_JsonText(handle, path), lambda text: Rows.from_blocks(
-            len(columns), _json_rows(text, len(columns), memos)))["rows"]
+        members = _json_object(_JsonText(handle, path))
+    metadata = members.get("metadata")
+    columns = _json_columns(metadata)
+    if "rows" not in members or columns is None:
+        raise DomainError(f"{path}: expected an object with rows and metadata.columns, "
+                          "a list of strings")
+    rows = members["rows"]
+    if len(rows) and rows.width != len(columns):
+        raise DomainError(f"{path}: row 0 has {rows.width} entries; "
+                          f"metadata.columns has {len(columns)}")
     return Dataset(columns=columns, rows=rows, metadata=metadata)

@@ -67,11 +67,13 @@ VALUES = "values"
 # run_sweep holds every entry in memory as a double, 8 bytes each; while it
 # runs, the axis grids and one model cell's values add to that, and the
 # writers add only a block's strings; reading a file back peaks near what
-# its columns hold (tracemalloc: held 32, peak 32, writing CSV then JSON
-# adds 5, reading 34 from CSV and 35 from JSON, for a 250,000-point sweep
-# of four columns; held 16.5, peak 89, write adds 2.5, read 16.5 and 17 for
-# a 500,000-point sweep of one axis); the cap keeps a sweep and its writing
-# below about 45 MB
+# its columns hold, as no column's memo holds more than 1,024 values
+# (tracemalloc, bytes per point: held 32, peak 32, writing CSV then JSON
+# adds 4.6, reading 34 from CSV and 35 from JSON, for a 250,000-point sweep
+# of four columns; held 16.5, peak 89, write adds 2.2, read 16.5 and 17 for
+# a 500,000-point sweep of one axis; held 24.5, peak 61, write adds 2.4,
+# read 24.6 and 25.8 for 2 x 250,000 points); the cap keeps a sweep and its
+# writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -267,7 +269,8 @@ class Rows(Sequence):
 
     @classmethod
     def from_rows(cls, rows: Iterable, names: Sequence[str]) -> Rows:
-        """The rows of any iterable of rows, one entry per name in ``names``.
+        """The rows of any iterable of rows, one entry per name in ``names``;
+        without rows, one empty column per name.
 
         A row of another width, or an entry that ``float`` refuses, is a
         one-line ``DomainError`` naming the row (and the column).
@@ -278,18 +281,21 @@ class Rows(Sequence):
                 got = f"{len(row)} entries" if isinstance(row, Sized) else repr(row)
                 raise DomainError(f"row {index} has {got}; "
                                   f"the dataset has {len(names)} columns")
-        columns = [_doubles(name, column) for name, column in zip(names, zip(*rows))]
-        return cls(columns, len(rows))
+        columns = zip(*rows) if rows else itertools.repeat(())
+        return cls([_doubles(name, column) for name, column in zip(names, columns)], len(rows))
 
     @classmethod
-    def from_blocks(cls, width: int, blocks: Iterable[tuple[int, list[list[float]]]]) -> Rows:
-        """The rows of ``blocks``, each a row count and one list of floats per column."""
-        columns, count = [array("d") for _ in range(width)], 0
+    def from_blocks(cls, blocks: Iterable[tuple[int, list[list[float]]]]) -> Rows:
+        """The rows of ``blocks``, each a row count and one list of floats per
+        column; the first block sets the width, and no block means no columns."""
+        columns, count = None, 0
         for size, block in blocks:
+            if columns is None:
+                columns = [array("d") for _ in block]
             for column, values in zip(columns, block, strict=True):
                 column.fromlist(values)
             count += size
-        return cls(columns, count)
+        return cls(columns or (), count)
 
     @property
     def width(self) -> int:

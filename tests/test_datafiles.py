@@ -65,22 +65,26 @@ def empty_dataset():
     return Dataset(columns=dataset.columns, rows=(), metadata=dataset.metadata)
 
 
-def hand_file(tmp_path, fmt, columns, rows, axes=None):
-    """A dataset file written by hand: ``rows`` are lists of entry spellings,
-    ``axes`` maps a sweep axis to its grid count in the metadata."""
-    axes = axes or {}
+def hand_file(tmp_path, fmt, columns, rows):
+    """A dataset file written by hand: ``rows`` are lists of entry spellings."""
     path = tmp_path / f"hand.{fmt}"
     if fmt == "csv":
-        lines = [f"# axis.{name} = linear 0.0 1.0 {count}" for name, count in axes.items()]
-        lines += [",".join(columns)] + [",".join(row) for row in rows]
+        lines = [",".join(columns)] + [",".join(row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
     else:
-        metadata = {"columns": list(columns),
-                    "axes": [{"name": name, "scale": "linear", "min": 0.0, "max": 1.0,
-                              "count": count} for name, count in axes.items()]}
-        path.write_text('{"metadata": %s, "rows": [%s]}\n' % (json.dumps(metadata), ", ".join(
-            "[" + ", ".join(row) + "]" for row in rows)))
+        path.write_text('{"metadata": %s, "rows": [%s]}\n' % (
+            json.dumps({"columns": list(columns)}),
+            ", ".join("[" + ", ".join(row) + "]" for row in rows)))
     return str(path)
+
+
+@pytest.fixture
+def one_value_memos(monkeypatch):
+    """Memos of one value, and rows read about two at a time, so that a
+    column whose first block repeats one value drops its memo mid-file."""
+    monkeypatch.setattr(datafiles, "_MEMO_SIZE", 1)
+    monkeypatch.setattr(datafiles, "_READ_ROWS", 2)
+    monkeypatch.setattr(datafiles, "_READ_CHARS", 16)
 
 
 class TestRoundTrip:
@@ -111,6 +115,21 @@ class TestRoundTrip:
         back = READERS[fmt](path)
         assert back.metadata["allow_errors"] is True
         assert back.rows == dataset.rows  # NaN equals NaN
+
+    def test_empty_dataset_keeps_its_columns(self, tmp_path):
+        """A dataset without rows holds one empty column per name, so it
+        equals its read-back in both formats and a rows-first JSON file."""
+        dataset = Dataset(columns=("a", "b"), rows=(), metadata={})
+        assert dataset.rows.width == 2
+        rows_first = tmp_path / "rows_first.json"
+        rows_first.write_text('{"rows": [], "metadata": {"columns": ["a", "b"]}}')
+        backs = [read_dataset_json(str(rows_first))]
+        for fmt in FORMATS:
+            path = str(tmp_path / f"data.{fmt}")
+            write_dataset(dataset, path, fmt)
+            backs.append(READERS[fmt](path))
+        for back in backs:
+            assert back.columns == dataset.columns and back.rows == dataset.rows
 
     def test_error_rows_spell_nan_as_null_in_json(self):
         payload = json.loads(dataset_to_json(run_sweep(error_spec())))
@@ -174,8 +193,12 @@ class TestReaders:
         '{"metadata": {"columns": ["a"]}}',
         '{"rows": [], "metadata": {"columns": ["a"], "axes": [}}',
         '[[0]]',
-    ], ids=["no_comma", "trailing_comma", "bare_entry", "nested", "trailing_text", "unclosed",
-            "no_rows", "bad_metadata", "not_an_object"])
+        '{"metadata": {"columns": 5}, "rows": [[0]]}',
+        '{"metadata": {"columns": [1, 2]}, "rows": [[0, 1]]}',
+        '{"metadata": {"columns": "ab"}, "rows": [[0, 1]]}',
+    ], ids=["no_comma", "trailing_comma", "bare_entry", "nested", "trailing_text",
+            "unclosed", "no_rows", "bad_metadata", "not_an_object", "number_columns",
+            "number_names", "text_columns"])
     @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
     def test_json_that_is_not_a_dataset_object(self, tmp_path, text, piece):
         path = tmp_path / "hand.json"
@@ -185,6 +208,42 @@ class TestReaders:
             read_dataset_json(str(path))
         assert "\n" not in str(caught.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"rows": [[0], [1, 2]], "metadata": {"columns": ["a"]}}',
+         "row 1 has 2 entries; row 0 has 1"),
+        ('{"rows": [[0, 1], [2, 3]], "metadata": {"columns": ["a"]}}',
+         "row 0 has 2 entries; metadata.columns has 1"),
+        ('{"metadata": {"columns": ["a", "b"]}, "rows": [[0, 1], [2]]}',
+         "row 1 has 1 entries; metadata.columns has 2"),
+    ], ids=["rows_first", "rows_first_wider", "metadata_first"])
+    @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
+    def test_json_width_errors_state_the_widths_the_file_shows(self, tmp_path, text, message,
+                                                               piece):
+        """The row width comes from metadata.columns when it comes first, and
+        otherwise from row 0."""
+        path = tmp_path / "hand.json"
+        path.write_text(text)
+        with mock.patch.object(datafiles, "_READ_CHARS", piece), \
+                pytest.raises(DomainError, match=f"^{path}: {message}$"):
+            read_dataset_json(str(path))
+
+    def test_json_file_is_read_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.json"
+        dataset = run_sweep(factor_spec())
+        write_dataset(dataset, str(path), "json")
+        more, pieces = datafiles._JsonText.more, []
+
+        def counted_more(text, size=0):
+            before = text.offset + len(text.buf)
+            read = more(text, size)
+            pieces.append(text.offset + len(text.buf) - before)
+            return read
+
+        monkeypatch.setattr(datafiles._JsonText, "more", counted_more)
+        monkeypatch.setattr(datafiles, "_READ_CHARS", 64)
+        assert read_dataset_json(str(path)).rows == dataset.rows
+        assert sum(pieces) == len(path.read_text())
+
     @pytest.mark.parametrize("axes", [
         '[{"count": 2}]', "null", "5", '{"name": "a", "count": 2}',
         '[{"name": "a", "count": null}]', '[{"name": "a", "count": "2"}]',
@@ -192,8 +251,8 @@ class TestReaders:
     ], ids=["no_name", "null", "number", "object", "null_count", "text_count",
             "number_values", "not_objects", "list_name"])
     def test_json_axes_that_name_no_grid_read_as_plain_columns(self, tmp_path, axes):
-        """The axes decide only which columns go through a memo, so axes the
-        reader cannot use are skipped and the rows read as written."""
+        """The reader takes nothing from the axes but the metadata itself, so
+        axes that name no grid leave the rows as written."""
         path = tmp_path / "hand.json"
         path.write_text('{"metadata": {"columns": ["a", "v"], "axes": %s}, '
                         '"rows": [[0.0, 1.0], [1, 2.0], [0.0, 3.0], [1.0, 4.0]]}' % axes)
@@ -242,19 +301,19 @@ class TestReaders:
         assert back.metadata == {"note": "rows", "rows": [1], "columns": ["a"]}
 
     @pytest.mark.parametrize("fmt, nan", [("csv", "nan"), ("json", "null"), ("json", "NaN")])
-    def test_nan_in_memo_and_plain_columns(self, tmp_path, fmt, nan):
+    def test_nan_in_memo_and_plain_columns(self, tmp_path, one_value_memos, fmt, nan):
         rows = [(nan, "0.0", "1.0"), ("1.0", "0.0", nan), (nan, "1.0", nan),
                 ("1.0", "1.0", "2.0")]
-        path = hand_file(tmp_path, fmt, ("a", "b", "v"), rows, axes={"a": 2, "b": 2})
+        path = hand_file(tmp_path, fmt, ("a", "b", "v"), rows)
         back = READERS[fmt](path)
         assert back.rows == ((math.nan, 0.0, 1.0), (1.0, 0.0, math.nan),
                              (math.nan, 1.0, math.nan), (1.0, 1.0, 2.0))
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    def test_signed_zeros_in_a_memo_column(self, tmp_path, fmt):
+    def test_signed_zeros_in_a_memo_column(self, tmp_path, one_value_memos, fmt):
         rows = [("-0.0", "0.0", "1.0"), ("0.0", "0.0", "2.0"), ("-0.0", "-0.0", "3.0"),
                 ("0.0", "-0.0", "4.0")]
-        path = hand_file(tmp_path, fmt, ("a", "b", "v"), rows, axes={"a": 2, "b": 2})
+        path = hand_file(tmp_path, fmt, ("a", "b", "v"), rows)
         back = READERS[fmt](path)
         assert [list(map(repr, row)) for row in back.rows] == [list(row) for row in rows]
 
@@ -527,15 +586,18 @@ def test_writers_follow_the_per_value_formula(tmp_path_factory, dataset):
     check_round_trip(tmp_path_factory.mktemp("property"), dataset)
 
 
-@given(dataset=hand_built_datasets(), piece=st.sampled_from(PIECES))
+@given(dataset=hand_built_datasets(), piece=st.sampled_from(PIECES),
+       memo_size=st.sampled_from([1, datafiles._MEMO_SIZE]))
 @settings(max_examples=150, deadline=None)
-def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece):
+def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece, memo_size):
     """The same property with rows written and read two at a time, and the
     JSON text read ``piece`` characters at a time, so the rows, the memos
-    and every JSON token cross piece boundaries."""
+    and every JSON token cross piece boundaries; with memos of one value,
+    a memo is dropped mid-file."""
     with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
             mock.patch.object(datafiles, "_READ_ROWS", 2), \
-            mock.patch.object(datafiles, "_READ_CHARS", piece):
+            mock.patch.object(datafiles, "_READ_CHARS", piece), \
+            mock.patch.object(datafiles, "_MEMO_SIZE", memo_size):
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
 
 
@@ -580,13 +642,22 @@ def traced_peak(call):
 SWEEP_BYTES_PER_ROW = 40
 # tracemalloc peak per row of each reader and writer on grid_files, above
 # what it measured by about 25% (read: CSV 37.7 B, JSON 38.7 B) and 18%
-# (write: CSV 28.4 B, JSON 28.8 B). Readers that built row tuples peaked at
+# (write: CSV 28.4 B, JSON 28.8 B); on long_axis_spec it measured 28.4 and
+# 31.5 B reading and 29.1 and 29.3 B writing, where memos that kept every
+# value of the long axis peaked at 83.6-87.9 B. Readers that built row tuples peaked at
 # 110 B (CSV) and 107 B (JSON), readers that parse every entry apart at
 # 185 B (CSV), and JSON readers holding the list of lists or the file's
 # text at 274 and 180 B; writers that built the file's text first peaked at
 # 194 B (CSV) and 204 B (JSON).
 READ_PEAK_BYTES_PER_ROW = {"csv": 47, "json": 48}
 WRITE_PEAK_BYTES_PER_ROW = {"csv": 34, "json": 34}
+
+
+def long_axis_spec():
+    """A 2 x 20,000 decoherence_factor sweep: its time axis has more values
+    than a memo holds."""
+    return factor_spec(axes=(Axis.from_values("velocity", (0.1, 0.5)),
+                             Axis.linear("time", 0.0, 2.0 * TWO_PI, 20_000)))
 
 
 def test_sweep_dataset_size_per_row():
@@ -610,3 +681,14 @@ def test_write_peak_memory_per_row(grid_files, tmp_path, fmt):
     peak, count = traced_peak(lambda: write_dataset(dataset, str(path), fmt))
     assert count == 40_000
     assert peak / count < WRITE_PEAK_BYTES_PER_ROW[fmt]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_long_axis_peak_memory_per_row(tmp_path, fmt):
+    dataset = run_sweep(long_axis_spec())
+    path = str(tmp_path / f"long.{fmt}")
+    write_peak, count = traced_peak(lambda: write_dataset(dataset, path, fmt))
+    read_peak, back = traced_peak(lambda: READERS[fmt](path))
+    assert count == len(back.rows) == 40_000 and back.rows == dataset.rows
+    assert write_peak / count < WRITE_PEAK_BYTES_PER_ROW[fmt]
+    assert read_peak / count < READ_PEAK_BYTES_PER_ROW[fmt]
