@@ -7,24 +7,26 @@ exactly and repeated runs of the same sweep produce byte-identical files.
 
 Both readers refuse a row without one entry per column, an entry that
 ``float()`` refuses (a JSON ``null`` reads as NaN), text that is not UTF-8
-and a JSON ``metadata.columns`` that is not a list of strings, with a
-one-line ``DomainError`` naming the file. So the JSON reader also
+and a JSON ``metadata.columns`` that is not a non-empty list of strings,
+with a one-line ``DomainError`` naming the file. So the JSON reader also
 reads spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
 ``+1``, ``inf`` and ``nan``; no writer writes them.
 
 No write or read holds a file's whole text. The writers spell and write a
 block of rows at a time from slices of the dataset's columns; a write that
-fails after the file is opened removes the partial file. The readers parse
-a block of rows at a time, each column mapped to doubles in C and appended
-to the dataset's column. Writers and readers alike pass each column through
-a memo while it holds at most ``_MEMO_SIZE`` distinct values, so a column
-that repeats its values, such as a sweep axis, spells each value once and
-parses each spelling once; a column whose next block would take its memo
-past that drops the memo and is spelled or parsed entry by entry from then
-on. The CSV reader rebuilds the metadata block from the comments, so a CSV
-read back writes the same bytes again. The JSON reader reads the file once,
-a piece of characters at a time, and decodes the members other than
-``rows`` through ``json``; the members may come in any order.
+fails after the file is opened removes the partial file. Each reader makes
+the columns it returns, one array of doubles per name, and fills them a
+block of rows at a time, each column mapped to doubles in C. Writers and
+readers alike pass each column through a memo while it holds at most
+``_MEMO_SIZE`` distinct values, so a column that repeats its values, such
+as a sweep axis, spells each value once and parses each spelling once; a
+column whose next block would take its memo past that drops the memo and
+is spelled or parsed entry by entry from then on. The CSV reader rebuilds
+the metadata block from the comments, so a CSV read back writes the same
+bytes again. The JSON reader reads the file once, a piece of characters at
+a time, and decodes the members other than ``rows`` through ``json``,
+refusing a malformed one without reading on; the members may come in any
+order.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 import os
 import re
 import stat
+from array import array
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
 from itertools import chain, islice, repeat
@@ -91,8 +94,6 @@ def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterat
 
 def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -> list[str]:
     """The row texts of one block of ``rows``; see ``_row_blocks``."""
-    if not memos:
-        return [""] * len(rows)
     texts = []
     for index, memo in enumerate(memos):
         values = new = None  # the last column's floats go before this column is spelled
@@ -190,49 +191,42 @@ def _floats(texts, memo: dict | None, null: str | None) -> list[float] | None:
         return [math.nan if text.strip() == null else float(text) for text in texts]
 
 
-def _entries(text: str) -> list[str]:
-    return text.split(",") if text.strip() else []
+def _parse_rows(texts: list[str], columns: list[array], memos: list, null: str | None,
+                path: str, source: str) -> None:
+    """Append the comma-separated entries that ``texts`` spell to ``columns``.
 
-
-def _parse_rows(texts: list[str], memos: list, null: str | None, first: int, path: str,
-                source: str) -> tuple[int, list[list[float]]]:
-    """The row count and the columns of the comma-separated entries that
-    ``texts`` spell, a block as ``Rows.from_blocks`` takes it.
-
-    A row has one entry per memo in ``memos``, as ``source`` (the header,
+    A row has one entry per column, as ``source`` (the header,
     ``metadata.columns`` or row 0) shows. The entries are split at once and
-    sliced into columns, each parsed by ``_floats`` through its memo, or
-    entry by entry once the memo would outgrow ``_MEMO_SIZE``. ``first`` is
-    the index of ``texts[0]`` among the file's rows. A row of another width,
-    or an entry that is not a number, is a ``DomainError``.
+    sliced into columns, each parsed by ``_floats`` through its memo in
+    ``memos``, or entry by entry once the memo would outgrow ``_MEMO_SIZE``.
+    An entry that is not a number, or a row of another width, is a
+    ``DomainError`` naming the row.
     """
-    width = len(memos)
+    width, first = len(columns), len(columns[0])
     if set(map(str.count, texts, repeat(","))) <= {width - 1}:
         entries = ",".join(texts).split(",")
         try:
-            columns = []
-            for index, memo in enumerate(memos):
+            for index, (column, memo) in enumerate(zip(columns, memos)):
                 values = _floats(entries[index::width], memo, null)
                 if values is None:
                     memos[index] = None  # from this block on, parsed entry by entry in C
                     values = _floats(entries[index::width], None, null)
-                columns.append(values)
+                column.fromlist(values)
         except ValueError:
             pass
         else:
-            return len(texts), columns
+            return
     for index, text in enumerate(texts, first):  # find the row at fault
-        entries = _entries(text)
-        if len(entries) != width:
-            raise DomainError(f"{path}: row {index} has {len(entries)} entries; "
-                              f"{source} has {width}")
+        entries = text.split(",")
         for entry in entries:
             try:
                 _floats([entry], None, null)
             except ValueError:
                 raise DomainError(f"{path}: row {index}: {entry.strip()!r} is not a number"
                                   ) from None
-    return len(texts), []  # only a dataset without columns gets here
+        if len(entries) != width:
+            raise DomainError(f"{path}: row {index} has {len(entries)} entries; "
+                              f"{source} has {width}")
 
 
 def _data_line(line: str, raw_meta: dict[str, str]) -> bool:
@@ -282,17 +276,18 @@ def _csv_metadata(raw_meta: dict[str, str]) -> dict:
     return metadata
 
 
-def _csv_rows(handle, width: int, raw_meta: dict[str, str], path: str):
-    """Blocks of rows, as ``_parse_rows`` gives them, from the lines left in ``handle``."""
-    first, memos = 0, [{} for _ in range(width)]
+def _csv_rows(handle, width: int, raw_meta: dict[str, str], path: str) -> Rows:
+    """The rows of the lines left in ``handle``, ``width`` entries each,
+    parsed ``_READ_ROWS`` lines at a time."""
+    columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
     while lines := list(islice(handle, _READ_ROWS)):
         joined = "".join(lines)
         texts = joined.split("\n")[:len(lines)]
         if "" in texts or "#" in joined:
             texts = [text for text in texts if _data_line(text, raw_meta)]
         if texts:
-            yield _parse_rows(texts, memos, None, first, path, "the header")
-            first += len(texts)
+            _parse_rows(texts, columns, memos, None, path, "the header")
+    return Rows(columns)
 
 
 @contextmanager
@@ -317,7 +312,7 @@ def read_dataset_csv(path: str) -> Dataset:
                 break
         else:
             raise DomainError(f"{path}: no header row found")
-        rows = Rows.from_blocks(_csv_rows(handle, len(columns), raw_meta, path))
+        rows = _csv_rows(handle, len(columns), raw_meta, path)
     return Dataset(columns=columns, rows=rows, metadata=_csv_metadata(raw_meta))
 
 
@@ -327,6 +322,8 @@ _READ_CHARS = 1 << 14
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 # what may still continue a number that ends where the text read so far ends
 _JSON_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")
+# the literals that the text read so far may end inside
+_JSON_WORDS = ("true", "false", "null", "NaN", "Infinity", "-Infinity")
 # where one row of the rows array ends and the next begins
 _JSON_ROW_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 # the last row's close and the rows array's
@@ -375,35 +372,47 @@ class _JsonText:
     def value(self):
         """The JSON value next, decoded by ``json``.
 
-        Until the value decodes, and while a number may run on past the text
-        read so far, the text read is doubled; a value that is malformed is
-        therefore refused only at the end of the file.
+        While the value fails only because the text read so far ends inside
+        it, or decodes to a number that may run on past that end, the text
+        read is doubled; any other failure is refused at once.
         """
         self.skip_space()
         while True:
             try:
                 value, end = _JSON_DECODER.raw_decode(self.buf, self.pos)
             except json.JSONDecodeError as exc:
-                if self.more(len(self.buf)):
+                if self.cut_off(exc) and self.more(len(self.buf)):
                     continue
                 raise self.fail(f"{exc.msg} at character {self.offset + exc.pos}") from None
             if not _JSON_NUMBER_TAIL.match(self.buf, end) or not self.more(len(self.buf)):
                 self.pos = end
                 return value
 
+    def cut_off(self, exc: json.JSONDecodeError) -> bool:
+        """Whether more text may mend ``exc``: whether the text read so far
+        ends inside a string, or inside the number, literal or ``\\u``
+        escape where decoding stopped."""
+        if exc.msg.startswith("Unterminated string"):
+            return True
+        rest = self.buf[exc.pos:exc.pos + 10]  # "-Infinity" and one character more
+        if exc.msg.startswith("Invalid \\uXXXX"):
+            return len(rest) <= len("uXXXX")  # json refuses an escape that ends the text
+        return (_JSON_NUMBER_TAIL.match(self.buf, exc.pos) is not None
+                or any(word.startswith(rest) for word in _JSON_WORDS))
+
 
 def _json_columns(metadata) -> tuple[str, ...] | None:
     """``metadata["columns"]`` as a tuple, if ``metadata`` is an object whose
-    ``columns`` is a list of strings; otherwise ``None``."""
+    ``columns`` is a non-empty list of strings; otherwise ``None``."""
     columns = metadata.get("columns") if isinstance(metadata, dict) else None
-    if isinstance(columns, list) and all(isinstance(name, str) for name in columns):
+    if isinstance(columns, list) and columns and all(isinstance(name, str) for name in columns):
         return tuple(columns)
     return None
 
 
 def _json_object(text: _JsonText) -> dict:
-    """The top-level object's members: ``rows`` read into ``Rows`` by
-    ``_json_rows``, every other member decoded by ``json``."""
+    """The top-level object's members: ``rows`` read by ``_json_rows``,
+    every other member decoded by ``json``."""
     members = {}
     text.expect("{")
     more = not text.at("}")
@@ -413,8 +422,7 @@ def _json_object(text: _JsonText) -> dict:
         key = text.value()
         text.expect(":")
         if key == "rows":
-            members[key] = Rows.from_blocks(_json_rows(text, _json_columns(
-                members.get("metadata"))))
+            members[key] = _json_rows(text, _json_columns(members.get("metadata")))
         else:
             members[key] = text.value()
         more = text.at(",")
@@ -426,21 +434,22 @@ def _json_object(text: _JsonText) -> dict:
     return members
 
 
-def _json_rows(text: _JsonText, columns: tuple[str, ...] | None):
-    """Blocks of rows, as ``_parse_rows`` gives them, from the rows array next.
+def _json_rows(text: _JsonText, names: tuple[str, ...] | None) -> Rows | tuple:
+    """The rows of the rows array next; ``()`` if it is empty.
 
-    A row has one entry per name in ``columns``, the metadata's if they came
-    first, or else as many as row 0. Each block is the rows that the text
-    read so far holds whole. It is cut into rows at ``]``, ``,`` and ``[``
-    with any JSON whitespace between; a bracket left in an entry fails as an
-    entry that is not a number. The row begun last is carried into the next
-    block.
+    A row has one entry per name in ``names``, the metadata's columns if
+    they came first, or else as many as row 0. The rows are parsed a block
+    at a time, each block the rows that the text read so far holds whole.
+    It is cut into rows at ``]``, ``,`` and ``[`` with any JSON whitespace
+    between; a bracket left in an entry fails as an entry that is not a
+    number. The row begun last is carried into the next block.
     """
     text.expect("[")
     if text.at("]"):
         text.pos += 1
-        return
-    memos, first = None if columns is None else [{} for _ in columns], 0
+        return ()
+    columns = memos = None
+    first = 0  # the rows parsed so far
     while True:
         buf, pos = text.buf, text.pos
         if not buf.startswith("[", pos):
@@ -458,12 +467,14 @@ def _json_rows(text: _JsonText, columns: tuple[str, ...] | None):
             rows, text.pos = buf[pos:end.start() + 1], end.end()
         if rows:
             texts = _JSON_ROW_BREAK.split(rows[1:-1])
-            memos = [{} for _ in _entries(texts[0])] if memos is None else memos
-            yield _parse_rows(texts, memos, "null", first, text.path,
-                              "row 0" if columns is None else "metadata.columns")
+            if columns is None:
+                width = len(names) if names else texts[0].count(",") + 1
+                columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
+            _parse_rows(texts, columns, memos, "null", text.path,
+                        "metadata.columns" if names else "row 0")
             first += len(texts)
         if end is not None:
-            return
+            return Rows(columns)
         if not text.more():
             raise text.fail("the rows array is not closed")
 
@@ -483,7 +494,7 @@ def read_dataset_json(path: str) -> Dataset:
     columns = _json_columns(metadata)
     if "rows" not in members or columns is None:
         raise DomainError(f"{path}: expected an object with rows and metadata.columns, "
-                          "a list of strings")
+                          "a non-empty list of strings")
     rows = members["rows"]
     if len(rows) and rows.width != len(columns):
         raise DomainError(f"{path}: row 0 has {rows.width} entries; "

@@ -21,7 +21,7 @@ from .errors import DomainError, QuadratureError
 from .model import ModelParams, decoherence_factor, dephasing_multiplier
 from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE, adaptive_simpson, gauss_legendre
 from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap,
-                    eigenvalues_closed_form, require_bloch_angle)
+                    eigenvalues_closed_form, require_bloch_angle, require_polar_angle)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,15 +55,13 @@ class PhaseResult:
 
 def unitary_gp(theta: float) -> float:
     """Closed-system geometric phase pi*(1 + cos(theta)) for theta in [0, pi]."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    require_polar_angle(theta)
     return math.pi * (1.0 + bloch_cosine(theta))
 
 
 def dynamical_phase(theta: float) -> float:
     """Closed-system dynamical phase pi*cos(theta)."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    require_polar_angle(theta)
     return math.pi * bloch_cosine(theta)
 
 
@@ -218,8 +216,7 @@ def gp_perturbative(params: ModelParams, theta: float) -> float:
     which the repository cannot check and whose residual to gp_exact is
     first order; the README's Conventions give it and when to revisit.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    require_polar_angle(theta)
     c = bloch_cosine(theta)
     sin_theta = math.sin(theta)
     correction = ((math.pi * math.pi / 2.0) * params.gamma0 * dephasing_multiplier(params)

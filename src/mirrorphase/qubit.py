@@ -37,6 +37,12 @@ def require_bloch_angle(theta: float) -> None:
             "Pole states evolve trivially: use unitary_gp for the closed-system phase.")
 
 
+def require_polar_angle(theta: float) -> None:
+    """Reject an initial angle outside the closed interval [0, pi]; the poles are allowed."""
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+
+
 class MixedAngles(NamedTuple):
     """Instantaneous eigenvector parametrization (sin(theta_t), cos(theta_t))."""
 
@@ -50,8 +56,7 @@ def eigenvalues_closed_form(theta: float, r: float) -> tuple[float, float]:
     eps_pm = 1/2 +- (1/2) sqrt(cos^2(theta) + r^2 sin^2(theta)); they sum to
     1 and eps_minus vanishes exactly at r = 1.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
+    require_polar_angle(theta)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"decoherence factor must lie in [0, 1], got {r}")
     spread = math.hypot(bloch_cosine(theta), r * math.sin(theta))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, field
@@ -252,20 +251,21 @@ def _doubles(name: str, column: tuple) -> array:
 class Rows(Sequence):
     """The rows of a ``Dataset``: a read-only sequence of tuples of floats.
 
-    It stores one array of doubles per column, 8 bytes an entry, and the
-    row count, which a dataset without columns needs. Indexing, slicing,
-    ``len`` and iteration behave as on a tuple of row tuples, and so does
-    ``==``, except that a NaN equals a NaN. Two ``Rows`` compare column
-    against column; a ``Rows`` also compares with a tuple of row tuples.
+    It stores one array of doubles per column, 8 bytes an entry. Indexing,
+    slicing, ``len`` and iteration behave as on a tuple of row tuples, and
+    so does ``==``, except that a NaN equals a NaN. Two ``Rows`` compare
+    column against column; a ``Rows`` also compares with a tuple of row
+    tuples.
     """
 
-    __slots__ = ("_columns", "_count")
+    __slots__ = ("_columns",)
 
-    def __init__(self, columns: Sequence[array], count: int) -> None:
-        """Rows that take over ``columns``, arrays of doubles ``count`` long."""
-        if any(len(column) != count for column in columns):
-            raise ValueError(f"every column must hold {count} entries")
-        self._columns, self._count = tuple(columns), count
+    def __init__(self, columns: Sequence[array]) -> None:
+        """Rows that take over ``columns``, one or more arrays of doubles of one length."""
+        columns = tuple(columns)
+        if not columns or any(len(column) != len(columns[0]) for column in columns):
+            raise ValueError("rows need one or more columns of one length")
+        self._columns = columns
 
     @classmethod
     def from_rows(cls, rows: Iterable, names: Sequence[str]) -> Rows:
@@ -282,20 +282,7 @@ class Rows(Sequence):
                 raise DomainError(f"row {index} has {got}; "
                                   f"the dataset has {len(names)} columns")
         columns = zip(*rows) if rows else itertools.repeat(())
-        return cls([_doubles(name, column) for name, column in zip(names, columns)], len(rows))
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[tuple[int, list[list[float]]]]) -> Rows:
-        """The rows of ``blocks``, each a row count and one list of floats per
-        column; the first block sets the width, and no block means no columns."""
-        columns, count = None, 0
-        for size, block in blocks:
-            if columns is None:
-                columns = [array("d") for _ in block]
-            for column, values in zip(columns, block, strict=True):
-                column.fromlist(values)
-            count += size
-        return cls(columns or (), count)
+        return cls([_doubles(name, column) for name, column in zip(names, columns)])
 
     @property
     def width(self) -> int:
@@ -306,36 +293,33 @@ class Rows(Sequence):
         return memoryview(self._columns[index]).toreadonly()
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._columns[0])
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            return Rows([column[key] for column in self._columns],
-                        len(range(*key.indices(self._count))))
-        index = operator.index(key)
-        if not -self._count <= index < self._count:
-            raise IndexError("row index out of range")
-        return tuple([column[index] for column in self._columns])
+            return Rows([column[key] for column in self._columns])
+        return tuple([column[key] for column in self._columns])
 
     def __iter__(self) -> Iterator[tuple[float, ...]]:
-        return zip(*self._columns) if self._columns else itertools.repeat((), self._count)
+        return zip(*self._columns)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rows):
-            return (self._count == other._count and self.width == other.width
+            return (len(self) == len(other) and self.width == other.width
                     and all(map(_same_column, self._columns, other._columns)))
         if isinstance(other, tuple):
-            return self._count == len(other) and all(map(_same_row, self, other))
+            return len(self) == len(other) and all(map(_same_row, self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"<Rows: {self._count} rows x {self.width} columns>"
+        return f"<Rows: {len(self)} rows x {self.width} columns>"
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Columnar numeric table plus the metadata that regenerates it.
 
+    It has at least one column: no ``columns`` is a ``DomainError``.
     ``rows`` may be given as any iterable of rows; it is held as ``Rows``,
     one array of doubles per column, 8 bytes an entry. A row whose width
     differs from the column count, or an entry that ``float`` refuses, is a
@@ -347,6 +331,8 @@ class Dataset:
     metadata: dict
 
     def __post_init__(self) -> None:
+        if not self.columns:
+            raise DomainError("a dataset needs at least one column")
         if not (isinstance(self.rows, Rows) and self.rows.width == len(self.columns)):
             object.__setattr__(self, "rows", Rows.from_rows(self.rows, self.columns))
 
@@ -414,9 +400,6 @@ def run_sweep(spec: SweepSpec) -> Dataset:
                 default=0)
     cell_names, inner_names = names[:split], names[split:]
     grids = [axis.grid() for axis in spec.axes]
-    for name, grid in zip(names, grids):
-        if not (allow_errors or all(map(math.isfinite, grid))):
-            raise DomainError(f"non-finite entry in the {name} grid")
     columns = _product_columns(grids) + [array("d") for _ in value_columns]
     point = dict(spec.fixed)
     for cell in itertools.product(*grids[:split]):
@@ -445,7 +428,7 @@ def run_sweep(spec: SweepSpec) -> Dataset:
             cell_values.extend(values)
         for offset, column in enumerate(columns[len(names):]):
             column.fromlist(cell_values[offset::len(value_columns)])
-    return Dataset(columns=names + value_columns, rows=Rows(columns, count),
+    return Dataset(columns=names + value_columns, rows=Rows(columns),
                    metadata=describe_spec(spec))
 
 

@@ -78,6 +78,21 @@ def hand_file(tmp_path, fmt, columns, rows):
     return str(path)
 
 
+def count_json_reads(monkeypatch):
+    """The characters that each ``_JsonText.more`` call reads, as a list
+    that fills while the reader runs."""
+    more, pieces = datafiles._JsonText.more, []
+
+    def counted_more(text, size=0):
+        before = text.offset + len(text.buf)
+        read = more(text, size)
+        pieces.append(text.offset + len(text.buf) - before)
+        return read
+
+    monkeypatch.setattr(datafiles._JsonText, "more", counted_more)
+    return pieces
+
+
 @pytest.fixture
 def one_value_memos(monkeypatch):
     """Memos of one value, and rows read about two at a time, so that a
@@ -196,9 +211,11 @@ class TestReaders:
         '{"metadata": {"columns": 5}, "rows": [[0]]}',
         '{"metadata": {"columns": [1, 2]}, "rows": [[0, 1]]}',
         '{"metadata": {"columns": "ab"}, "rows": [[0, 1]]}',
+        '{"metadata": {"columns": []}, "rows": []}',
+        '{"rows": [], "metadata": {"columns": []}}',
     ], ids=["no_comma", "trailing_comma", "bare_entry", "nested", "trailing_text",
             "unclosed", "no_rows", "bad_metadata", "not_an_object", "number_columns",
-            "number_names", "text_columns"])
+            "number_names", "text_columns", "no_columns", "rows_first_no_columns"])
     @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
     def test_json_that_is_not_a_dataset_object(self, tmp_path, text, piece):
         path = tmp_path / "hand.json"
@@ -231,18 +248,29 @@ class TestReaders:
         path = tmp_path / "data.json"
         dataset = run_sweep(factor_spec())
         write_dataset(dataset, str(path), "json")
-        more, pieces = datafiles._JsonText.more, []
-
-        def counted_more(text, size=0):
-            before = text.offset + len(text.buf)
-            read = more(text, size)
-            pieces.append(text.offset + len(text.buf) - before)
-            return read
-
-        monkeypatch.setattr(datafiles._JsonText, "more", counted_more)
+        pieces = count_json_reads(monkeypatch)
         monkeypatch.setattr(datafiles, "_READ_CHARS", 64)
         assert read_dataset_json(str(path)).rows == dataset.rows
         assert sum(pieces) == len(path.read_text())
+
+    @pytest.mark.parametrize("member", ["tru", "1x", "01", "-x", '"\\x"', '"\\u12zz"',
+                                        "[1 2]", "{1: 2}", "nul]"])
+    def test_malformed_json_member_fails_at_once(self, tmp_path, monkeypatch, member):
+        """A member that more text cannot mend is refused, with the message
+        that decoding the whole file gives, without reading the rest of it."""
+        text = '{"metadata": {"note": %s, "columns": ["a"]}, "rows": [%s]}' % (
+            member, ", ".join(["[0.5]"] * 20_000))
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(text)
+        pieces = count_json_reads(monkeypatch)
+        with pytest.raises(DomainError) as caught:
+            read_dataset_json(str(path))
+        assert str(caught.value) == (f"{path}: {decoded.value.msg} at character "
+                                     f"{decoded.value.pos}")
+        assert len(text) > 4 * datafiles._READ_CHARS
+        assert sum(pieces) <= 2 * datafiles._READ_CHARS
 
     @pytest.mark.parametrize("axes", [
         '[{"count": 2}]', "null", "5", '{"name": "a", "count": 2}',
@@ -299,6 +327,17 @@ class TestReaders:
             back = read_dataset_json(str(path))
         assert back.rows == ((1.5,), (-2.0,))
         assert back.metadata == {"note": "rows", "rows": [1], "columns": ["a"]}
+
+    @pytest.mark.parametrize("piece", PIECES)
+    def test_json_strings_and_literals_split_across_pieces(self, tmp_path, piece):
+        """Escapes, literals and numbers cut off where a piece ends read whole."""
+        metadata = {"note": "\u00e9\U0001d11e\\ \"x\"", "flags": [True, False, None],
+                    "limits": [-math.inf, math.inf, -1.5e-7], "columns": ["a"]}
+        path = tmp_path / "hand.json"
+        path.write_text('{"metadata": %s, "rows": [[1.5]]}' % json.dumps(metadata))
+        with mock.patch.object(datafiles, "_READ_CHARS", piece):
+            back = read_dataset_json(str(path))
+        assert back.metadata == metadata and back.rows == ((1.5,),)
 
     @pytest.mark.parametrize("fmt, nan", [("csv", "nan"), ("json", "null"), ("json", "NaN")])
     def test_nan_in_memo_and_plain_columns(self, tmp_path, one_value_memos, fmt, nan):
@@ -407,9 +446,8 @@ class TestWrittenBytes:
                         metadata={"target": "integers"}),
         lambda: run_sweep(signed_zero_spec((-0.0, 0.0, -0.0))),
         empty_dataset,
-        lambda: Dataset(columns=(), rows=((), ()), metadata={"target": "no columns"}),
     ], ids=["sweep", "error_rows", "awkward", "integer_entries", "signed_zero_axis",
-            "no_rows", "no_columns"])
+            "no_rows"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_match_the_per_value_formula(self, tmp_path, make, fmt):
         dataset = make()

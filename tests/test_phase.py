@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from mirrorphase import (DegenerateStateError, DomainError, ModelParams,
                          QuadratureError, circular_difference, decoherence_factor,
-                         angles_closed_form, dynamical_phase, gp_exact,
+                         angles_closed_form, dynamical_phase, eigenvalues_closed_form, gp_exact,
                          gp_kinematic_oracle, gp_perturbative, unitary_gp)
 from mirrorphase import phase as phase_module
 from mirrorphase.phase import _angles_grid
@@ -40,6 +40,18 @@ class TestClosedSystemPhases:
             unitary_gp(-0.1)
         with pytest.raises(DomainError):
             dynamical_phase(3.5)
+
+    @pytest.mark.parametrize("theta", [-0.1, 3.5, math.nan])
+    @pytest.mark.parametrize("call", [
+        unitary_gp, dynamical_phase, lambda theta: gp_perturbative(params_fig7(0.5), theta),
+        lambda theta: eigenvalues_closed_form(theta, 0.5),
+    ], ids=["unitary_gp", "dynamical_phase", "gp_perturbative", "eigenvalues_closed_form"])
+    def test_closed_interval_checked_alike(self, call, theta):
+        """Every route that allows the poles refuses the same angles, alike."""
+        with pytest.raises(DomainError, match=rf"^theta must lie in \[0, pi\], got {theta}$"):
+            call(theta)
+        call(0.0)
+        call(math.pi)
 
 
 class TestGpExact:

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+from array import array
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mirrorphase import (Axis, Dataset, DomainError, ModelParams, SweepError, SweepSpec,
                          decoherence_factor, decoherence_time, figure_preset, gp_exact,
@@ -59,6 +61,35 @@ class TestAxis:
     def test_values_grid(self):
         assert Axis.from_values("lambda", (1.0, 5.0, 10.0, 15.0)).grid() == \
             (1.0, 5.0, 10.0, 15.0)
+
+    @given(name=st.sampled_from(("gamma0", "lambda", "omega", "time")),
+           scale=st.sampled_from(("linear", "log", "values")),
+           ends=st.lists(st.floats(min_value=0.0, max_value=1.7976931348623157e308),
+                         min_size=2, max_size=2, unique=True),
+           count=st.integers(min_value=2, max_value=2000))
+    @settings(max_examples=300, deadline=None)
+    def test_grids_of_valid_axes_are_finite(self, name, scale, ends, count):
+        """A grid runs from min to max without leaving them and stays finite
+        up to the float limit, so validate checks only the ends and
+        run_sweep need not check the grid."""
+        low, high = ends if scale == "values" else sorted(ends)
+        assume(scale != "log" or low > 0.0)
+        if scale == "values":
+            axis = Axis.from_values(name, (low, high))
+        else:
+            axis = Axis(name=name, scale=scale, start=low, stop=high, count=count)
+        fixed = {key: 0.5 for key in ("gamma0", "lambda", "omega", "velocity", "time")
+                 if key != name}
+        spec = SweepSpec(target="decoherence_factor", axes=(axis,), fixed=fixed)
+        try:
+            spec.validate()
+        except DomainError:
+            assume(False)
+        grid = axis.grid()
+        assert all(map(math.isfinite, grid))
+        assert grid[0] == low and grid[-1] == high
+        assert all(min(ends) <= x <= max(ends) for x in grid)
+        assert len(grid) == (2 if scale == "values" else count)
 
     @pytest.mark.parametrize("bad", [
         lambda: Axis.linear("velocity", 0.5, 0.5, 2),
@@ -431,12 +462,15 @@ class TestRows:
         assert rows != list(self.ROWS) and rows != 4 and rows != "rows"
         assert rows != tuple(map(list, self.ROWS))
 
-    def test_zero_columns_keep_the_row_count(self):
-        rows = held(((), (), ()), columns=())
-        assert len(rows) == 3
-        assert list(rows) == [(), (), ()] and rows[-1] == ()
-        assert len(rows[1:]) == 2 and rows == ((), (), ())
-        assert rows != held(((), ()), columns=())
+    def test_a_dataset_needs_a_column(self):
+        with pytest.raises(DomainError, match=r"^a dataset needs at least one column$"):
+            Dataset(columns=(), rows=((), ()), metadata={})
+
+    @pytest.mark.parametrize("columns", [[], [array("d", [1.0]), array("d")]],
+                             ids=["none", "unequal"])
+    def test_rows_take_one_or_more_columns_of_one_length(self, columns):
+        with pytest.raises(ValueError):
+            Rows(columns)
 
     def test_short_repr(self):
         dataset = run_sweep(SweepSpec(target="decoherence_factor",
@@ -463,7 +497,7 @@ class TestRows:
 
     def test_any_iterable_of_rows(self):
         assert held(iter([[0, 1], (2.0, "3.5")])) == ((0.0, 1.0), (2.0, 3.5))
-        assert held(Rows([], 0)) == ()
+        assert held(Rows([array("d"), array("d")])) == ()
 
 
 class TestFigurePresets:
