@@ -6,8 +6,9 @@ Usage:
 
 Each file is self-describing (version, target, grids and fixed parameters
 in the metadata block) and reproduces bit-identically across runs. Each is
-read back after it is written; a file whose rows differ from the rows
-written is reported on one line, and the script exits 1.
+read back after it is written; a file whose rows or metadata differ from
+those written is reported on one line, and the script exits 1. CSV reads
+back the metadata written, JSON that metadata plus ``columns``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,13 @@ def main() -> int:
         dataset = run_sweep(figure_preset(n))
         rows = write_dataset(dataset, path, args.format)
         back = read(path)
-        if back.columns != dataset.columns or back.rows != dataset.rows:
-            print(f"figure {n}: {path} does not read back as the rows written",
+        metadata = dict(dataset.metadata)
+        if args.format == "json":
+            metadata["columns"] = list(dataset.columns)
+        wrong = ("rows" if back.columns != dataset.columns or back.rows != dataset.rows
+                 else "metadata" if back.metadata != metadata else None)
+        if wrong:
+            print(f"figure {n}: {path} does not read back as the {wrong} written",
                   file=sys.stderr)
             return 1
         print(f"figure {n}: {rows} rows -> {path} ({time.monotonic() - start:.2f}s)")

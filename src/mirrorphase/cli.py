@@ -118,11 +118,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        with open(args.config) as handle:
+        with open(args.config, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 3
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
     spec = parse_sweep_config(text)
     return _write(run_sweep(spec), args)
 

@@ -4,6 +4,9 @@ Every entry is written as ``repr(float(x))``, the shortest round-trip
 decimal form of a double, in both formats (JSON spells a non-finite entry
 ``null``), so re-parsing a file reproduces the original binary doubles
 exactly and repeated runs of the same sweep produce byte-identical files.
+Both writers spell the metadata through ``json``, CSV as one
+``# key = <JSON>`` comment per key, so both readers read back the metadata
+written, and a CSV read back writes the same bytes again.
 
 Both readers refuse a row without one entry per column, an entry that
 ``float()`` refuses (a JSON ``null`` reads as NaN), text that is not UTF-8
@@ -21,12 +24,10 @@ readers alike pass each column through a memo while it holds at most
 ``_MEMO_SIZE`` distinct values, so a column that repeats its values, such
 as a sweep axis, spells each value once and parses each spelling once; a
 column whose next block would take its memo past that drops the memo and
-is spelled or parsed entry by entry from then on. The CSV reader rebuilds
-the metadata block from the comments, so a CSV read back writes the same
-bytes again. The JSON reader reads the file once, a piece of characters at
-a time, and decodes the members other than ``rows`` through ``json``,
-refusing a malformed one without reading on; the members may come in any
-order.
+is spelled or parsed entry by entry from then on. The JSON reader reads
+the file once, a piece of characters at a time, and decodes the members
+other than ``rows`` through ``json``, refusing a malformed one without
+reading on; the members may come in any order.
 """
 
 from __future__ import annotations
@@ -43,27 +44,6 @@ from itertools import chain, islice, repeat
 
 from .errors import DomainError
 from .sweeps import Dataset, Rows
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _metadata_lines(metadata: dict) -> list[str]:
-    lines = [f"# {metadata.get('generator', 'mirrorphase')} dataset",
-             f"# version = {metadata.get('version', '')}",
-             f"# target = {metadata.get('target', '')}"]
-    for axis in metadata.get("axes", []):
-        if axis.get("scale") == "values":
-            detail = "values " + " ".join(_fmt(v) for v in axis["values"])
-        else:
-            detail = (f"{axis['scale']} {_fmt(axis['min'])} {_fmt(axis['max'])} "
-                      f"{axis['count']}")
-        lines.append(f"# axis.{axis['name']} = {detail}")
-    for name, value in metadata.get("fixed", {}).items():
-        lines.append(f"# fixed.{name} = {_fmt(value)}")
-    lines.append(f"# allow_errors = {'true' if metadata.get('allow_errors') else 'false'}")
-    return lines
 
 
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
@@ -111,11 +91,35 @@ def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -
     return list(map(sep.join, zip(*texts)))
 
 
+def _json(value) -> str:
+    """``value`` in JSON, as both writers spell metadata; NaN or a set is a ``DomainError``."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"metadata cannot be written as JSON: {exc}") from None
+
+
+# the metadata keys and the column names that the CSV reader reads back as written
+_CSV_KEY = re.compile(r"[^=\n\r]+")
+_CSV_NAME = re.compile(r"[^,\n\r]+")
+
+
 def _csv_pieces(dataset: Dataset) -> Iterator[str]:
-    """The CSV text in pieces: the metadata comments and the header, then
-    one piece per block of rows."""
+    """The CSV text in pieces: the metadata comments, one ``# key = <JSON>``
+    line per key in dict order, and the header, then one piece per block of
+    rows. A key or column name the reader would misread is a ``DomainError``."""
+    head = []
+    for key, value in dataset.metadata.items():
+        if not (isinstance(key, str) and key == key.strip() and _CSV_KEY.fullmatch(key)):
+            raise DomainError(f"metadata key {key!r} cannot be written to CSV: a key is "
+                              "text without '=', a line break or space at its ends")
+        head.append(f"# {key} = {_json(value)}")
+    names = dataset.columns
+    if names[0].startswith("#") or not all(map(_CSV_NAME.fullmatch, names)):
+        raise DomainError(f"column names {names!r} cannot be written to CSV: a name is text "
+                          "without ',' or a line break, the first not starting with '#'")
     blocks = _row_blocks(dataset, ",", {})
-    head = _metadata_lines(dataset.metadata) + [",".join(dataset.columns), ""]
+    head += [",".join(names), ""]
     return chain(["\n".join(head)], map("{}\n".format, map("\n".join, blocks)))
 
 
@@ -123,9 +127,8 @@ def _json_pieces(dataset: Dataset) -> Iterator[str]:
     """The JSON text in pieces: the object up to the rows array, one piece
     per block of rows, and the close."""
     blocks = _row_blocks(dataset, ", ", _JSON_NONFINITE)
-    metadata = dict(dataset.metadata)
-    metadata["columns"] = list(dataset.columns)
-    head = json.dumps({"metadata": metadata}, allow_nan=False)[:-1] + ', "rows": ['
+    metadata = {**dataset.metadata, "columns": list(dataset.columns)}
+    head = _json({"metadata": metadata})[:-1] + ', "rows": ['
     # "[" opens the first row and ", [" each block's first row after it
     return chain([head], map("{}[{}]".format, chain([""], repeat(", ")),
                              map("], [".join, blocks)), ["]}\n"])
@@ -229,54 +232,22 @@ def _parse_rows(texts: list[str], columns: list[array], memos: list, null: str |
                               f"{source} has {width}")
 
 
-def _data_line(line: str, raw_meta: dict[str, str]) -> bool:
-    """Whether a CSV line holds the header or a row; a ``# key = value``
-    comment is kept in ``raw_meta``, and blank lines and comments are skipped."""
+def _data_line(line: str, metadata: dict) -> bool:
+    """Whether a CSV line holds the header or a row. A ``# key = value``
+    comment sets ``metadata[key]`` to the value decoded by ``json``, or to
+    its text if that is not JSON; blank lines and other comments are skipped."""
     if line.startswith("#"):
-        body = line[1:].strip()
-        if "=" in body:
-            key, value = body.split("=", 1)
-            raw_meta[key.strip()] = value.strip()
+        key, equals, value = line[1:].partition("=")
+        key, value = key.strip(), value.strip()
+        if equals and key:
+            with suppress(ValueError, RecursionError):  # older files hold text such as 0.1.0
+                value = json.loads(value)
+            metadata[key] = value
         return False
     return bool(line)
 
 
-def _csv_axis(name: str, value: str) -> dict | None:
-    """The metadata entry that an ``# axis.<name> = values v...`` or
-    ``# axis.<name> = <scale> min max count`` comment spells, or ``None``."""
-    fields = value.split()
-    try:
-        if fields[0] == "values":
-            return {"name": name, "scale": "values", "values": list(map(float, fields[1:]))}
-        scale, low, high, count = fields
-        if count.isdecimal() and len(count) < 19:  # no grid count is longer
-            return {"name": name, "scale": scale, "min": float(low), "max": float(high),
-                    "count": int(count)}
-    except (IndexError, ValueError):
-        pass
-    return None
-
-
-def _csv_metadata(raw_meta: dict[str, str]) -> dict:
-    """The metadata block that the CSV comments spell, as the writers take
-    it: ``version``, ``target``, the ``axis.*`` and ``fixed.*`` lines and
-    ``allow_errors``, with every comment also kept as text under ``raw``.
-    A line that does not parse is kept only under ``raw``."""
-    metadata = {key: raw_meta[key] for key in ("version", "target") if key in raw_meta}
-    axes, fixed = [], {}
-    for key, value in raw_meta.items():
-        kind, _, name = key.partition(".")
-        if kind == "axis" and (axis := _csv_axis(name, value)) is not None:
-            axes.append(axis)
-        elif kind == "fixed":
-            with suppress(ValueError):
-                fixed[name] = float(value)
-    metadata.update(axes=axes, fixed=fixed, allow_errors=raw_meta.get("allow_errors") == "true",
-                    raw=raw_meta)
-    return metadata
-
-
-def _csv_rows(handle, width: int, raw_meta: dict[str, str], path: str) -> Rows:
+def _csv_rows(handle, width: int, metadata: dict, path: str) -> Rows:
     """The rows of the lines left in ``handle``, ``width`` entries each,
     parsed ``_READ_ROWS`` lines at a time."""
     columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
@@ -284,7 +255,7 @@ def _csv_rows(handle, width: int, raw_meta: dict[str, str], path: str) -> Rows:
         joined = "".join(lines)
         texts = joined.split("\n")[:len(lines)]
         if "" in texts or "#" in joined:
-            texts = [text for text in texts if _data_line(text, raw_meta)]
+            texts = [text for text in texts if _data_line(text, metadata)]
         if texts:
             _parse_rows(texts, columns, memos, None, path, "the header")
     return Rows(columns)
@@ -302,18 +273,20 @@ def _text_file(path: str):
 
 
 def read_dataset_csv(path: str) -> Dataset:
-    """Read back a CSV dataset; the metadata block is rebuilt from the comments."""
-    raw_meta: dict[str, str] = {}
+    """Read back a CSV dataset: each ``# key = value`` comment is a metadata
+    entry, its value decoded by ``json``, or kept as text where it is not
+    JSON, as in files written before metadata was spelled in JSON."""
+    metadata: dict = {}
     with _text_file(path) as handle:
         for line in handle:
             line = line.rstrip("\n")
-            if _data_line(line, raw_meta):
+            if _data_line(line, metadata):
                 columns = tuple(line.split(","))
                 break
         else:
             raise DomainError(f"{path}: no header row found")
-        rows = _csv_rows(handle, len(columns), raw_meta, path)
-    return Dataset(columns=columns, rows=rows, metadata=_csv_metadata(raw_meta))
+        rows = _csv_rows(handle, len(columns), metadata, path)
+    return Dataset(columns=columns, rows=rows, metadata=metadata)
 
 
 # a JSON file is read this many characters at a time: about 240 rows of a

@@ -210,7 +210,7 @@ def gp_perturbative(params: ModelParams, theta: float) -> float:
     (gamma0*M/4)*s*cos*sin^2 to first order, and integrating s over
     [0, 2*pi] gives 2*pi^2. The residual to the exact phase is therefore
     second order in gamma0. Pole angles are allowed: sin^2 switches the
-    correction off.
+    correction off. A result that overflows is a ``DomainError``.
 
     Earlier versions carried a bracket recorded as the published form,
     which the repository cannot check and whose residual to gp_exact is
@@ -221,4 +221,8 @@ def gp_perturbative(params: ModelParams, theta: float) -> float:
     sin_theta = math.sin(theta)
     correction = ((math.pi * math.pi / 2.0) * params.gamma0 * dephasing_multiplier(params)
                   * c * sin_theta * sin_theta)
-    return unitary_gp(theta) + correction
+    phase = unitary_gp(theta) + correction
+    if not math.isfinite(phase):
+        raise DomainError(f"the first-order phase overflows at gamma0={params.gamma0!r}, "
+                          f"theta={theta!r}; it holds only for small gamma0")
+    return phase

@@ -8,7 +8,8 @@ independent of the closed forms in :mod:`mirrorphase.qubit`.
 
 The dataset writers' per-value formula, written out entry by entry: every
 entry is ``repr(float(x))`` in both formats, and strict JSON spells a
-non-finite entry ``null``.
+non-finite entry ``null``; CSV spells each metadata key on a
+``# key = <JSON>`` comment line.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mirrorphase import DomainError, angles_closed_form
-from mirrorphase.datafiles import _metadata_lines
 from mirrorphase.qubit import require_bloch_angle
 
 HERMITICITY_TOL = 1e-14
@@ -128,7 +128,8 @@ def eigenvector_plus(theta: float, s: float, r: float) -> np.ndarray:
 
 
 def reference_csv(dataset) -> str:
-    lines = _metadata_lines(dataset.metadata)
+    lines = [f"# {key} = {json.dumps(value, allow_nan=False)}"
+             for key, value in dataset.metadata.items()]
     lines.append(",".join(dataset.columns))
     for row in dataset.rows:
         lines.append(",".join(repr(float(x)) for x in row))

@@ -81,6 +81,14 @@ class TestPhaseCommand:
         fields = record_fields(capsys.readouterr().out.strip())
         assert float(fields["phase"]) == pytest.approx(math.pi, abs=1e-13)
 
+    def test_approx_overflow_exits_2(self, capsys):
+        assert main(["phase", "--gamma0", "1e308", "--lambda", "5", "--omega", "0.03",
+                     "--velocity", "0.5", "--theta", "1", "--method", "approx"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the first-order phase overflows")
+        assert captured.err.count("\n") == 1
+
     def test_oracle_method(self, capsys):
         assert main(["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
                      "--steps", "20000"]) == 0
@@ -112,7 +120,7 @@ class TestFigureCommand:
         assert "1000 rows" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
-        assert any("fixed.lambda = 5.0" in ln for ln in comments)
+        assert any(ln.startswith("# fixed = ") and '"lambda": 5.0' in ln for ln in comments)
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header == "velocity,time,decoherence_factor"
         assert len([ln for ln in lines if not ln.startswith("#")]) == 1001
@@ -172,6 +180,15 @@ count = 4
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["sweep", str(tmp_path / "nope.cfg"),
                      "-o", str(tmp_path / "out.csv")]) == 3
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"target = decoherence_factor\n# caf\xe9\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", str(config), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {config}: not UTF-8 text "
+                                           "(invalid continuation byte)\n")
+        assert not out.exists()
 
 
 INF_TIME_CONFIG = """\

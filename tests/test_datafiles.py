@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirrorphase import (Axis, Dataset, DomainError, SweepSpec, dataset_to_csv,
-                         dataset_to_json, read_dataset_csv, read_dataset_json,
+                         dataset_to_json, figure_preset, read_dataset_csv, read_dataset_json,
                          run_sweep, write_dataset)
 from mirrorphase import datafiles
 from mirrorphase.datafiles import FORMATS
+from mirrorphase.sweeps import FIGURE_RANGE, describe_spec
 
 from oracles import reference_csv, reference_json
 
@@ -174,9 +176,7 @@ class TestReaders:
         back = read_dataset_csv(str(path))
         assert back.columns == ("time", "value")
         assert back.rows == ((0.0, 1.0), (2.5, 0.25))
-        assert back.metadata == {"target": "decoherence_factor", "axes": [], "fixed": {},
-                                 "allow_errors": False,
-                                 "raw": {"target": "decoherence_factor"}}
+        assert back.metadata == {"target": "decoherence_factor"}
 
     @pytest.mark.parametrize("rows, message", [
         ((("0.0", "1.0"), ("2.0",), ("3.0", "4.0", "5.0")), "row 1 has 1 entries"),
@@ -301,7 +301,7 @@ class TestReaders:
         with mock.patch.object(datafiles, "_READ_ROWS", block_rows):
             back = read_dataset_csv(str(path))
         assert back.rows == ((0.0, 1.0), (2.5, 0.25), (3.0, 4.0), (5.0, 6.0))
-        assert back.metadata["raw"] == {"target": "t", "between": "rows"}
+        assert back.metadata == {"target": "t", "between": "rows"}
 
     @pytest.mark.parametrize("piece", [*PIECES, 256])
     def test_json_rows_before_metadata_with_irregular_whitespace(self, tmp_path, piece):
@@ -417,17 +417,94 @@ def test_csv_read_back_writes_the_same_bytes(tmp_path):
         assert back.metadata["allow_errors"] is (number == 1)
 
 
-@pytest.mark.parametrize("value, axis", [
-    ("values 0.5 -0.0 inf", {"name": "a", "scale": "values", "values": [0.5, -0.0, math.inf]}),
-    ("log 0.01 1.0 3", {"name": "a", "scale": "log", "min": 0.01, "max": 1.0, "count": 3}),
-    ("linear 0.0 1.0", None), ("linear 0.0 x 3", None), ("linear 0.0 1.0 -3", None),
-    ("", None), ("linear 0.0 1.0 " + "9" * 30, None), ("values 1 two", None),
-])
-def test_csv_axis_comments(value, axis):
-    """An axis comment that does not parse stays in ``raw`` only."""
-    metadata = datafiles._csv_metadata({"axis.a": value, "fixed.x": "1e-3", "fixed.y": "?"})
-    assert metadata["axes"] == ([axis] if axis else [])
-    assert metadata["fixed"] == {"x": 0.001}
+def read_back_metadata(dataset, fmt) -> dict:
+    """The metadata that a reader gives back for ``dataset``: the dict
+    written, plus ``columns`` in JSON."""
+    if fmt == "csv":
+        return dataset.metadata
+    return {**dataset.metadata, "columns": list(dataset.columns)}
+
+
+def assert_refused_before_writing(tmp_path, dataset, fmt, message):
+    """Writing ``dataset`` raises a one-line DomainError matching
+    ``message`` and leaves the file already at the path as it was."""
+    path = tmp_path / f"data.{fmt}"
+    path.write_text("old contents")
+    with pytest.raises(DomainError, match=message) as caught:
+        write_dataset(dataset, str(path), fmt)
+    assert "\n" not in str(caught.value)
+    assert path.read_text() == "old contents"
+
+
+class TestMetadata:
+    @pytest.mark.parametrize("number", FIGURE_RANGE)
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_figure_metadata_reads_back(self, tmp_path, fmt, number):
+        """The metadata block of each figure dataset, as ``run_sweep`` records it."""
+        dataset = Dataset(columns=("x",), rows=((1.0,),),
+                          metadata=describe_spec(figure_preset(number)))
+        path = str(tmp_path / f"fig{number}.{fmt}")
+        write_dataset(dataset, path, fmt)
+        assert READERS[fmt](path).metadata == read_back_metadata(dataset, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_awkward_metadata_text_reads_back(self, tmp_path, fmt):
+        metadata = {"target": "t\nb", "note #1, \u00e9": "a = b # c, d\r\n\u00e9\u2028",
+                    "nested": {"x=y": [1, -0.0, 1e308, None, True, "\n# z = 1"]},
+                    "empty": "", "space": " padded ", "number": 5}
+        dataset = Dataset(columns=("a", "#b"), rows=((1.0, 2.0), (3.0, 4.0)), metadata=metadata)
+        path = str(tmp_path / f"data.{fmt}")
+        write_dataset(dataset, path, fmt)
+        back = READERS[fmt](path)
+        assert back.columns == dataset.columns and back.rows == dataset.rows
+        assert back.metadata == read_back_metadata(dataset, fmt)
+        if fmt == "csv":
+            assert dataset_to_csv(back) == open(path, encoding="utf-8").read()
+
+    def test_older_comment_lines_read_as_flat_keys(self, tmp_path):
+        """A CSV written before metadata was spelled in JSON reads each
+        comment as one key: its JSON value where there is one, else its text."""
+        path = tmp_path / "old.csv"
+        path.write_text("# mirrorphase dataset\n# version = 0.1.0\n# target = decoherence_factor\n"
+                        "# axis.velocity = values 0.1 0.5\n"
+                        "# axis.time = linear 0.0 6.283185307179586 2\n# fixed.gamma0 = 0.05\n"
+                        "# fixed.lambda = 5.0\n# fixed.omega = 0.03\n# allow_errors = false\n"
+                        "velocity,time,decoherence_factor\n0.1,0.0,1.0\n"
+                        "0.1,6.283185307179586,0.6862746861513069\n")
+        back = read_dataset_csv(str(path))
+        assert back.rows == ((0.1, 0.0, 1.0), (0.1, 6.283185307179586, 0.6862746861513069))
+        assert back.metadata == {
+            "version": "0.1.0", "target": "decoherence_factor",
+            "axis.velocity": "values 0.1 0.5", "axis.time": "linear 0.0 6.283185307179586 2",
+            "fixed.gamma0": 0.05, "fixed.lambda": 5.0, "fixed.omega": 0.03,
+            "allow_errors": False}
+
+    @pytest.mark.parametrize("key", ["", " a", "a ", "a=b", "a\nb", "a\rb", "\t", 1, None,
+                                     ("a",)])
+    def test_keys_the_csv_reader_would_misread(self, tmp_path, key):
+        dataset = Dataset(columns=("a",), rows=((1.0,),), metadata={"target": "t", key: 1})
+        assert_refused_before_writing(tmp_path, dataset, "csv",
+                                      f"^metadata key {re.escape(repr(key))} cannot be written")
+
+    @pytest.mark.parametrize("columns", [("",), ("#x",), ("a,b",), ("a\nb",), ("a\rb",),
+                                         ("a", ""), ("a", "b,c")])
+    def test_column_names_the_csv_reader_would_misread(self, tmp_path, columns):
+        """CSV refuses them before the file is opened; JSON takes any text."""
+        dataset = Dataset(columns=columns, rows=((1.0,) * len(columns),) * 2, metadata={})
+        assert_refused_before_writing(tmp_path, dataset, "csv",
+                                      "^column names .* cannot be written")
+        path = str(tmp_path / "data.json")
+        write_dataset(dataset, path, "json")
+        back = read_dataset_json(path)
+        assert back.columns == columns and back.rows == dataset.rows
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, [1.0, math.inf], {1, 2}, object(),
+                                       {"a": (1, {2})}])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_metadata_json_cannot_spell(self, tmp_path, fmt, value):
+        dataset = Dataset(columns=("a",), rows=((1.0,),), metadata={"x": value})
+        assert_refused_before_writing(tmp_path, dataset, fmt,
+                                      "^metadata cannot be written as JSON: ")
 
 
 def test_unknown_format_rejected_before_writing(tmp_path):
@@ -472,8 +549,8 @@ class TestWrittenBytes:
                                         fixed={"gamma0": 1, "lambda": 5, "omega": 0.03,
                                                "velocity": 0}))
         csv_text = dataset_to_csv(dataset)
-        assert "# axis.time = linear 0.0 10.0 3\n" in csv_text
-        assert "# fixed.gamma0 = 1.0\n" in csv_text
+        assert '"min": 0.0, "max": 10.0' in csv_text
+        assert '"gamma0": 1.0' in csv_text
         assert "\n0.0,1.0\n" in csv_text
         json_text = dataset_to_json(dataset)
         assert '"min": 0.0, "max": 10.0' in json_text
@@ -559,11 +636,25 @@ _ENTRIES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True))
 
 
+# Metadata keys a CSV comment spells, and values JSON spells: text with
+# any character, finite doubles, and lists and objects of them.
+_METADATA_KEYS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                         max_size=8).filter(
+    lambda key: key == key.strip() and not {"=", "\n", "\r"} & set(key))
+_METADATA_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
 @st.composite
 def hand_built_tables(draw):
     """The columns, rows and metadata of datasets of 1-4 columns, a random
     subset of them named as sweep axes with a random point count, one column
-    holding both zeros whenever there are two rows or more."""
+    holding both zeros whenever there are two rows or more, and up to three
+    metadata keys more."""
     width = draw(st.integers(min_value=1, max_value=4))
     columns = tuple(f"c{i}" for i in range(width))
     rows = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
@@ -574,7 +665,9 @@ def hand_built_tables(draw):
     axes = [{"name": name, "scale": "linear", "min": 0.0, "max": 1.0,
              "count": draw(st.integers(min_value=2, max_value=12))}
             for name in columns if draw(st.booleans())]
-    return columns, tuple(map(tuple, rows)), {"target": "hand-built", "axes": axes}
+    metadata = {"target": "hand-built", "axes": axes,
+                **draw(st.dictionaries(_METADATA_KEYS, _METADATA_VALUES, max_size=3))}
+    return columns, tuple(map(tuple, rows)), metadata
 
 
 def hand_built_datasets():
@@ -599,13 +692,15 @@ def test_dataset_rows_hold_the_rows_given(table):
 
 
 def check_round_trip(directory, dataset):
-    """Written bytes equal the per-value formula, and every finite entry
-    reads back exactly as a float, the sign of zero included."""
+    """Written bytes equal the per-value formula, the metadata reads back
+    as written, and every finite entry reads back exactly as a float, the
+    sign of zero included."""
     for fmt, reference in (("csv", reference_csv), ("json", reference_json)):
         path = directory / f"data.{fmt}"
         write_dataset(dataset, str(path), fmt)
         assert path.read_bytes() == reference(dataset).encode()
         back = READERS[fmt](str(path))
+        assert back.metadata == read_back_metadata(dataset, fmt)
         assert len(back.rows) == len(dataset.rows)
         for row, back_row in zip(dataset.rows, back.rows):
             assert len(back_row) == len(row)

@@ -220,6 +220,18 @@ class TestGpPerturbative:
         assert gp_perturbative(params_fig6(0.5), 0.0) == pytest.approx(TWO_PI, abs=1e-14)
         assert gp_perturbative(params_fig6(0.5), math.pi) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("gamma0, theta", [(1e307, 1.0), (1e308, 1.0), (1e308, 2.0)])
+    def test_overflow_is_a_domain_error(self, gamma0, theta):
+        """Past the float range the phase is refused, not returned as +-inf;
+        below it the phase stays finite."""
+        def params(gamma0):
+            return ModelParams(gamma0=gamma0, lambda_tilde=5.0, omega_tilde=0.03, velocity=0.5)
+
+        with pytest.raises(DomainError, match="^the first-order phase overflows") as caught:
+            gp_perturbative(params(gamma0), theta)
+        assert "\n" not in str(caught.value)
+        assert math.isfinite(gp_perturbative(params(1e306), theta))
+
     def test_rest_matches_vacuum_only_form(self):
         p = ModelParams(gamma0=0.08, lambda_tilde=9.0, omega_tilde=0.03, velocity=0.0)
         theta = 0.2 * math.pi

@@ -42,3 +42,26 @@ def test_read_back_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (f"figure 3: {tmp_path / 'fig3.csv'} does not read back as "
                             "the rows written\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_metadata_mismatch_exits_1(tmp_path, monkeypatch, capsys, fmt):
+    """A file that reads back the rows written but other metadata is reported."""
+    reader = f"read_dataset_{fmt}"
+    read = getattr(mirrorphase, reader)
+
+    def read_without_target(path):
+        back = read(path)
+        metadata = {key: value for key, value in back.metadata.items() if key != "target"}
+        return Dataset(columns=back.columns, rows=back.rows, metadata=metadata)
+
+    monkeypatch.setattr(mirrorphase, reader, read_without_target)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--only", "3", "--outdir", str(tmp_path),
+                                      "--format", fmt])
+    with pytest.raises(SystemExit) as caught:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert caught.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"figure 3: {tmp_path / f'fig3.{fmt}'} does not read back as "
+                            "the metadata written\n")
