@@ -65,6 +65,16 @@ def _cmd_decoherence(args: argparse.Namespace) -> int:
     return 0
 
 
+def _normalized(phase: float, theta: float) -> float:
+    """``phase / pi*(1+cos(theta))``; refused where that rounds to 0, within
+    about 1e-8 of pi."""
+    unitary = unitary_gp(theta)
+    if unitary == 0.0:
+        raise DomainError(f"--theta {_fmt(theta)} rounds pi*(1+cos(theta)) to 0, so the "
+                          "normalized phase is undefined; take theta below pi")
+    return phase / unitary
+
+
 def _cmd_phase(args: argparse.Namespace) -> int:
     params = _params(args)
     s_final = args.s_final if args.s_final is not None else \
@@ -79,12 +89,12 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         elif args.method == "approx":
             phase = gp_perturbative(params, args.theta)
             record = [f"method=approx", f"phase={_fmt(phase)}",
-                      f"normalized={_fmt(phase / unitary_gp(args.theta))}"]
+                      f"normalized={_fmt(_normalized(phase, args.theta))}"]
         else:
             phase = gp_kinematic_oracle(params, args.theta, s_final=s_final,
                                         step_count=args.steps)
             record = [f"method=oracle", f"phase={_fmt(phase)}",
-                      f"normalized={_fmt(phase / unitary_gp(args.theta))}"]
+                      f"normalized={_fmt(_normalized(phase, args.theta))}"]
     except DegenerateStateError as exc:
         raise DegenerateStateError(
             f"{exc} The closed-system value there is pi*(1+cos(theta)).") from None

@@ -9,10 +9,11 @@ Both writers spell the metadata through ``json``, CSV as one
 written, and a CSV read back writes the same bytes again.
 
 Both readers refuse a row without one entry per column, an entry that
-``float()`` refuses (a JSON ``null`` reads as NaN), text that is not UTF-8
-and a JSON ``metadata.columns`` that is not a non-empty list of strings,
-with a one-line ``DomainError`` naming the file. So the JSON reader also
-reads spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
+``float()`` refuses (a JSON ``null`` reads as NaN), text that is not UTF-8,
+a JSON value nested past the recursion limit and a JSON
+``metadata.columns`` that is not a non-empty list of strings, with a
+one-line ``DomainError`` naming the file. So the JSON reader also reads
+spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
 ``+1``, ``inf`` and ``nan``; no writer writes them.
 
 No write or read holds a file's whole text. The writers spell and write a
@@ -92,10 +93,11 @@ def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -
 
 
 def _json(value) -> str:
-    """``value`` in JSON, as both writers spell metadata; NaN or a set is a ``DomainError``."""
+    """``value`` in JSON, as both writers spell metadata; NaN, a set or a value
+    nested past the recursion limit is a ``DomainError``."""
     try:
         return json.dumps(value, allow_nan=False)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise DomainError(f"metadata cannot be written as JSON: {exc}") from None
 
 
@@ -104,20 +106,35 @@ _CSV_KEY = re.compile(r"[^=\n\r]+")
 _CSV_NAME = re.compile(r"[^,\n\r]+")
 
 
+def _utf8(text: str) -> bool:
+    """Whether ``text`` has a UTF-8 spelling, which a lone surrogate lacks.
+    (A regex class of the surrogates costs each CLI process about 0.5 ms to
+    compile.)"""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _csv_pieces(dataset: Dataset) -> Iterator[str]:
     """The CSV text in pieces: the metadata comments, one ``# key = <JSON>``
     line per key in dict order, and the header, then one piece per block of
     rows. A key or column name the reader would misread is a ``DomainError``."""
     head = []
     for key, value in dataset.metadata.items():
-        if not (isinstance(key, str) and key == key.strip() and _CSV_KEY.fullmatch(key)):
+        if not (isinstance(key, str) and key == key.strip() and _CSV_KEY.fullmatch(key)
+                and _utf8(key)):
             raise DomainError(f"metadata key {key!r} cannot be written to CSV: a key is "
-                              "text without '=', a line break or space at its ends")
+                              "text without '=', a line break, a lone surrogate or space "
+                              "at its ends")
         head.append(f"# {key} = {_json(value)}")
     names = dataset.columns
-    if names[0].startswith("#") or not all(map(_CSV_NAME.fullmatch, names)):
+    if (names[0].startswith("#") or not all(map(_CSV_NAME.fullmatch, names))
+            or not all(map(_utf8, names))):
         raise DomainError(f"column names {names!r} cannot be written to CSV: a name is text "
-                          "without ',' or a line break, the first not starting with '#'")
+                          "without ',', a line break or a lone surrogate, the first not "
+                          "starting with '#'")
     blocks = _row_blocks(dataset, ",", {})
     head += [",".join(names), ""]
     return chain(["\n".join(head)], map("{}\n".format, map("\n".join, blocks)))
@@ -357,6 +374,9 @@ class _JsonText:
                 if self.cut_off(exc) and self.more(len(self.buf)):
                     continue
                 raise self.fail(f"{exc.msg} at character {self.offset + exc.pos}") from None
+            except RecursionError:
+                raise self.fail("a value nested past the recursion limit at character "
+                                f"{self.offset + self.pos}") from None
             if not _JSON_NUMBER_TAIL.match(self.buf, end) or not self.more(len(self.buf)):
                 self.pos = end
                 return value

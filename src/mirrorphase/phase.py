@@ -37,6 +37,9 @@ MAX_ORACLE_STEPS = 1_000_000
 # the oracle's grid step must stay well below the precession period 2*pi
 MAX_ORACLE_STEP = 0.1
 
+# the oracle walks its grid this many points at a time
+_ORACLE_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class PhaseResult:
@@ -80,9 +83,14 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
     integrand takes its r -> 0 limit. Defaults to one isolated period.
     ``method`` picks the adaptive Simpson rule or the Gauss-Legendre
     cross-check; both must meet ``QUADRATURE_TOLERANCE``, or
-    :class:`QuadratureError` is raised.
+    :class:`QuadratureError` is raised. Within about 1e-8 of pi, where
+    pi*(1+cos(theta)) rounds to 0, the normalization is a ``DomainError``.
     """
     require_bloch_angle(theta)
+    unitary = unitary_gp(theta)
+    if unitary == 0.0:
+        raise DomainError(f"theta={theta!r} rounds pi*(1+cos(theta)) to 0, so the "
+                          "normalized phase is undefined")
     if not 0.0 <= s_final < math.inf:
         raise DomainError(f"s_final must be finite and >= 0, got {s_final}")
     if method not in (ADAPTIVE_SIMPSON, GAUSS_LEGENDRE):
@@ -105,7 +113,7 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
                 best_estimate=value, error_estimate=error)
     gap = eigenvalue_gap(theta, decoherence_factor(params, s_final))
     return PhaseResult(phase=value,
-                       normalized=value / unitary_gp(theta),
+                       normalized=value / unitary,
                        quadrature_error=error,
                        near_degenerate=gap < DEGENERACY_GAP)
 
@@ -137,27 +145,46 @@ def _angles_grid(theta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _kinematic_arg(params: ModelParams, theta: float, s_final: float,
                    step_count: int) -> float:
+    """Argument of the kinematic phase on the grid s_i = i*h, i = 0..step_count.
+
+    The grid is walked in blocks of ``_ORACLE_BLOCK`` points, each with the
+    neighbours its difference stencils need, so the memory held does not grow
+    with ``step_count``. The points are those of ``np.linspace``, the central
+    difference and the one-sided three-point stencils at the grid's ends are
+    the whole grid's, and adjacent blocks share their edge point, so the
+    blocks' trapezoid sums add up to the whole grid's.
+    """
     import numpy as np
 
-    s = np.linspace(0.0, s_final, step_count + 1)
     h = s_final / step_count
     rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
-    r = np.exp(-rate * s)
-    sin_t, cos_t = _angles_grid(theta, r)
-    psi = np.empty((step_count + 1, 2), dtype=complex)
-    psi[:, 0] = cos_t
-    psi[:, 1] = sin_t * np.exp(1j * s)
+    transport = 0j
+    for start in range(0, step_count, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, step_count)  # the block's points start..stop
+        lo, hi = max(start - 1, 0), min(stop + 1, step_count)  # and its stencils' lo..hi
+        s = np.arange(lo, hi + 1, dtype=float) * h
+        if hi == step_count:
+            s[-1] = s_final
+        r = np.exp(-rate * s)
+        sin_t, cos_t = _angles_grid(theta, r)
+        psi = np.empty((hi + 1 - lo, 2), dtype=complex)
+        psi[:, 0] = cos_t
+        psi[:, 1] = sin_t * np.exp(1j * s)
 
-    dpsi = np.empty_like(psi)
-    dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
-    dpsi[0] = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
-    dpsi[-1] = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2.0 * h)
-    connection = np.einsum("ij,ij->i", psi.conj(), dpsi)
-    transport = complex(np.trapezoid(connection, dx=h))
+        dpsi = np.empty_like(psi)
+        dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
+        if lo == 0:
+            dpsi[0] = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+            first = psi[0].copy()
+        if hi == step_count:
+            dpsi[-1] = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2.0 * h)
+        block = slice(start - lo, stop - lo + 1)
+        connection = np.einsum("ij,ij->i", psi[block].conj(), dpsi[block])
+        transport += complex(np.trapezoid(connection, dx=h))
 
     weight = math.sqrt(eigenvalues_closed_form(theta, 1.0)[0]
                        * eigenvalues_closed_form(theta, float(r[-1]))[0])
-    overlap = complex(np.vdot(psi[0], psi[-1]))
+    overlap = complex(np.vdot(first, psi[-1]))
     total = weight * overlap * cmath.exp(-transport)
     return cmath.phase(total) % TWO_PI
 
@@ -171,10 +198,12 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     sqrt(eps_plus(s_final)*eps_plus(0)) weight (real positive, kept for
     fidelity to the definition), and a final argument. The step is checked
     by recomputing at half step; an inconsistency above 1e-6 raises.
-    ``step_count`` may not exceed ``MAX_ORACLE_STEPS``: the grids cost
-    about 300 bytes per step. The step ``s_final/step_count`` may not
-    exceed ``MAX_ORACLE_STEP``: a coarser grid cannot resolve the
-    precession, and the step-halving check need not notice.
+    The grids are walked a block at a time, so the memory held does not
+    grow with ``step_count``; ``MAX_ORACLE_STEPS`` bounds the run time,
+    which grows with the 3*step_count + 2 points of the two grids. The
+    step ``s_final/step_count`` may not exceed ``MAX_ORACLE_STEP``: a
+    coarser grid cannot resolve the precession, and the step-halving check
+    need not notice.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """

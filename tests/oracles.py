@@ -6,6 +6,9 @@ off-diagonals by the decoherence factor ``r``. Building it explicitly and
 diagonalizing it with a direct 2x2 Hermitian eigensolver gives a route
 independent of the closed forms in :mod:`mirrorphase.qubit`.
 
+The kinematic oracle's argument with its whole grid held at once: the
+package walks the grid in blocks and must give the same argument.
+
 The dataset writers' per-value formula, written out entry by entry: every
 entry is ``repr(float(x))`` in both formats, and strict JSON spells a
 non-finite entry ``null``; CSV spells each metadata key on a
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mirrorphase import DomainError, angles_closed_form
+from mirrorphase import (DomainError, ModelParams, angles_closed_form, dephasing_multiplier,
+                         eigenvalues_closed_form)
+from mirrorphase.phase import TWO_PI, _angles_grid
 from mirrorphase.qubit import require_bloch_angle
 
 HERMITICITY_TOL = 1e-14
@@ -125,6 +130,32 @@ def eigenvector_plus(theta: float, s: float, r: float) -> np.ndarray:
         raise DomainError(f"time must be >= 0, got {s}")
     sin_t, cos_t = angles_closed_form(theta, r)
     return np.array([cos_t, sin_t * cmath.exp(1j * s)])
+
+
+def kinematic_arg_whole_grid(params: ModelParams, theta: float, s_final: float,
+                             step_count: int) -> float:
+    """``phase._kinematic_arg`` with every grid point held at once."""
+    s = np.linspace(0.0, s_final, step_count + 1)
+    h = s_final / step_count
+    rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
+    r = np.exp(-rate * s)
+    sin_t, cos_t = _angles_grid(theta, r)
+    psi = np.empty((step_count + 1, 2), dtype=complex)
+    psi[:, 0] = cos_t
+    psi[:, 1] = sin_t * np.exp(1j * s)
+
+    dpsi = np.empty_like(psi)
+    dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
+    dpsi[0] = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+    dpsi[-1] = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2.0 * h)
+    connection = np.einsum("ij,ij->i", psi.conj(), dpsi)
+    transport = complex(np.trapezoid(connection, dx=h))
+
+    weight = math.sqrt(eigenvalues_closed_form(theta, 1.0)[0]
+                       * eigenvalues_closed_form(theta, float(r[-1]))[0])
+    overlap = complex(np.vdot(psi[0], psi[-1]))
+    total = weight * overlap * cmath.exp(-transport)
+    return cmath.phase(total) % TWO_PI
 
 
 def reference_csv(dataset) -> str:

@@ -89,6 +89,21 @@ class TestPhaseCommand:
         assert captured.err.startswith("error: the first-order phase overflows")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("method,theta", [
+        ("approx", "pi"), ("approx", "3.14159265"), ("oracle", "3.14159265"),
+    ])
+    def test_normalizing_at_pi_exits_2_naming_theta(self, method, theta, capsys):
+        """pi*(1+cos(theta)) rounds to 0 within about 1e-8 of pi."""
+        assert main(["phase", "--theta", theta, *DECO_FLAGS, "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --theta ")
+        assert captured.err.count("\n") == 1
+
+    def test_exact_normalizing_near_pi_exits_2(self, capsys):
+        assert main(["phase", "--theta", "3.14159265", *DECO_FLAGS]) == 2
+        assert_one_line_error(capsys, "theta=3.14159265 rounds")
+
     def test_oracle_method(self, capsys):
         assert main(["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
                      "--steps", "20000"]) == 0

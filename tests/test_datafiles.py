@@ -225,6 +225,17 @@ class TestReaders:
             read_dataset_json(str(path))
         assert "\n" not in str(caught.value)
 
+    @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, piece):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        path.write_text('{"metadata": {"columns": ["a"], "x": ' + "[" * depth + "]" * depth
+                        + '}, "rows": [[1.0]]}')
+        with mock.patch.object(datafiles, "_READ_CHARS", piece), \
+                pytest.raises(DomainError, match=f"^{re.escape(str(path))}: a value nested "
+                                                 "past the recursion limit at character 13$"):
+            read_dataset_json(str(path))
+
     @pytest.mark.parametrize("text, message", [
         ('{"rows": [[0], [1, 2]], "metadata": {"columns": ["a"]}}',
          "row 1 has 2 entries; row 0 has 1"),
@@ -417,6 +428,14 @@ def test_csv_read_back_writes_the_same_bytes(tmp_path):
         assert back.metadata["allow_errors"] is (number == 1)
 
 
+def nested_list(depth: int) -> list:
+    """``[[...[]...]]``, ``depth`` lists deep."""
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 def read_back_metadata(dataset, fmt) -> dict:
     """The metadata that a reader gives back for ``dataset``: the dict
     written, plus ``columns`` in JSON."""
@@ -480,14 +499,15 @@ class TestMetadata:
             "allow_errors": False}
 
     @pytest.mark.parametrize("key", ["", " a", "a ", "a=b", "a\nb", "a\rb", "\t", 1, None,
-                                     ("a",)])
+                                     ("a",), "k\ud800", "\udfff"])
     def test_keys_the_csv_reader_would_misread(self, tmp_path, key):
         dataset = Dataset(columns=("a",), rows=((1.0,),), metadata={"target": "t", key: 1})
         assert_refused_before_writing(tmp_path, dataset, "csv",
                                       f"^metadata key {re.escape(repr(key))} cannot be written")
 
     @pytest.mark.parametrize("columns", [("",), ("#x",), ("a,b",), ("a\nb",), ("a\rb",),
-                                         ("a", ""), ("a", "b,c")])
+                                         ("a", ""), ("a", "b,c"), ("a\ud800",),
+                                         ("a", "\udc80b")])
     def test_column_names_the_csv_reader_would_misread(self, tmp_path, columns):
         """CSV refuses them before the file is opened; JSON takes any text."""
         dataset = Dataset(columns=columns, rows=((1.0,) * len(columns),) * 2, metadata={})
@@ -499,7 +519,7 @@ class TestMetadata:
         assert back.columns == columns and back.rows == dataset.rows
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf, [1.0, math.inf], {1, 2}, object(),
-                                       {"a": (1, {2})}])
+                                       {"a": (1, {2})}, nested_list(100_000)])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_metadata_json_cannot_spell(self, tmp_path, fmt, value):
         dataset = Dataset(columns=("a",), rows=((1.0,),), metadata={"x": value})

@@ -5,6 +5,7 @@ closed integrand at 50 digits.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mirrorphase import phase as phase_module
 from mirrorphase.phase import _angles_grid
 
 from conftest import params_fig2, params_fig6, params_fig7
+from oracles import kinematic_arg_whole_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,6 +116,12 @@ class TestGpExact:
             result = gp_exact(params_fig6(0.5), theta)
             assert result.phase >= unitary_gp(theta) - 1e-12
 
+    @pytest.mark.parametrize("theta", [3.14159265, math.pi - 1e-9])
+    def test_normalizing_where_the_unitary_phase_rounds_to_zero_is_refused(self, theta):
+        assert unitary_gp(theta) == 0.0
+        with pytest.raises(DomainError, match="normalized phase is undefined"):
+            gp_exact(params_fig6(0.5), theta)
+
     def test_normalized_grows_with_velocity(self):
         values = [gp_exact(params_fig6(v), 0.1 * math.pi).normalized
                   for v in np.linspace(0.1, 0.9, 9)]
@@ -199,6 +207,46 @@ class TestKinematicOracle:
     def test_returns_mod_two_pi(self):
         value = gp_kinematic_oracle(params_fig6(0.3), 0.1 * math.pi, step_count=20_000)
         assert 0.0 <= value < TWO_PI
+
+
+BLOCK = phase_module._ORACLE_BLOCK
+
+
+class TestBlockedGrid:
+    """The oracle walks its grid in blocks; it must give the whole grid's argument."""
+
+    @pytest.mark.parametrize("step_count", [BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 1,
+                                            BLOCK // 2, 10],
+                             ids=["one_past", "two_past", "three_past", "two_blocks_one_past",
+                                  "half_a_block", "fewest_steps"])
+    @pytest.mark.parametrize("theta", [0.1 * math.pi, 0.5 * math.pi, 0.8 * math.pi])
+    def test_matches_the_whole_grid(self, step_count, theta):
+        p = params_fig7(0.5)
+        blocked = phase_module._kinematic_arg(p, theta, TWO_PI, step_count)
+        whole = kinematic_arg_whole_grid(p, theta, TWO_PI, step_count)
+        assert circular_difference(blocked, whole) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.3, 0.5 * math.pi, 0.7 * math.pi])
+    def test_matches_the_whole_grid_where_coherence_underflows(self, theta):
+        p = ModelParams(gamma0=1.0, lambda_tilde=15.0, omega_tilde=0.01, velocity=0.95)
+        assert decoherence_factor(p, 2 * TWO_PI) == 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            blocked = phase_module._kinematic_arg(p, theta, 2 * TWO_PI, 100_000)
+        whole = kinematic_arg_whole_grid(p, theta, 2 * TWO_PI, 100_000)
+        assert math.isfinite(blocked)
+        assert circular_difference(blocked, whole) <= 1e-12
+
+    def test_memory_does_not_grow_with_step_count(self):
+        def peak(step_count):
+            tracemalloc.start()
+            try:
+                gp_kinematic_oracle(params_fig7(0.5), 0.3 * math.pi, step_count=step_count)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a whole grid of 800,001 points would hold about 110 MB
+        assert peak(400_000) <= peak(20_000) + 64 * 1024
 
 
 class TestGpPerturbative:
