@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DegenerateStateError, DomainError, QuadratureError, SweepError
+from .errors import ConfigError, DomainError, QuadratureError, SweepError
 from .model import ModelParams, decoherence_factor, decoherence_time
 from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE
-from .phase import TWO_PI, gp_exact, gp_kinematic_oracle, gp_perturbative, unitary_gp
+from .phase import (DEFAULT_ORACLE_STEPS, TWO_PI, gp_exact, gp_kinematic_oracle,
+                    gp_perturbative, unitary_gp)
 from .datafiles import FORMATS, write_dataset
 from .sweepconfig import GRAMMAR_HELP, format_sweep_config, parse_number, parse_sweep_config
-from .sweeps import figure_preset, run_sweep
+from .sweeps import FIGURE_RANGE, figure_preset, run_sweep
 
 
 def _fmt(value: float) -> str:
@@ -45,19 +46,15 @@ def _params(args: argparse.Namespace) -> ModelParams:
                        omega_tilde=args.omega_tilde, velocity=args.velocity)
 
 
-def _resolve_time(args: argparse.Namespace, default: float | None = None) -> float:
-    if getattr(args, "time", None) is not None:
-        return args.time
-    if getattr(args, "periods", None) is not None:
-        return args.periods * TWO_PI
-    if default is None:
-        raise DomainError("either --time or --periods is required")
-    return default
+def _resolve_time(time: float | None, periods: float | None) -> float | None:
+    """The time that ``--time`` (``--s-final``) or ``--periods`` gives; None
+    without either."""
+    return time if periods is None else periods * TWO_PI
 
 
 def _cmd_decoherence(args: argparse.Namespace) -> int:
     params = _params(args)
-    s = _resolve_time(args)
+    s = _resolve_time(args.time, args.periods)
     record = [f"s={_fmt(s)}", f"r={_fmt(decoherence_factor(params, s))}"]
     if args.solve_td:
         record.append(f"decoherence_time={_fmt(decoherence_time(params))}")
@@ -76,28 +73,30 @@ def _normalized(phase: float, theta: float) -> float:
 
 
 def _cmd_phase(args: argparse.Namespace) -> int:
+    s_final = _resolve_time(args.s_final, args.periods)
+    if args.method == "approx" and s_final is not None:
+        # the first-order form holds over one period only, as in the sweeps
+        flag = "--s-final" if args.s_final is not None else "--periods"
+        raise DomainError(f"{flag} does not apply to --method approx, the first-order "
+                          "phase over one period")
+    if s_final is None:
+        s_final = TWO_PI
     params = _params(args)
-    s_final = args.s_final if args.s_final is not None else \
-        (args.periods * TWO_PI if args.periods is not None else TWO_PI)
-    try:
-        if args.method == "exact":
-            result = gp_exact(params, args.theta, s_final=s_final, method=args.quad_method)
-            record = [f"method=exact", f"phase={_fmt(result.phase)}",
-                      f"normalized={_fmt(result.normalized)}",
-                      f"quadrature_error={_fmt(result.quadrature_error)}",
-                      f"near_degenerate={int(result.near_degenerate)}"]
-        elif args.method == "approx":
-            phase = gp_perturbative(params, args.theta)
-            record = [f"method=approx", f"phase={_fmt(phase)}",
-                      f"normalized={_fmt(_normalized(phase, args.theta))}"]
-        else:
-            phase = gp_kinematic_oracle(params, args.theta, s_final=s_final,
-                                        step_count=args.steps)
-            record = [f"method=oracle", f"phase={_fmt(phase)}",
-                      f"normalized={_fmt(_normalized(phase, args.theta))}"]
-    except DegenerateStateError as exc:
-        raise DegenerateStateError(
-            f"{exc} The closed-system value there is pi*(1+cos(theta)).") from None
+    if args.method == "exact":
+        result = gp_exact(params, args.theta, s_final=s_final, method=args.quad_method)
+        record = [f"method=exact", f"phase={_fmt(result.phase)}",
+                  f"normalized={_fmt(result.normalized)}",
+                  f"quadrature_error={_fmt(result.quadrature_error)}",
+                  f"near_degenerate={int(result.near_degenerate)}"]
+    elif args.method == "approx":
+        phase = gp_perturbative(params, args.theta)
+        record = [f"method=approx", f"phase={_fmt(phase)}",
+                  f"normalized={_fmt(_normalized(phase, args.theta))}"]
+    else:
+        phase = gp_kinematic_oracle(params, args.theta, s_final=s_final,
+                                    step_count=args.steps)
+        record = [f"method=oracle", f"phase={_fmt(phase)}",
+                  f"normalized={_fmt(_normalized(phase, args.theta))}"]
     print(" ".join(record))
     return 0
 
@@ -168,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
                        default=ADAPTIVE_SIMPSON,
                        help="integration rule of the exact method; gauss-legendre "
                             "is a cross-check")
-    phase.add_argument("--steps", type=int, default=100_000,
+    phase.add_argument("--steps", type=int, default=DEFAULT_ORACLE_STEPS,
                        help="grid steps for the oracle method")
     phase.set_defaults(func=_cmd_phase)
 
     figure = sub.add_parser("figure", help="regenerate a preset figure dataset")
-    figure.add_argument("number", type=int, choices=range(2, 9), metavar="N",
-                        help="figure number, 2..8")
+    figure.add_argument("number", type=int, choices=FIGURE_RANGE, metavar="N",
+                        help=f"figure number, {FIGURE_RANGE[0]}..{FIGURE_RANGE[-1]}")
     figure.add_argument("--output", "-o", default=None)
     figure.add_argument("--format", choices=FORMATS, default="csv")
     figure.add_argument("--emit-config", metavar="PATH",

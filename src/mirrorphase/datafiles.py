@@ -17,8 +17,9 @@ spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
 ``+1``, ``inf`` and ``nan``; no writer writes them.
 
 No write or read holds a file's whole text. The writers spell and write a
-block of rows at a time from slices of the dataset's columns; a write that
-fails after the file is opened removes the partial file. Each reader makes
+block of rows at a time from slices of the dataset's columns, to a new
+file beside a regular ``path`` that replaces it once the write is done, so
+a write that fails part way leaves an older file intact. Each reader makes
 the columns it returns, one array of doubles per name, and fills them a
 block of rows at a time, each column mapped to doubles in C. Writers and
 readers alike pass each column through a memo while it holds at most
@@ -168,21 +169,43 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
     """Write the dataset to ``path`` a block of rows at a time; returns the
     number of data rows.
 
-    Every row was checked when the dataset was built. If the write fails
-    after the file is opened, the partial file is removed (unless ``path``
-    is not a regular file, such as ``/dev/stdout``) and the error re-raised.
+    Every row was checked when the dataset was built. A regular file, or a
+    path that names nothing yet, is written as a new file beside it, with
+    the mode ``open(path, "w")`` would give, which replaces it (through a
+    symlink, the link's target) once the write is done. A write that fails
+    part way removes the new file, leaves an older one intact and re-raises
+    the error, naming ``path``. Any other path, such as ``/dev/stdout``, is
+    written in place.
     """
     if fmt not in FORMATS:
         raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
     pieces = _csv_pieces(dataset) if fmt == "csv" else _json_pieces(dataset)
-    handle = open(path, "w", encoding="utf-8", newline="\n")
     try:
-        with handle:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    # in place: anything but a regular file or a new file's name, such as
+    # /dev/stdout, or out/, whose trailing separator open refuses
+    if not (stat.S_ISREG(mode) if mode is not None else os.path.basename(path)):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(pieces)
-    except BaseException:
+        return len(dataset.rows)
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        # a new file gets 0o666 less the umask, as open(path, "w") gives it
+        with open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w",
+                  encoding="utf-8", newline="\n") as handle:
+            if mode is not None:  # open(path, "w") keeps an older file's mode
+                os.fchmod(handle.fileno(), stat.S_IMODE(mode))
+            handle.writelines(pieces)
+        os.replace(temp, target)
+    except BaseException as exc:
         with suppress(OSError):  # the write's own error is the one to report
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.remove(path)
+            os.remove(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
     return len(dataset.rows)
 

@@ -32,6 +32,8 @@ DEGENERACY_GAP = 1e-6
 
 QUADRATURE_TOLERANCE = 1e-10
 
+DEFAULT_ORACLE_STEPS = 100_000
+
 MAX_ORACLE_STEPS = 1_000_000
 
 # the oracle's grid step must stay well below the precession period 2*pi
@@ -190,7 +192,7 @@ def _kinematic_arg(params: ModelParams, theta: float, s_final: float,
 
 
 def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_PI,
-                        step_count: int = 100_000) -> float:
+                        step_count: int = DEFAULT_ORACLE_STEPS) -> float:
     """Mixed-state phase from the full kinematic definition, mod 2*pi.
 
     Uses the instantaneous eigenvectors on a uniform grid, a central

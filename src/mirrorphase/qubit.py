@@ -33,8 +33,8 @@ def require_bloch_angle(theta: float) -> None:
     """Reject pole states, where the instantaneous eigenbasis is undefined."""
     if not 0.0 < theta < math.pi:
         raise DegenerateStateError(
-            f"theta must lie strictly inside (0, pi); got {theta}. "
-            "Pole states evolve trivially: use unitary_gp for the closed-system phase.")
+            f"theta must lie strictly inside (0, pi), got {theta!r}; at the poles the "
+            "state evolves trivially, with the closed-system phase pi*(1+cos(theta))")
 
 
 def require_polar_angle(theta: float) -> None:

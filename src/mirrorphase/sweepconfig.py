@@ -43,6 +43,13 @@ def parse_number(token: str) -> float:
     return float(text)
 
 
+def _parse_float(token: str, key: str, line: int) -> float:
+    try:
+        return parse_number(token)
+    except ValueError:
+        raise ConfigError(f"bad number {token!r} for {key!r}", line=line) from None
+
+
 def _parse_bool(token: str, line: int) -> bool:
     lowered = token.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -119,17 +126,13 @@ def parse_sweep_config(text: str) -> SweepSpec:
             else:
                 if key in fixed:
                     raise ConfigError(f"duplicate fixed parameter {key!r}", line=lineno)
-                try:
-                    fixed[key] = parse_number(value)
-                except ValueError:
-                    raise ConfigError(f"bad number {value!r} for {key!r}",
-                                      line=lineno) from None
+                fixed[key] = _parse_float(value, key, lineno)
         else:
             fields = axis_sections[-1][1]
             if key in fields:
                 raise ConfigError(f"duplicate axis key {key!r}", line=lineno)
             if key in ("min", "max"):
-                fields[key] = parse_number(value)
+                fields[key] = _parse_float(value, key, lineno)
             elif key == "count":
                 fields[key] = _parse_int(value, lineno)
             elif key == "scale":

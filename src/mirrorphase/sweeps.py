@@ -5,9 +5,12 @@ assignments, evaluated for one target quantity. Evaluation is
 deterministic: the same spec always produces the same numeric table,
 row-ordered lexicographically by the axes. Every axis value and fixed
 value is a double from construction on, so both file formats spell it
-alike. The model parameters are built once per cell of the model axes
-(gamma0, lambda, omega, velocity), each point is checked as it is made,
-and the table is held as one array of doubles per column.
+alike. Before any point runs, ``SweepSpec.validate`` checks each fixed
+value and axis end by ``model.require`` or ``qubit.require_bloch_angle``,
+so ``allow_errors`` cannot turn a value outside its domain into NaN rows.
+The model parameters are built once per cell of the model axes (gamma0,
+lambda, omega, velocity), each point is checked as it is made, and the
+table is held as one array of doubles per column.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -23,24 +26,15 @@ from collections.abc import Iterable, Iterator, Sequence, Sized
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NoDecoherenceError, QuadratureError, SweepError
-from .model import ModelParams, decoherence_factor, decoherence_time
+from .model import ModelParams, decoherence_factor, decoherence_time, require
 from .phase import TWO_PI, gp_exact, gp_perturbative
+from .qubit import require_bloch_angle
 
 TARGETS = ("decoherence_factor", "gp_exact", "gp_normalized",
            "gp_perturbative_ratio", "decoherence_time")
 
-# name -> (validator, human description of the domain)
-_PARAMETER_DOMAINS = {
-    "gamma0": (lambda x: 0.0 <= x < math.inf, "gamma0 must be finite and >= 0"),
-    "lambda": (lambda x: 0.0 <= x < math.inf, "lambda must be finite and >= 0"),
-    "omega": (lambda x: 0.0 < x < math.inf, "omega must be finite and > 0"),
-    "velocity": (lambda x: 0.0 <= x < 1.0, "velocity must lie in [0, 1)"),
-    "theta": (lambda x: 0.0 < x < math.pi,
-              "theta must lie strictly inside (0, pi); the poles are excluded"),
-    "time": (lambda x: 0.0 <= x < math.inf, "time must be finite and >= 0"),
-}
-
 _MODEL_NAMES = ("gamma0", "lambda", "omega", "velocity")
+_PARAMETERS = _MODEL_NAMES + ("theta", "time")
 
 # target -> (required parameter names, optional parameter names)
 _TARGET_PARAMS = {
@@ -187,7 +181,7 @@ class SweepSpec:
                 raise DomainError(f"{name!r} is both an axis and a fixed parameter")
             seen.add(name)
         for name in seen:
-            if name not in _PARAMETER_DOMAINS:
+            if name not in _PARAMETERS:
                 raise DomainError(f"unknown parameter {name!r}")
             if name not in allowed:
                 raise DomainError(f"parameter {name!r} does not apply to target "
@@ -197,13 +191,13 @@ class SweepSpec:
                 raise DomainError(f"target {self.target!r} needs parameter {name!r} "
                                   "as an axis or a fixed value")
         for name, value in self.fixed.items():
-            _check_domain(name, value)
+            _check_domain(name, value, "fixed value")
         for axis in self.axes:
             # every parameter domain is an interval, and range grids run
             # monotonically from min to max, so the endpoints decide
             ends = axis.values if axis.scale == VALUES else (axis.start, axis.stop)
             for value in ends:
-                _check_domain(axis.name, value, axis=True)
+                _check_domain(axis.name, value, "axis value")
 
     def point_count(self) -> int:
         """Grid size, from the axis lengths alone."""
@@ -211,11 +205,14 @@ class SweepSpec:
                          for axis in self.axes)
 
 
-def _check_domain(name: str, value: float, axis: bool = False) -> None:
-    ok, message = _PARAMETER_DOMAINS[name]
-    if not ok(value):
-        where = "axis value" if axis else "fixed value"
-        raise DomainError(f"{message} ({where} {value!r})")
+def _check_domain(name: str, value: float, where: str) -> None:
+    try:
+        if name == "theta":
+            require_bloch_angle(value)
+        else:
+            require(name, value)
+    except DomainError as exc:
+        raise type(exc)(f"{exc} ({where})") from None
 
 
 def _same_entries(left, right) -> bool:

@@ -11,8 +11,15 @@ from mirrorphase import Axis, circular_difference, read_dataset_csv, run_sweep, 
 from mirrorphase import phase as phase_module
 from mirrorphase.cli import main
 
-DECO_FLAGS = ["--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
-              "--velocity", "0.5"]
+MODEL_FLAGS = {"gamma0": "0.05", "lambda": "5", "omega": "0.03", "velocity": "0.5"}
+
+
+def model_flags(**overrides):
+    return [arg for name, value in {**MODEL_FLAGS, **overrides}.items()
+            for arg in (f"--{name}", value)]
+
+
+DECO_FLAGS = model_flags()
 
 
 def run_cli(args):
@@ -300,11 +307,54 @@ values = 0.05, 0
 """
 
 
+NEGATIVE_LAMBDA_CONFIG = """\
+target = decoherence_factor
+gamma0 = 0.05
+lambda = -1
+omega = 0.03
+velocity = 0.5
+time = 1
+"""
+
+OMEGA_AXIS_CONFIG = """\
+target = decoherence_factor
+gamma0 = 0.05
+lambda = 5
+velocity = 0.5
+time = 1
+
+[axis.omega]
+min = 0
+max = 0.1
+count = 3
+"""
+
+BAD_AXIS_NUMBER_CONFIG = OMEGA_AXIS_CONFIG.replace("min = 0", "min = abc")
+
+
 @pytest.mark.parametrize("argv,config,code,message", [
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], RETIRED_SECTION_CONFIG, 2,
      "line 8: unknown section 'quadrature'"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], BAD_AXIS_NUMBER_CONFIG, 2,
+     "line 8: bad number 'abc' for 'min'"),
     (["decoherence", "--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
       "--velocity", "1.5", "--time", "1"], None, 2, "velocity must lie in [0, 1)"),
+    (["decoherence", *model_flags(gamma0="-1"), "--time", "1"], None, 2,
+     "gamma0 must be finite and >= 0, got -1.0"),
+    (["decoherence", *model_flags(**{"lambda": "-1"}), "--time", "1"], None, 2,
+     "lambda must be finite and >= 0, got -1.0"),
+    (["decoherence", *model_flags(omega="0"), "--time", "1"], None, 2,
+     "omega must be finite and > 0, got 0.0"),
+    (["decoherence", *model_flags(velocity="1"), "--time", "1"], None, 2,
+     "velocity must lie in [0, 1), got 1.0"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], NEGATIVE_LAMBDA_CONFIG, 2,
+     "lambda must be finite and >= 0, got -1.0 (fixed value)"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], OMEGA_AXIS_CONFIG, 2,
+     "omega must be finite and > 0, got 0.0 (axis value)"),
+    (["phase", "--theta", "1", *DECO_FLAGS, "--method", "approx", "--periods", "3"],
+     None, 2, "--periods does not apply to --method approx"),
+    (["phase", "--theta", "1", *DECO_FLAGS, "--method", "approx", "--s-final", "1"],
+     None, 2, "--s-final does not apply to --method approx"),
     (["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
       "--s-final", "1e8"], None, 2, "grid step s_final/step_count"),
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], FAILING_POINT_CONFIG, 2,
@@ -314,16 +364,21 @@ values = 0.05, 0
     (["phase", "--theta", "1", *DECO_FLAGS, "--method", "oracle",
       "--steps", "100"], None, 2, "kinematic phase not converged"),
     (["figure", "2", "-o", "{tmp}"], None, 3, "cannot write"),
-], ids=["ConfigError", "DomainError", "DomainError_oracle_step", "SweepError",
+], ids=["ConfigError", "ConfigError_axis_number", "DomainError", "DomainError_gamma0",
+        "DomainError_lambda", "DomainError_omega", "DomainError_velocity",
+        "DomainError_fixed_lambda", "DomainError_omega_axis", "DomainError_approx_periods",
+        "DomainError_approx_s_final", "DomainError_oracle_step", "SweepError",
         "DegenerateStateError", "QuadratureError", "unwritable_output"])
 def test_error_class_contract(argv, config, code, message, tmp_path, capsys):
+    """One line, the documented exit code, and the name the user typed first."""
     cfg = tmp_path / "run.cfg"
     if config is not None:
         cfg.write_text(config)
     argv = [arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {message}")
+    assert "_tilde" not in err
     assert err.count("\n") == 1
 
 

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import stat
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -612,15 +615,20 @@ class TestWrittenBytes:
         assert path.read_text() == "old contents"
 
 
+@pytest.mark.parametrize("older", ["older contents", None], ids=["older_file", "no_file"])
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
-    """An error after the first block is written removes the partial file."""
+def test_failed_write_leaves_an_older_file_intact(tmp_path, monkeypatch, fmt, older):
+    """An error after the first block is written removes the new file beside
+    ``path`` and leaves ``path`` as it was: the older file, or none."""
     path = tmp_path / f"data.{fmt}"
+    if older is not None:
+        path.write_text(older)
+    before = sorted(tmp_path.iterdir())
     spell_block = datafiles._spell_block
     calls = []
 
     def failing_second_block(*args):
-        calls.append(path.exists())
+        calls.append(sorted(tmp_path.iterdir()))
         if len(calls) == 2:
             raise RuntimeError("spelling failed")
         return spell_block(*args)
@@ -629,22 +637,70 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(datafiles, "_spell_block", failing_second_block)
     with pytest.raises(RuntimeError, match="spelling failed"):
         write_dataset(run_sweep(factor_spec()), str(path), fmt)
-    assert calls == [True, True]
-    assert not path.exists()
+    # the first block went to a new file beside the older one
+    assert len(calls) == 2 and len(calls[1]) == len(before) + 1
+    assert sorted(tmp_path.iterdir()) == before
+    if older is not None:
+        assert path.read_text() == older
 
 
-def test_failed_write_keeps_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch):
-    """Only a regular file is removed: a link, such as ``/dev/stdout``, stays."""
-    link = tmp_path / "link.csv"
-    link.symlink_to(tmp_path / "target.csv")
+def test_write_through_a_symlink_replaces_its_target(tmp_path, monkeypatch):
+    """The link stays a link; its target is replaced, and keeps its mode,
+    as ``open(path, "w")`` keeps it. A failed write leaves both as they were."""
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    dataset = run_sweep(factor_spec())
 
     def failing(*args):
         raise RuntimeError("spelling failed")
 
-    monkeypatch.setattr(datafiles, "_spell_block", failing)
-    with pytest.raises(RuntimeError, match="spelling failed"):
-        write_dataset(run_sweep(factor_spec()), str(link), "csv")
-    assert link.is_symlink()
+    with monkeypatch.context() as patch:
+        patch.setattr(datafiles, "_spell_block", failing)
+        with pytest.raises(RuntimeError, match="spelling failed"):
+            write_dataset(dataset, str(link), "csv")
+    assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link]
+
+    target.write_text("older contents")
+    target.chmod(0o640)
+    write_dataset(dataset, str(link), "csv")
+    assert link.is_symlink() and sorted(tmp_path.iterdir()) == [link, target]
+    assert target.read_text() == dataset_to_csv(dataset)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_new_file_gets_the_mode_open_gives(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        write_dataset(run_sweep(factor_spec()), str(tmp_path / "new.csv"), "csv")
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+    assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+
+def test_new_name_ending_in_a_separator_is_refused(tmp_path):
+    """``open`` refuses it; the file beside it must not be made instead."""
+    with pytest.raises(IsADirectoryError):
+        write_dataset(run_sweep(factor_spec()), f"{tmp_path}/new/", "csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    """A FIFO, as ``/dev/stdout`` may be, gets the rows and stays a FIFO."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    dataset = run_sweep(factor_spec())
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    write_dataset(dataset, str(fifo), "json")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [dataset_to_json(dataset)]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 # Entries a column may hold: both zeros, the non-finite values, the extreme
