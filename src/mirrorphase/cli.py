@@ -7,6 +7,7 @@ failures. All numbers are printed in shortest round-trip decimal form.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, DomainError, QuadratureError, SweepError
@@ -101,13 +102,23 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` names the file this process's standard output writes to."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):  # no such path, or a stdout without a descriptor
+        return False
+
+
 def _write(dataset, args: argparse.Namespace) -> int:
+    # the status line must not join a dataset written to standard output
+    status = sys.stderr if _is_stdout(args.output) else sys.stdout
     try:
         count = write_dataset(dataset, args.output, args.format)
     except OSError as exc:
         print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {count} rows to {args.output}")
+    print(f"wrote {count} rows to {args.output}", file=status)
     return 0
 
 

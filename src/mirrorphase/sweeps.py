@@ -8,9 +8,12 @@ value is a double from construction on, so both file formats spell it
 alike. Before any point runs, ``SweepSpec.validate`` checks each fixed
 value and axis end by ``model.require`` or ``qubit.require_bloch_angle``,
 so ``allow_errors`` cannot turn a value outside its domain into NaN rows.
-The model parameters are built once per cell of the model axes (gamma0,
-lambda, omega, velocity), each point is checked as it is made, and the
-table is held as one array of doubles per column.
+A sweep runs one cell of the model axes (gamma0, lambda, omega, velocity)
+at a time: it builds the cell's model parameters once, and the target's
+evaluator computes the cell's values a block of at most 4,096 points at a
+time, through the same public functions a scalar call uses. Each block is
+checked, then moved into the table, which is held as one array of doubles
+per column.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -58,13 +61,14 @@ LOG = "log"
 VALUES = "values"
 
 # run_sweep holds every entry in memory as a double, 8 bytes each; while it
-# runs, the axis grids and one model cell's values add to that, and the
-# writers add only a block's strings; reading a file back peaks near what
-# its columns hold, as no column's memo holds more than 1,024 values
+# runs, the axis grids (a float object and a pointer per grid value) and
+# one block of at most 4,096 points' values add to that, and the writers
+# add only a block's strings; reading a file back peaks near what its
+# columns hold, as no column's memo holds more than 1,024 values
 # (tracemalloc, bytes per point: held 32, peak 32, writing CSV then JSON
 # adds 4.6, reading 34 from CSV and 35 from JSON, for a 250,000-point sweep
-# of four columns; held 16.5, peak 89, write adds 2.2, read 16.5 and 17 for
-# a 500,000-point sweep of one axis; held 24.5, peak 61, write adds 2.4,
+# of four columns; held 16.6, peak 50, write adds 2.2, read 16.5 and 17 for
+# a 500,000-point sweep of one axis; held 24.6, peak 42, write adds 2.4,
 # read 24.6 and 25.8 for 2 x 250,000 points); the cap keeps a sweep and its
 # writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
@@ -339,20 +343,61 @@ def _model_params(point: dict[str, float]) -> ModelParams:
                        omega_tilde=point["omega"], velocity=point["velocity"])
 
 
-def _evaluate(target: str, params: ModelParams,
-              point: dict[str, float]) -> tuple[float, ...]:
-    if target == "decoherence_factor":
-        return (decoherence_factor(params, point["time"]),)
-    if target == "decoherence_time":
-        return (decoherence_time(params),)
-    if target == "gp_perturbative_ratio":
-        exact = gp_exact(params, point["theta"])
-        approx = gp_perturbative(params, point["theta"])
-        return (exact.phase, approx, exact.phase / approx)
+# An evaluator takes a cell's model, the point dict (fixed values and the
+# cell's coordinates), the inner axis names and a block of inner coordinate
+# tuples, and returns the block's value columns as lists.
+
+def _factor_values(params: ModelParams, point: dict[str, float],
+                   names: tuple[str, ...], block: list[tuple]) -> tuple[list, ...]:
+    if not names:  # time is fixed or precedes a model axis: one point per cell
+        return ([decoherence_factor(params, point["time"])],)
+    return ([decoherence_factor(params, s) for s, in block],)  # names == ("time",)
+
+
+def _time_values(params: ModelParams, point: dict[str, float],
+                 names: tuple[str, ...], block: list[tuple]) -> tuple[list, ...]:
+    return ([decoherence_time(params)],)  # every axis is a model axis
+
+
+def _each_point(row):
+    """The evaluator that calls ``row(params, point)`` at each inner point."""
+    def evaluate(params, point, names, block):
+        rows = []
+        for inner in block:
+            point.update(zip(names, inner))
+            rows.append(row(params, point))
+        return tuple(map(list, zip(*rows)))
+    return evaluate
+
+
+def _exact_row(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
     result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
-    if target == "gp_exact":
-        return (result.phase, result.quadrature_error, float(result.near_degenerate))
+    return (result.phase, result.quadrature_error, float(result.near_degenerate))
+
+
+def _normalized_row(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
     return (result.normalized, result.quadrature_error, float(result.near_degenerate))
+
+
+def _ratio_row(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    exact = gp_exact(params, point["theta"])
+    approx = gp_perturbative(params, point["theta"])
+    return (exact.phase, approx, exact.phase / approx)
+
+
+_EVALUATORS = {
+    "decoherence_factor": _factor_values,
+    "gp_exact": _each_point(_exact_row),
+    "gp_normalized": _each_point(_normalized_row),
+    "gp_perturbative_ratio": _each_point(_ratio_row),
+    "decoherence_time": _time_values,
+}
+
+_POINT_ERRORS = (DomainError, NoDecoherenceError, QuadratureError)
+
+# inner points evaluated, checked and moved into the columns at a time
+_BLOCK_POINTS = 4096
 
 
 def _product_columns(grids: list[tuple[float, ...]]) -> list[array]:
@@ -370,63 +415,85 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     """Evaluate the target over the Cartesian grid of the spec's axes.
 
     Rows are ordered lexicographically by the axes (first axis slowest).
-    The coordinate columns are the grids' product, built once. The model
-    parameters are built once per model cell: the axes up to the last
-    model axis (gamma0, lambda, omega, velocity) pick the cell, and the
-    axes after it (time, theta) vary inside it. Each point's values are
-    checked as they are made, and moved into the value columns at the end
-    of their cell: their width must match the value columns and, unless
-    errors are allowed, every entry must be finite (``DomainError``
-    otherwise).
+    The coordinate columns are the grids' product, built once. The sweep
+    runs one model cell at a time: the axes up to the last model axis
+    (gamma0, lambda, omega, velocity) pick the cell, whose model
+    parameters are built once, and the axes after it (time, theta) vary
+    inside it. The target's evaluator computes the cell's values a block
+    of ``_BLOCK_POINTS`` points at a time through the public function
+    that a scalar call uses, so a sweep and a scalar call give the same
+    bits. Each block is checked, then moved into the value columns: its
+    width must match the value columns and, unless errors are allowed,
+    every entry must be finite (``DomainError`` otherwise).
 
-    By default any per-point failure aborts the sweep, reporting the
-    offending coordinates; with ``allow_errors`` the failed points produce
-    NaN value columns instead. Grids of more than ``MAX_SWEEP_POINTS``
-    points are refused before any is evaluated.
+    A block whose evaluation fails is evaluated again point by point. By
+    default the first failed point aborts the sweep, reporting its
+    coordinates; with ``allow_errors`` each failed point produces NaN
+    values instead. Grids of more than ``MAX_SWEEP_POINTS`` points are
+    refused before any is evaluated.
     """
     spec.validate()
     count = spec.point_count()
     if count > MAX_SWEEP_POINTS:
         raise DomainError(f"sweep has {count} points; at most {MAX_SWEEP_POINTS} "
                           "are allowed")
-    target, allow_errors = spec.target, spec.allow_errors
+    evaluate, allow_errors = _EVALUATORS[spec.target], spec.allow_errors
     names = tuple(axis.name for axis in spec.axes)
-    value_columns = TARGET_COLUMNS[target]
-    width = len(names) + len(value_columns)
+    value_names = TARGET_COLUMNS[spec.target]
     split = max((i + 1 for i, name in enumerate(names) if name in _MODEL_NAMES),
                 default=0)
     cell_names, inner_names = names[:split], names[split:]
     grids = [axis.grid() for axis in spec.axes]
-    columns = _product_columns(grids) + [array("d") for _ in value_columns]
+    columns = _product_columns(grids)
+    value_columns = [array("d") for _ in value_names]
     point = dict(spec.fixed)
     for cell in itertools.product(*grids[:split]):
         point.update(zip(cell_names, cell))
-        params, cell_values = None, []
-        for inner in itertools.product(*grids[split:]):
-            point.update(zip(inner_names, inner))
+        params, inner_points = None, itertools.product(*grids[split:])
+        while block := list(itertools.islice(inner_points, _BLOCK_POINTS)):
             try:
                 # built inside the try: a model that fails fails each point of its cell
                 if params is None:
                     params = _model_params(point)
-                values = _evaluate(target, params, point)
-            except (DomainError, NoDecoherenceError, QuadratureError) as exc:
-                if not allow_errors:
-                    combo = cell + inner
-                    coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
-                    where = f" at {coords}" if coords else ""
-                    raise SweepError(f"sweep point failed{where}: {exc}",
-                                     coordinates=dict(zip(names, combo))) from exc
-                values = (math.nan,) * len(value_columns)
-            if len(values) != len(value_columns):
+                values = evaluate(params, point, inner_names, block)
+            except _POINT_ERRORS:
+                values = _walk_failed_block(evaluate, params, point, names, cell,
+                                            block, allow_errors, len(value_names))
+            if len(values) != len(value_names):
                 raise DomainError(f"row width {len(names) + len(values)} != "
-                                  f"column count {width}")
-            if not (allow_errors or all(map(math.isfinite, values))):
-                raise DomainError(f"non-finite entry in row {cell + inner + values!r}")
-            cell_values.extend(values)
-        for offset, column in enumerate(columns[len(names):]):
-            column.fromlist(cell_values[offset::len(value_columns)])
-    return Dataset(columns=names + value_columns, rows=Rows(columns),
+                                  f"column count {len(names) + len(value_names)}")
+            if not (allow_errors or all(all(map(math.isfinite, v)) for v in values)):
+                for inner, row in zip(block, zip(*values)):
+                    if not all(map(math.isfinite, row)):
+                        raise DomainError(f"non-finite entry in row {cell + inner + row!r}")
+            for column, entries in zip(value_columns, values):
+                column.fromlist(entries)
+    return Dataset(columns=names + value_names, rows=Rows(columns + value_columns),
                    metadata=describe_spec(spec))
+
+
+def _walk_failed_block(evaluate, params: ModelParams | None, point: dict[str, float],
+                       names: tuple[str, ...], cell: tuple, block: list[tuple],
+                       allow_errors: bool, value_count: int) -> tuple[list, ...]:
+    """The block's value columns, evaluated one point at a time after the
+    block as a whole failed: a failed point is NaN with ``allow_errors``, and
+    otherwise a ``SweepError`` naming its coordinates."""
+    inner_names, parts = names[len(cell):], []
+    for inner in block:
+        try:
+            if params is None:
+                params = _model_params(point)
+            values = evaluate(params, point, inner_names, [inner])
+        except _POINT_ERRORS as exc:
+            combo = cell + inner
+            if not allow_errors:
+                coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
+                where = f" at {coords}" if coords else ""
+                raise SweepError(f"sweep point failed{where}: {exc}",
+                                 coordinates=dict(zip(names, combo))) from exc
+            values = ([math.nan],) * value_count
+        parts.append(values)
+    return tuple(list(itertools.chain.from_iterable(column)) for column in zip(*parts))
 
 
 def describe_spec(spec: SweepSpec) -> dict:

@@ -154,6 +154,20 @@ class TestFigureCommand:
         assert len(payload["rows"]) == 2500
         assert payload["metadata"]["target"] == "gp_normalized"
 
+    def test_stdout_output_keeps_the_status_line_out_of_the_data(self, tmp_path):
+        result = run_cli(["figure", "2", "-o", "/dev/stdout"])
+        assert result.returncode == 0
+        assert result.stderr == "wrote 1000 rows to /dev/stdout\n"
+        out = tmp_path / "fig2.csv"
+        out.write_text(result.stdout)
+        assert len(read_dataset_csv(str(out)).rows) == 1000
+
+    def test_file_output_prints_the_status_line_on_stdout(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        result = run_cli(["figure", "2", "-o", str(out)])
+        assert result.returncode == 0
+        assert (result.stdout, result.stderr) == (f"wrote 1000 rows to {out}\n", "")
+
     def test_figure_9_exits_2(self):
         result = run_cli(["figure", "9", "-o", "fig9.csv"])
         assert result.returncode == 2

@@ -875,6 +875,22 @@ def test_sweep_dataset_size_per_row():
     assert held / len(dataset.rows) < SWEEP_BYTES_PER_ROW
 
 
+# tracemalloc peak per point of run_sweep on a sweep of one long time axis,
+# whose points all share one model cell: it measured 51.1 B (the grid tuple
+# 32, the two columns 16.7). Holding the cell's values in a list until the
+# cell ended peaked at 88.6 B.
+SWEEP_PEAK_BYTES_PER_POINT = 64
+
+
+def test_one_long_cell_peak_memory_per_point():
+    spec = factor_spec(axes=(Axis.linear("time", 0.0, 2.0 * TWO_PI, 200_000),),
+                       fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03,
+                              "velocity": 0.5})
+    _, peak, dataset = traced(lambda: run_sweep(spec))
+    assert len(dataset.rows) == 200_000
+    assert peak / len(dataset.rows) <= SWEEP_PEAK_BYTES_PER_POINT
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_read_back_peak_memory_per_row(grid_files, fmt):
     directory, dataset = grid_files

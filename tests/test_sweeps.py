@@ -7,9 +7,9 @@ from array import array
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mirrorphase import (Axis, Dataset, DomainError, ModelParams, SweepError, SweepSpec,
-                         decoherence_factor, decoherence_time, figure_preset, gp_exact,
-                         run_sweep, sweeps, unitary_gp)
+from mirrorphase import (Axis, Dataset, DomainError, ModelParams, NoDecoherenceError,
+                         SweepError, SweepSpec, decoherence_factor, decoherence_time,
+                         figure_preset, gp_exact, run_sweep, sweeps, unitary_gp)
 from mirrorphase.sweeps import Rows
 
 TWO_PI = 2.0 * math.pi
@@ -277,30 +277,42 @@ def without(*names):
     return {name: value for name, value in MODEL.items() if name not in names}
 
 
+def reference_values(spec, point):
+    """The target's values at ``point`` from the public functions, with a fresh model."""
+    params = ModelParams(gamma0=point["gamma0"], lambda_tilde=point["lambda"],
+                         omega_tilde=point["omega"], velocity=point["velocity"])
+    if spec.target == "decoherence_factor":
+        return (decoherence_factor(params, point["time"]),)
+    if spec.target == "decoherence_time":
+        return (decoherence_time(params),)
+    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
+    phase = result.phase if spec.target == "gp_exact" else result.normalized
+    return (phase, result.quadrature_error, float(result.near_degenerate))
+
+
 def reference_rows(spec):
-    """The sweep's rows evaluated point by point, with a fresh model each time."""
+    """The sweep's rows evaluated point by point, with a fresh model each time;
+    with ``allow_errors`` a point that raises gets NaN values."""
     names = tuple(axis.name for axis in spec.axes)
+    nan = (math.nan,) * len(sweeps.TARGET_COLUMNS[spec.target])
     rows = []
     for combo in itertools.product(*(axis.grid() for axis in spec.axes)):
         point = dict(spec.fixed)
         point.update(zip(names, combo))
-        params = ModelParams(gamma0=point["gamma0"], lambda_tilde=point["lambda"],
-                             omega_tilde=point["omega"], velocity=point["velocity"])
-        if spec.target == "decoherence_factor":
-            values = (decoherence_factor(params, point["time"]),)
-        elif spec.target == "decoherence_time":
-            values = (decoherence_time(params),)
-        else:
-            result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
-            phase = result.phase if spec.target == "gp_exact" else result.normalized
-            values = (phase, result.quadrature_error, float(result.near_degenerate))
+        try:
+            values = reference_values(spec, point)
+        except (DomainError, NoDecoherenceError):
+            if not spec.allow_errors:
+                raise
+            values = nan
         rows.append(combo + values)
     return tuple(rows)
 
 
 class TestPerCellEvaluation:
-    """run_sweep builds one model per cell of the model axes; its rows must be
-    bit-identical to a fresh model at every point, whatever the axis order."""
+    """run_sweep evaluates one cell of the model axes at a time; its columns
+    must be bit-identical to the public functions called with a fresh model
+    at every point, whatever the axis order."""
 
     @pytest.mark.parametrize("spec", [
         SweepSpec(target="decoherence_factor",
@@ -336,12 +348,22 @@ class TestPerCellEvaluation:
                   axes=(Axis.from_values("velocity", (0.2, 0.7)),
                         Axis.log("time", 1e-3, 100.0, 6)),
                   fixed=without("velocity")),
+        figure_preset(2),
+        figure_preset(3),
+        SweepSpec(target="decoherence_time",
+                  axes=(Axis.from_values("gamma0", (0.0, 0.05)),
+                        Axis.from_values("velocity", (0.2, 0.7))),
+                  fixed=without("gamma0", "velocity"), allow_errors=True),
     ], ids=["model_axis_innermost", "model_axis_innermost_phase",
             "model_axes_outermost", "model_axis_outermost_phase",
             "all_fixed_model", "all_fixed_model_phase",
-            "log_model_axes", "log_time_axis"])
+            "log_model_axes", "log_time_axis", "figure2", "figure3", "allow_errors"])
     def test_rows_match_a_fresh_model_per_point(self, spec):
-        assert run_sweep(spec).rows == reference_rows(spec)
+        rows, expected = run_sweep(spec).rows, reference_rows(spec)
+        assert len(rows) == len(expected) == spec.point_count()
+        for index in range(rows.width):  # bit for bit, NaN and signed zeros included
+            column = array("d", [row[index] for row in expected])
+            assert rows.column(index).tobytes() == column.tobytes()
 
     @staticmethod
     def fail_at_half_period(monkeypatch):
@@ -388,7 +410,8 @@ class TestPerCellEvaluation:
         rows = run_sweep(SweepSpec(target=spec.target, axes=spec.axes, fixed=MODEL,
                                    allow_errors=True)).rows
         assert rows == ((0.0, 0.5), (math.pi, math.inf), (TWO_PI, 0.5))
-        monkeypatch.setattr(sweeps, "_evaluate", lambda target, params, point: (0.5, 0.5))
+        monkeypatch.setitem(sweeps._EVALUATORS, "decoherence_factor",
+                            lambda params, point, names, block: ([0.5] * len(block),) * 2)
         with pytest.raises(DomainError, match="row width 3 != column count 2"):
             run_sweep(spec)
 
