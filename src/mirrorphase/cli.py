@@ -11,11 +11,12 @@ import os
 import sys
 
 from .errors import ConfigError, DomainError, QuadratureError, SweepError
-from .model import ModelParams, decoherence_factor, decoherence_time
+from .model import _DOMAINS, ModelParams, decoherence_factor, decoherence_time
 from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE
 from .phase import (DEFAULT_ORACLE_STEPS, TWO_PI, gp_exact, gp_kinematic_oracle,
                     gp_perturbative, unitary_gp)
 from .datafiles import FORMATS, write_dataset
+from .qubit import POLE_LIMIT
 from .sweepconfig import GRAMMAR_HELP, format_sweep_config, parse_number, parse_sweep_config
 from .sweeps import FIGURE_RANGE, figure_preset, run_sweep
 
@@ -32,14 +33,13 @@ def _number(text: str) -> float:
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma0", type=_number, required=True,
-                        help="coupling to the vacuum field (>= 0)")
-    parser.add_argument("--lambda", dest="lambda_tilde", type=_number, required=True,
-                        metavar="LAMBDA", help="coupling to the plate (>= 0)")
-    parser.add_argument("--omega", dest="omega_tilde", type=_number, required=True,
-                        metavar="OMEGA", help="plate oscillator frequency times distance (> 0)")
-    parser.add_argument("--velocity", type=_number, required=True,
-                        help="velocity as a fraction of the speed of light, in [0, 1)")
+    def flag(name: str, dest: str, what: str) -> None:
+        parser.add_argument(f"--{name}", dest=dest, type=_number, required=True,
+                            metavar=name.upper(), help=f"{what}; {_DOMAINS[name][2]}")
+    flag("gamma0", "gamma0", "coupling to the vacuum field")
+    flag("lambda", "lambda_tilde", "coupling to the plate")
+    flag("omega", "omega_tilde", "plate oscillator frequency times distance")
+    flag("velocity", "velocity", "velocity as a fraction of the speed of light")
 
 
 def _params(args: argparse.Namespace) -> ModelParams:
@@ -64,12 +64,12 @@ def _cmd_decoherence(args: argparse.Namespace) -> int:
 
 
 def _normalized(phase: float, theta: float) -> float:
-    """``phase / pi*(1+cos(theta))``; refused where that rounds to 0, within
-    about 1e-8 of pi."""
+    """``phase / pi*(1+cos(theta))`` for the first-order phase, which admits the
+    poles; refused where that rounds to 0, from ``POLE_LIMIT`` on."""
     unitary = unitary_gp(theta)
     if unitary == 0.0:
-        raise DomainError(f"--theta {_fmt(theta)} rounds pi*(1+cos(theta)) to 0, so the "
-                          "normalized phase is undefined; take theta below pi")
+        raise DomainError(f"theta {_fmt(theta)} rounds pi*(1+cos(theta)) to 0, so the "
+                          f"normalized phase is undefined; take theta below {POLE_LIMIT!r}")
     return phase / unitary
 
 
@@ -97,7 +97,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         phase = gp_kinematic_oracle(params, args.theta, s_final=s_final,
                                     step_count=args.steps)
         record = [f"method=oracle", f"phase={_fmt(phase)}",
-                  f"normalized={_fmt(_normalized(phase, args.theta))}"]
+                  f"normalized={_fmt(phase / unitary_gp(args.theta))}"]
     print(" ".join(record))
     return 0
 
@@ -205,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "figure" and not args.emit_config and args.output is None:
-        print("error: --output is required unless --emit-config is given", file=sys.stderr)
+    if args.command == "figure" and (args.emit_config is None) == (args.output is None):
+        print("error: figure takes exactly one of --output and --emit-config", file=sys.stderr)
         return 2
     try:
         return args.func(args)

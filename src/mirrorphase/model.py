@@ -58,19 +58,11 @@ class ModelParams:
         require("omega0", self.omega0_tilde)
         require("velocity", self.velocity)
         v = self.velocity
-        object.__setattr__(self, "_multiplier",
-                           1.0 + (2.0 / 3.0) * v * v + friction_factor(self))
-
-
-def velocity_damping(velocity: float, omega_tilde: float) -> float:
-    """exp(-(2*omega_tilde/velocity)*sqrt(1 - velocity^2)), continued to 0 at rest.
-
-    The exponential suppression beats every inverse power of the velocity,
-    so the limit at velocity = 0 is exactly 0.
-    """
-    if velocity == 0.0:
-        return 0.0
-    return math.exp(-(2.0 * omega_tilde / velocity) * math.sqrt(1.0 - velocity * velocity))
+        multiplier = 1.0 + (2.0 / 3.0) * v * v + friction_factor(self)
+        if not multiplier < math.inf:
+            raise DomainError(f"lambda must keep the dephasing multiplier finite, "
+                              f"got {self.lambda_tilde!r} at velocity {v!r}")
+        object.__setattr__(self, "_multiplier", multiplier)
 
 
 def friction_factor(params: ModelParams) -> float:
@@ -78,10 +70,18 @@ def friction_factor(params: ModelParams) -> float:
 
     lambda_tilde^2 * v * exp(-(2*omega_tilde/v)*sqrt(1-v^2)) / (1-v^2);
     zero at v = 0 or lambda_tilde = 0, strictly increasing in v otherwise.
+    The exponential beats every inverse power of v, so the limit at v = 0 is
+    exactly 0; where it underflows, the factor is 0 even if lambda_tilde^2
+    overflows.
     """
     v = params.velocity
+    if v == 0.0:
+        return 0.0
+    damping = math.exp(-(2.0 * params.omega_tilde / v) * math.sqrt(1.0 - v * v))
+    if damping == 0.0:
+        return 0.0
     lam2 = params.lambda_tilde * params.lambda_tilde
-    return lam2 * v * velocity_damping(v, params.omega_tilde) / (1.0 - v * v)
+    return lam2 * v * damping / (1.0 - v * v)
 
 
 def dephasing_multiplier(params: ModelParams) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, QuadratureError
-from .model import ModelParams, decoherence_factor, dephasing_multiplier
+from .model import ModelParams, decoherence_factor, dephasing_multiplier, require
 from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE, adaptive_simpson, gauss_legendre
 from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap,
                     eigenvalues_closed_form, require_bloch_angle, require_polar_angle)
@@ -85,16 +85,11 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
     integrand takes its r -> 0 limit. Defaults to one isolated period.
     ``method`` picks the adaptive Simpson rule or the Gauss-Legendre
     cross-check; both must meet ``QUADRATURE_TOLERANCE``, or
-    :class:`QuadratureError` is raised. Within about 1e-8 of pi, where
-    pi*(1+cos(theta)) rounds to 0, the normalization is a ``DomainError``.
+    :class:`QuadratureError` is raised. ``require_bloch_angle`` refuses a
+    ``theta`` where the normalizing pi*(1+cos(theta)) rounds to 0.
     """
     require_bloch_angle(theta)
-    unitary = unitary_gp(theta)
-    if unitary == 0.0:
-        raise DomainError(f"theta={theta!r} rounds pi*(1+cos(theta)) to 0, so the "
-                          "normalized phase is undefined")
-    if not 0.0 <= s_final < math.inf:
-        raise DomainError(f"s_final must be finite and >= 0, got {s_final}")
+    require("time", s_final)
     if method not in (ADAPTIVE_SIMPSON, GAUSS_LEGENDRE):
         raise DomainError(f"unknown quadrature method {method!r}; expected "
                           f"{ADAPTIVE_SIMPSON!r} or {GAUSS_LEGENDRE!r}")
@@ -115,7 +110,7 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
                 best_estimate=value, error_estimate=error)
     gap = eigenvalue_gap(theta, decoherence_factor(params, s_final))
     return PhaseResult(phase=value,
-                       normalized=value / unitary,
+                       normalized=value / unitary_gp(theta),
                        quadrature_error=error,
                        near_degenerate=gap < DEGENERACY_GAP)
 
@@ -203,21 +198,20 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     The grids are walked a block at a time, so the memory held does not
     grow with ``step_count``; ``MAX_ORACLE_STEPS`` bounds the run time,
     which grows with the 3*step_count + 2 points of the two grids. The
-    step ``s_final/step_count`` may not exceed ``MAX_ORACLE_STEP``: a
+    step ``s_final/step_count`` must lie in (0, ``MAX_ORACLE_STEP``]: a
     coarser grid cannot resolve the precession, and the step-halving check
     need not notice.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """
     require_bloch_angle(theta)
-    if not 0.0 < s_final < math.inf:
-        raise DomainError(f"s_final must be finite and > 0, got {s_final}")
+    require("time", s_final)
     if not 10 <= step_count <= MAX_ORACLE_STEPS:
         raise DomainError(f"step_count must lie in [10, {MAX_ORACLE_STEPS}], "
                           f"got {step_count}")
-    if s_final / step_count > MAX_ORACLE_STEP:
+    if not 0.0 < s_final / step_count <= MAX_ORACLE_STEP:
         raise DomainError(f"grid step s_final/step_count = {s_final / step_count:.3g} "
-                          f"exceeds {MAX_ORACLE_STEP}; raise step_count or lower s_final")
+                          f"must lie in (0, {MAX_ORACLE_STEP}]")
     coarse = _kinematic_arg(params, theta, s_final, step_count)
     fine = _kinematic_arg(params, theta, s_final, 2 * step_count)
     # flags step counts too coarse for the decay rate; the residual O(h^2)

@@ -15,6 +15,8 @@ from .errors import DegenerateStateError, DomainError
 
 _HALF_PI = 0.5 * math.pi
 _SQRT_HALF = math.sqrt(0.5)
+# the first double where 1 + bloch_cosine(theta) rounds to 0, about 1.05e-8 below pi
+POLE_LIMIT = 3.141592643053081
 
 
 def bloch_cosine(theta: float) -> float:
@@ -30,11 +32,12 @@ def bloch_cosine(theta: float) -> float:
 
 
 def require_bloch_angle(theta: float) -> None:
-    """Reject pole states, where the instantaneous eigenbasis is undefined."""
-    if not 0.0 < theta < math.pi:
+    """Reject the poles, where the eigenbasis is undefined, and theta >= ``POLE_LIMIT``."""
+    if not 0.0 < theta < POLE_LIMIT:
         raise DegenerateStateError(
-            f"theta must lie strictly inside (0, pi), got {theta!r}; at the poles the "
-            "state evolves trivially, with the closed-system phase pi*(1+cos(theta))")
+            f"theta must lie strictly inside (0, pi), below {POLE_LIMIT!r}, got {theta!r}; at "
+            "the poles the state evolves trivially, and from that limit on the closed-system "
+            "phase pi*(1+cos(theta)) rounds to 0")
 
 
 def require_polar_angle(theta: float) -> None:

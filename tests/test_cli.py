@@ -42,6 +42,13 @@ class TestDecoherenceCommand:
         fields = record_fields(capsys.readouterr().out.strip())
         assert float(fields["s"]) == pytest.approx(math.pi, rel=1e-15)
 
+    def test_overflowing_plate_coupling_with_underflowing_damping(self, capsys):
+        # lambda^2 overflows to inf while the velocity damping underflows to 0
+        assert main(["decoherence", *model_flags(**{"lambda": "1e200", "omega": "1000",
+                                                    "velocity": "0.01"}), "--time", "1"]) == 0
+        fields = record_fields(capsys.readouterr().out.strip())
+        assert float(fields["r"]) == math.exp(-0.025 * (1.0 + (2.0 / 3.0) * 0.01 * 0.01))
+
     def test_no_coupling_gives_unity(self, capsys):
         args = ["decoherence", "--gamma0", "0", "--lambda", "5", "--omega", "0.03",
                 "--velocity", "0.5", "--time", "3.1"]
@@ -100,16 +107,17 @@ class TestPhaseCommand:
         ("approx", "pi"), ("approx", "3.14159265"), ("oracle", "3.14159265"),
     ])
     def test_normalizing_at_pi_exits_2_naming_theta(self, method, theta, capsys):
-        """pi*(1+cos(theta)) rounds to 0 within about 1e-8 of pi."""
+        """pi*(1+cos(theta)) rounds to 0 from about 1.05e-8 below pi on."""
         assert main(["phase", "--theta", theta, *DECO_FLAGS, "--method", method]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --theta ")
+        assert captured.err.startswith("error: theta ")
         assert captured.err.count("\n") == 1
 
     def test_exact_normalizing_near_pi_exits_2(self, capsys):
         assert main(["phase", "--theta", "3.14159265", *DECO_FLAGS]) == 2
-        assert_one_line_error(capsys, "theta=3.14159265 rounds")
+        assert_one_line_error(capsys, "theta must lie strictly inside (0, pi), below "
+                                      "3.141592643053081, got 3.14159265;")
 
     def test_oracle_method(self, capsys):
         assert main(["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
@@ -262,7 +270,7 @@ class TestNonFiniteInputs:
         (["decoherence", "--gamma0", "inf", "--lambda", "5", "--omega", "0.03",
           "--velocity", "0.5", "--time", "1", "--solve-td"], "gamma0"),
         (["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
-          "--s-final", "inf"], "s_final"),
+          "--s-final", "inf"], "time"),
     ], ids=["time", "gamma0", "s_final"])
     def test_flag_exits_2(self, argv, names, capsys):
         assert main(argv) == 2
@@ -378,11 +386,17 @@ BAD_AXIS_NUMBER_CONFIG = OMEGA_AXIS_CONFIG.replace("min = 0", "min = abc")
     (["phase", "--theta", "1", *DECO_FLAGS, "--method", "oracle",
       "--steps", "100"], None, 2, "kinematic phase not converged"),
     (["figure", "2", "-o", "{tmp}"], None, 3, "cannot write"),
+    (["decoherence", *model_flags(gamma0="0", **{"lambda": "1e200"}), "--time", "1"], None, 2,
+     "lambda must keep the dephasing multiplier finite, got 1e+200 at velocity 0.5"),
+    (["figure", "2"], None, 2, "figure takes exactly one of --output and --emit-config"),
+    (["figure", "2", "-o", "{tmp}/out.csv", "--emit-config", "{tmp}/f.cfg"], None, 2,
+     "figure takes exactly one of --output and --emit-config"),
 ], ids=["ConfigError", "ConfigError_axis_number", "DomainError", "DomainError_gamma0",
         "DomainError_lambda", "DomainError_omega", "DomainError_velocity",
         "DomainError_fixed_lambda", "DomainError_omega_axis", "DomainError_approx_periods",
         "DomainError_approx_s_final", "DomainError_oracle_step", "SweepError",
-        "DegenerateStateError", "QuadratureError", "unwritable_output"])
+        "DegenerateStateError", "QuadratureError", "unwritable_output",
+        "DomainError_infinite_plate_term", "figure_without_output", "figure_with_both_outputs"])
 def test_error_class_contract(argv, config, code, message, tmp_path, capsys):
     """One line, the documented exit code, and the name the user typed first."""
     cfg = tmp_path / "run.cfg"

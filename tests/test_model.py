@@ -79,6 +79,16 @@ class TestFrictionFactor:
     def test_no_plate_coupling(self):
         assert friction_factor(make(lam=0.0)) == 0.0
 
+    @pytest.mark.parametrize("v,omega", [(0.0, 0.03), (0.01, 1000.0)])
+    def test_zero_damping_beats_an_overflowing_coupling(self, v, omega):
+        # lambda^2 overflows to inf while the damping is 0: inf*0 must not give NaN
+        assert friction_factor(make(lam=1e200, omega=omega, v=v)) == 0.0
+
+    def test_infinite_plate_term_rejected(self):
+        with pytest.raises(DomainError, match=r"^lambda must keep the dephasing multiplier "
+                                              r"finite, got 1e\+200 at velocity 0.5$"):
+            make(gamma0=0.0, lam=1e200, v=0.5)
+
     def test_small_omega_limit(self):
         # exponent vanishes, leaving v/(1 - v^2)
         value = friction_factor(make(lam=1.0, omega=1e-12, v=0.5))

@@ -119,7 +119,8 @@ class TestGpExact:
     @pytest.mark.parametrize("theta", [3.14159265, math.pi - 1e-9])
     def test_normalizing_where_the_unitary_phase_rounds_to_zero_is_refused(self, theta):
         assert unitary_gp(theta) == 0.0
-        with pytest.raises(DomainError, match="normalized phase is undefined"):
+        with pytest.raises(DegenerateStateError, match=rf"^theta must lie strictly inside "
+                                                       rf"\(0, pi\), below [0-9.]+, got {theta!r};"):
             gp_exact(params_fig6(0.5), theta)
 
     def test_normalized_grows_with_velocity(self):
@@ -185,7 +186,7 @@ class TestKinematicOracle:
             gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, step_count=5)
 
     @pytest.mark.parametrize("s_final,step_count", [(1e8, 100_000), (1e300, 100_000),
-                                                    (1.1, 10)])
+                                                    (1.1, 10), (0.0, 100_000)])
     def test_grid_step_bounded(self, s_final, step_count, monkeypatch):
         def no_grid(*args):
             raise AssertionError("the oracle built a grid past the step bound")

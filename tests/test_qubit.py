@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mirrorphase import (DegenerateStateError, DomainError, ModelParams,
-                         angles_closed_form, decoherence_factor, eigenvalues_closed_form)
+                         angles_closed_form, bloch_cosine, decoherence_factor,
+                         eigenvalues_closed_form)
+from mirrorphase.qubit import POLE_LIMIT
 
 from oracles import density_matrix, eig_numeric, eigenvector_plus
 
@@ -123,6 +125,14 @@ class TestAnglesClosedForm:
     def test_poles_rejected(self):
         with pytest.raises(DegenerateStateError):
             angles_closed_form(0.0, 0.5)
+
+    def test_pole_limit_is_the_first_angle_where_the_unitary_phase_rounds_to_zero(self):
+        below = math.nextafter(POLE_LIMIT, 0.0)
+        assert bloch_cosine(POLE_LIMIT) == -1.0
+        assert bloch_cosine(below) > -1.0
+        assert angles_closed_form(below, 0.5).sin_theta_t > 0.0
+        with pytest.raises(DegenerateStateError, match=r"^theta must lie strictly inside"):
+            angles_closed_form(POLE_LIMIT, 0.5)
 
 
 class TestEigNumeric:

@@ -7,9 +7,10 @@ from array import array
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mirrorphase import (Axis, Dataset, DomainError, ModelParams, NoDecoherenceError,
-                         SweepError, SweepSpec, decoherence_factor, decoherence_time,
-                         figure_preset, gp_exact, run_sweep, sweeps, unitary_gp)
+from mirrorphase import (Axis, Dataset, DegenerateStateError, DomainError, ModelParams,
+                         NoDecoherenceError, SweepError, SweepSpec, decoherence_factor,
+                         decoherence_time, figure_preset, gp_exact, run_sweep, sweeps,
+                         unitary_gp)
 from mirrorphase.sweeps import Rows
 
 TWO_PI = 2.0 * math.pi
@@ -145,6 +146,28 @@ class TestSweepSpecValidation:
                                 "velocity": 0.3})
         with pytest.raises(DomainError, match="pole"):
             spec.validate()
+
+    @pytest.mark.parametrize("allow_errors", [False, True])
+    @pytest.mark.parametrize("where", ["axis", "fixed"])
+    @pytest.mark.parametrize("target", ["gp_exact", "gp_normalized", "gp_perturbative_ratio"])
+    def test_theta_where_the_unitary_phase_rounds_to_zero(self, target, where, allow_errors,
+                                                           monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a point ran before validation refused theta")
+        monkeypatch.setattr(sweeps, "gp_exact", no_point)
+        monkeypatch.setattr(sweeps, "gp_perturbative", no_point)
+        near_pi = math.pi - 1e-9
+        fixed = {"gamma0": 0.05, "lambda": 1.0, "omega": 0.03, "velocity": 0.3}
+        if where == "axis":
+            axes = (Axis.linear("theta", 0.5 * math.pi, near_pi, 5),)
+        else:
+            axes, fixed["theta"] = (), near_pi
+        spec = SweepSpec(target=target, axes=axes, fixed=fixed, allow_errors=allow_errors)
+        with pytest.raises(DegenerateStateError) as info:
+            run_sweep(spec)
+        message = str(info.value)
+        assert message.startswith("theta must lie strictly inside (0, pi), below ")
+        assert f"got {near_pi!r};" in message and message.endswith(f"({where} value)")
 
     def test_velocity_axis_reaching_light_speed(self):
         spec = basic_spec(axes=(Axis.linear("velocity", 0.1, 1.0, 5),
