@@ -11,7 +11,6 @@ splitting, so one isolated precession period is ``s = 2*pi``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NoDecoherenceError
 from .numerics import find_root_bracketed
@@ -35,33 +34,74 @@ def require(name: str, value: float) -> None:
         raise DomainError(f"{name} {rule}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Record:
+    """Immutable record over ``__slots__``: ``==`` only within its own class,
+    and ``hash`` and ``repr`` from the fields. The slots are the fields, in
+    order, except an underscored slot, which is kept beside them. A subclass's
+    ``__init__`` checks its arguments and passes the fields to this one.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self._fields().values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelParams(_Record):
     """Physical couplings and dimensionless frequencies of the friction model.
 
     ``omega0_tilde`` only enters the in-out action and defaults to 1; all
     other fields must be supplied explicitly. The dephasing multiplier is
     computed once, at construction, and kept beside the fields, not as one:
-    ``==``, ``hash``, ``repr`` and ``dataclasses.replace`` see the fields alone.
+    ``==``, ``hash`` and ``repr`` see the fields alone.
     """
+
+    __slots__ = ("gamma0", "lambda_tilde", "omega_tilde", "velocity", "omega0_tilde",
+                 "_multiplier")
 
     gamma0: float
     lambda_tilde: float
     omega_tilde: float
     velocity: float
-    omega0_tilde: float = 1.0
+    omega0_tilde: float
 
-    def __post_init__(self) -> None:
-        require("gamma0", self.gamma0)
-        require("lambda", self.lambda_tilde)
-        require("omega", self.omega_tilde)
-        require("omega0", self.omega0_tilde)
-        require("velocity", self.velocity)
-        v = self.velocity
-        multiplier = 1.0 + (2.0 / 3.0) * v * v + friction_factor(self)
+    def __init__(self, gamma0: float, lambda_tilde: float, omega_tilde: float,
+                 velocity: float, omega0_tilde: float = 1.0) -> None:
+        require("gamma0", gamma0)
+        require("lambda", lambda_tilde)
+        require("omega", omega_tilde)
+        require("omega0", omega0_tilde)
+        require("velocity", velocity)
+        super().__init__(gamma0, lambda_tilde, omega_tilde, velocity, omega0_tilde)
+        multiplier = 1.0 + (2.0 / 3.0) * velocity * velocity + friction_factor(self)
         if not multiplier < math.inf:
             raise DomainError(f"lambda must keep the dephasing multiplier finite, "
-                              f"got {self.lambda_tilde!r} at velocity {v!r}")
+                              f"got {lambda_tilde!r} at velocity {velocity!r}")
         object.__setattr__(self, "_multiplier", multiplier)
 
 
@@ -123,9 +163,13 @@ def decoherence_time(params: ModelParams) -> float:
     if params.gamma0 <= 0.0:
         raise NoDecoherenceError(
             "gamma0 = 0: the influence action stays at 0 and never reaches 1")
+    analytic = 2.0 / (params.gamma0 * dephasing_multiplier(params))
+    # the bracket grows from (0, 1) by doubling and stops at 2**1023
+    if not analytic <= 2.0 ** 1023:
+        raise DomainError(f"gamma0 {params.gamma0!r} is too small: the decoherence time "
+                          "2/(gamma0*multiplier) exceeds 2**1023")
     root = find_root_bracketed(lambda s: im_influence_action(params, s) - 1.0,
                                xtol=1e-12)
-    analytic = 2.0 / (params.gamma0 * dephasing_multiplier(params))
     if abs(root - analytic) > 1e-9 * max(1.0, abs(analytic)):
         raise RuntimeError(
             f"root finder ({root}) disagrees with the analytic inversion ({analytic})")
@@ -144,12 +188,19 @@ def im_inout_action(params: ModelParams, flight_time: float) -> float:
     v = params.velocity
     if v == 0.0 or params.gamma0 == 0.0:
         return 0.0
-    freq_sum = params.omega0_tilde + params.omega_tilde
-    denom = freq_sum * freq_sum - v * v * params.omega_tilde * params.omega_tilde
-    if not denom > 0.0:
-        raise DomainError(
-            "(omega0_tilde + omega_tilde)^2 - velocity^2 * omega_tilde^2 must be > 0")
-    lam2 = params.lambda_tilde * params.lambda_tilde * params.omega_tilde ** 3
-    prefactor = (flight_time * v * math.pi * lam2 * params.gamma0
-                 / (32.0 * params.omega_tilde * params.omega0_tilde))
-    return prefactor * math.exp(-(2.0 / v) * math.sqrt(denom)) / denom
+    omega, omega0 = params.omega_tilde, params.omega0_tilde
+    # (omega0 + omega)^2 - v^2*omega^2 as a product of two positive factors,
+    # so that neither overflows nor underflows to 0 where the whole would
+    low, high = omega0 + omega * (1.0 - v), omega0 + omega * (1.0 + v)
+    damping = math.exp(-(2.0 / v) * math.sqrt(low) * math.sqrt(high))
+    if damping == 0.0:
+        return 0.0
+    # lambda^2 is finite here, as the finite dephasing multiplier bounds it
+    # wherever the damping does not underflow
+    action = (v * params.lambda_tilde * params.lambda_tilde * damping
+              * (omega / low) * (omega / high)
+              * (math.pi / 32.0) * params.gamma0 * (flight_time / omega0))
+    if not action < math.inf:
+        raise DomainError(f"omega0 {omega0!r} takes the in-out action past the largest "
+                          f"double at gamma0 {params.gamma0!r} and flight time {flight_time!r}")
+    return action

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, QuadratureError
 from .model import ModelParams, decoherence_factor, dephasing_multiplier, require
@@ -43,8 +42,7 @@ MAX_ORACLE_STEP = 0.1
 _ORACLE_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     """Geometric phase with its normalization and quadrature diagnostics.
 
     ``normalized`` divides by the closed-system value pi*(1+cos(theta)) (the

@@ -26,10 +26,9 @@ import itertools
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence, Sized
-from dataclasses import dataclass, field
 
 from .errors import DomainError, NoDecoherenceError, QuadratureError, SweepError
-from .model import ModelParams, decoherence_factor, decoherence_time, require
+from .model import ModelParams, _Record, decoherence_factor, decoherence_time, require
 from .phase import TWO_PI, gp_exact, gp_perturbative
 from .qubit import require_bloch_angle
 
@@ -84,46 +83,49 @@ def _as_float(value: object, label: str) -> float:
     raise DomainError(f"{label}: expected a number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Axis:
+class Axis(_Record):
     """One sweep dimension: a generated range or an explicit value family."""
+
+    __slots__ = ("name", "scale", "start", "stop", "count", "values")
 
     name: str
     scale: str
-    start: float | None = None
-    stop: float | None = None
-    count: int | None = None
-    values: tuple[float, ...] | None = None
+    start: float | None
+    stop: float | None
+    count: int | None
+    values: tuple[float, ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, scale: str, start: float | None = None,
+                 stop: float | None = None, count: int | None = None,
+                 values: tuple[float, ...] | None = None) -> None:
         # every coordinate is a double, so CSV and JSON spell it alike
-        label = f"axis {self.name!r}"
-        for key in ("start", "stop"):
-            value = getattr(self, key)
-            if value is not None:
-                object.__setattr__(self, key, _as_float(value, label))
-        if self.values is not None:
-            object.__setattr__(self, "values",
-                               tuple(_as_float(v, label) for v in self.values))
-        if self.scale == VALUES:
-            if not self.values:
-                raise DomainError(f"axis {self.name!r}: explicit axis needs at least one value")
-            if self.start is not None or self.stop is not None or self.count is not None:
-                raise DomainError(f"axis {self.name!r}: values exclude min/max/count")
-        elif self.scale in (LINEAR, LOG):
-            if self.values is not None:
-                raise DomainError(f"axis {self.name!r}: min/max/count exclude values")
-            if self.start is None or self.stop is None or self.count is None:
-                raise DomainError(f"axis {self.name!r}: min, max and count are all required")
-            if self.count < 2:
-                raise DomainError(f"axis {self.name!r}: count must be >= 2, got {self.count}")
-            if not self.stop > self.start:
-                raise DomainError(f"axis {self.name!r}: max must exceed min "
-                                  f"({self.start} .. {self.stop})")
-            if self.scale == LOG and not self.start > 0.0:
-                raise DomainError(f"axis {self.name!r}: log scale needs min > 0")
+        label = f"axis {name!r}"
+        if start is not None:
+            start = _as_float(start, label)
+        if stop is not None:
+            stop = _as_float(stop, label)
+        if values is not None:
+            values = tuple(_as_float(v, label) for v in values)
+        if scale == VALUES:
+            if not values:
+                raise DomainError(f"axis {name!r}: explicit axis needs at least one value")
+            if start is not None or stop is not None or count is not None:
+                raise DomainError(f"axis {name!r}: values exclude min/max/count")
+        elif scale in (LINEAR, LOG):
+            if values is not None:
+                raise DomainError(f"axis {name!r}: min/max/count exclude values")
+            if start is None or stop is None or count is None:
+                raise DomainError(f"axis {name!r}: min, max and count are all required")
+            if count < 2:
+                raise DomainError(f"axis {name!r}: count must be >= 2, got {count}")
+            if not stop > start:
+                raise DomainError(f"axis {name!r}: max must exceed min "
+                                  f"({start} .. {stop})")
+            if scale == LOG and not start > 0.0:
+                raise DomainError(f"axis {name!r}: log scale needs min > 0")
         else:
-            raise DomainError(f"axis {self.name!r}: unknown scale {self.scale!r}")
+            raise DomainError(f"axis {name!r}: unknown scale {scale!r}")
+        super().__init__(name, scale, start, stop, count, values)
 
     @classmethod
     def linear(cls, name: str, start: float, stop: float, count: int) -> Axis:
@@ -155,19 +157,21 @@ class Axis:
         return (self.start, *inner, self.stop)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """Target quantity, sweep axes, fixed assignments and the error policy."""
 
-    target: str
-    axes: tuple[Axis, ...] = ()
-    fixed: dict[str, float] = field(default_factory=dict)
-    allow_errors: bool = False
+    __slots__ = ("target", "axes", "fixed", "allow_errors")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed", {
-            name: _as_float(value, f"fixed parameter {name!r}")
-            for name, value in self.fixed.items()})
+    target: str
+    axes: tuple[Axis, ...]
+    fixed: dict[str, float]
+    allow_errors: bool
+
+    def __init__(self, target: str, axes: tuple[Axis, ...] = (),
+                 fixed: dict[str, float] | None = None, allow_errors: bool = False) -> None:
+        fixed = {name: _as_float(value, f"fixed parameter {name!r}")
+                 for name, value in (fixed or {}).items()}
+        super().__init__(target, axes, fixed, allow_errors)
 
     def validate(self) -> None:
         if self.target not in TARGETS:
@@ -316,8 +320,7 @@ class Rows(Sequence):
         return f"<Rows: {len(self)} rows x {self.width} columns>"
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """Columnar numeric table plus the metadata that regenerates it.
 
     It has at least one column: no ``columns`` is a ``DomainError``.
@@ -327,15 +330,18 @@ class Dataset:
     ``DomainError`` here, before any file is touched.
     """
 
+    __slots__ = ("columns", "rows", "metadata")
+
     columns: tuple[str, ...]
     rows: Rows
     metadata: dict
 
-    def __post_init__(self) -> None:
-        if not self.columns:
+    def __init__(self, columns: tuple[str, ...], rows: Iterable, metadata: dict) -> None:
+        if not columns:
             raise DomainError("a dataset needs at least one column")
-        if not (isinstance(self.rows, Rows) and self.rows.width == len(self.columns)):
-            object.__setattr__(self, "rows", Rows.from_rows(self.rows, self.columns))
+        if not (isinstance(rows, Rows) and rows.width == len(columns)):
+            rows = Rows.from_rows(rows, columns)
+        super().__init__(columns, rows, metadata)
 
 
 def _model_params(point: dict[str, float]) -> ModelParams:

@@ -73,6 +73,12 @@ class TestDecoherenceCommand:
         assert main(args) == 2
         assert "gamma0" in capsys.readouterr().err
 
+    def test_solve_td_past_the_double_range_exits_2(self, capsys):
+        args = ["decoherence", "--gamma0", "1e-320", "--lambda", "5", "--omega", "0.03",
+                "--velocity", "0.5", "--time", "1", "--solve-td"]
+        assert main(args) == 2
+        assert_one_line_error(capsys, "gamma0 1e-320 is too small")
+
 
 class TestPhaseCommand:
     def test_equator_exact(self, capsys):

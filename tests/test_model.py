@@ -4,8 +4,8 @@ Frozen reference numbers were computed independently with mpmath at 50
 digits, straight from the closed formulas.
 """
 
-import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,20 +38,36 @@ class TestParams:
         with pytest.raises(DomainError):
             make(**kwargs)
 
+    def test_record_contract(self):
+        """Built by keyword or by position, with omega0_tilde defaulting to 1;
+        equal only to a ModelParams with the same fields, hashable, and closed
+        to assignment and deletion; a pickled copy is built anew."""
+        params = ModelParams(0.05, 5.0, 0.03, 0.5)
+        assert params == make() and hash(params) == hash(make())
+        copied = pickle.loads(pickle.dumps(params))
+        assert copied == params and dephasing_multiplier(copied) == dephasing_multiplier(params)
+        assert params.omega0_tilde == 1.0 and params != make(omega0=2.0)
+        assert params != (0.05, 5.0, 0.03, 0.5, 1.0)
+        with pytest.raises(AttributeError):
+            params.gamma0 = 0.1
+        with pytest.raises(AttributeError):
+            params.extra = 1.0
+        with pytest.raises(AttributeError):
+            del params.gamma0
+        assert params == make()
+
     def test_multiplier_is_kept_beside_the_fields(self, monkeypatch):
         """Computed once at construction, the multiplier is no field: equality,
-        hashing, repr and dataclasses.replace see the five fields alone."""
+        hashing and repr see the five fields alone, and each ModelParams
+        computes its own."""
         params = make()
-        assert [f.name for f in dataclasses.fields(params)] == [
-            "gamma0", "lambda_tilde", "omega_tilde", "velocity", "omega0_tilde"]
+        assert params == ModelParams(0.05, 5.0, 0.03, 0.5, 1.0)
         assert params == make() and hash(params) == hash(make())
         assert params != make(v=0.9)
         assert repr(params) == ("ModelParams(gamma0=0.05, lambda_tilde=5.0, "
                                 "omega_tilde=0.03, velocity=0.5, omega0_tilde=1.0)")
-        moved = dataclasses.replace(params, velocity=0.9)
-        assert dephasing_multiplier(moved) == dephasing_multiplier(make(v=0.9))
-        assert dephasing_multiplier(moved) != dephasing_multiplier(params)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert dephasing_multiplier(make(v=0.9)) != dephasing_multiplier(params)
+        with pytest.raises(AttributeError):
             params.velocity = 0.9
 
         def recomputed(_):
@@ -208,6 +224,17 @@ class TestDecoherenceTime:
         expected = 2.0 / (gamma0 * dephasing_multiplier(p))
         assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma0, v", [(1e-320, 0.5), (5e-324, 0.5), (1.5e-308, 0.0)],
+                             ids=["overflow", "least_double", "past_2**1023"])
+    def test_time_past_the_bracket_names_gamma0(self, gamma0, v, monkeypatch):
+        """Where 2/(gamma0*multiplier) lies past 2**1023, which the bracket
+        cannot reach, gamma0 is refused before the bracket grows."""
+        def no_search(*args, **kwargs):
+            raise AssertionError("the bracket grew")
+        monkeypatch.setattr(model, "find_root_bracketed", no_search)
+        with pytest.raises(DomainError, match=r"^gamma0 .* exceeds 2\*\*1023$"):
+            decoherence_time(make(gamma0=gamma0, v=v))
+
 
 class TestInOutAction:
     def test_rest_is_zero(self):
@@ -225,6 +252,19 @@ class TestInOutAction:
         p = make(omega0=0.03)
         assert im_inout_action(p, 2.0) == pytest.approx(
             2.0 * im_inout_action(p, 1.0), rel=1e-14)
+
+    def test_huge_omega_underflows_to_zero(self):
+        # omega_tilde^2 overflows, but the damping underflows long before
+        assert im_inout_action(ModelParams(0.05, 5, 1e200, 0.5), 1.0) == 0.0
+
+    def test_tiny_frequencies(self):
+        # (omega0 + omega)^2 and 32*omega*omega0 underflow to 0; mpmath, 50 digits
+        assert im_inout_action(make(omega=1e-200, omega0=1e-200), 1.0) == pytest.approx(
+            1.6362461737446840985e198, rel=1e-13)
+
+    def test_overflow_names_omega0(self):
+        with pytest.raises(DomainError, match=r"^omega0 1e-300 takes the in-out action past"):
+            im_inout_action(make(gamma0=1e300, omega0=1e-300), 1.0)
 
     def test_negative_flight_time_rejected(self):
         with pytest.raises(DomainError):

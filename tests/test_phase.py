@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mirrorphase import (DegenerateStateError, DomainError, ModelParams,
+from mirrorphase import (DegenerateStateError, DomainError, ModelParams, PhaseResult,
                          QuadratureError, circular_difference, decoherence_factor,
                          angles_closed_form, dynamical_phase, eigenvalues_closed_form, gp_exact,
                          gp_kinematic_oracle, gp_perturbative, unitary_gp)
@@ -57,6 +57,20 @@ class TestClosedSystemPhases:
 
 
 class TestGpExact:
+    def test_result_record(self):
+        """Built by keyword or by position; equal to a result with the same
+        fields, hashable, and closed to assignment."""
+        result = PhaseResult(phase=1.0, normalized=0.5, quadrature_error=1e-12,
+                             near_degenerate=False)
+        assert result == PhaseResult(1.0, 0.5, 1e-12, False)
+        assert hash(result) == hash(PhaseResult(1.0, 0.5, 1e-12, False))
+        assert result != PhaseResult(1.0, 0.5, 1e-12, True)
+        assert result != params_fig2(0.5)
+        assert repr(result) == ("PhaseResult(phase=1.0, normalized=0.5, "
+                                "quadrature_error=1e-12, near_degenerate=False)")
+        with pytest.raises(AttributeError):
+            result.phase = 2.0
+
     def test_unitary_limit(self):
         p = ModelParams(gamma0=0.0, lambda_tilde=5.0, omega_tilde=0.03, velocity=0.5)
         for theta in np.linspace(0.02 * math.pi, 0.98 * math.pi, 20):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from array import array
 
 import pytest
@@ -112,6 +113,25 @@ class TestAxis:
         with pytest.raises(DomainError):
             bad()
 
+    def test_record_contract(self):
+        """Built by keyword or by position; equal only to an Axis with the same
+        fields, hashable, and closed to assignment."""
+        axis = Axis(name="time", scale="linear", start=0, stop=1, count=3)
+        assert axis == Axis("time", "linear", 0.0, 1.0, 3) == Axis.linear("time", 0.0, 1.0, 3)
+        assert hash(axis) == hash(Axis.linear("time", 0.0, 1.0, 3))
+        assert axis != Axis.linear("time", 0.0, 1.0, 4) and axis != Axis.log("time", 1.0, 2.0, 3)
+        assert axis != ("time", "linear", 0.0, 1.0, 3, None)
+        assert repr(axis) == ("Axis(name='time', scale='linear', start=0.0, stop=1.0, "
+                              "count=3, values=None)")
+        assert repr(Axis.from_values("lambda", (1, 5))) == (
+            "Axis(name='lambda', scale='values', start=None, stop=None, count=None, "
+            "values=(1.0, 5.0))")
+        assert pickle.loads(pickle.dumps(axis)) == axis
+        with pytest.raises(AttributeError):
+            axis.count = 4
+        with pytest.raises(AttributeError):
+            del axis.count
+
     def test_numbers_become_doubles(self):
         axis = Axis.linear("time", 0, 10, 3)
         assert (type(axis.start), type(axis.stop)) == (float, float)
@@ -132,6 +152,22 @@ def basic_spec(**overrides):
 
 
 class TestSweepSpecValidation:
+    def test_record_contract(self):
+        """Built by keyword or by position; equal only to a SweepSpec with the
+        same fields, unhashable as its fixed values are a dict, and closed to
+        assignment."""
+        spec = basic_spec()
+        assert spec == SweepSpec("decoherence_factor", spec.axes, dict(spec.fixed), False)
+        assert spec != basic_spec(allow_errors=True) and spec != basic_spec(axes=())
+        assert spec != (spec.target, spec.axes, spec.fixed, spec.allow_errors)
+        with pytest.raises(TypeError):
+            hash(spec)
+        assert repr(SweepSpec(target="decoherence_time", fixed={"gamma0": 1})) == (
+            "SweepSpec(target='decoherence_time', axes=(), fixed={'gamma0': 1.0}, "
+            "allow_errors=False)")
+        with pytest.raises(AttributeError):
+            spec.allow_errors = True
+
     def test_valid(self):
         basic_spec().validate()
 
@@ -507,6 +543,22 @@ class TestRows:
         assert rows != held(((0.0,), (1.0,), (2.0,), (3.0,)), columns=("a",))
         assert rows != list(self.ROWS) and rows != 4 and rows != "rows"
         assert rows != tuple(map(list, self.ROWS))
+
+    def test_dataset_record_contract(self):
+        """Built by keyword or by position; equal only to a Dataset with the
+        same fields, unhashable as its metadata is a dict, and closed to
+        assignment."""
+        dataset = Dataset(columns=("a",), rows=((1.0,),), metadata={"k": 1})
+        assert dataset == Dataset(("a",), [(1,)], {"k": 1})
+        assert dataset != Dataset(("a",), [(1,)], {"k": 2})
+        assert dataset != Dataset(("b",), [(1,)], {"k": 1})
+        assert dataset != (("a",), ((1.0,),), {"k": 1})
+        with pytest.raises(TypeError):
+            hash(dataset)
+        assert repr(dataset) == ("Dataset(columns=('a',), rows=<Rows: 1 rows x 1 columns>, "
+                                 "metadata={'k': 1})")
+        with pytest.raises(AttributeError):
+            dataset.metadata = {}
 
     def test_a_dataset_needs_a_column(self):
         with pytest.raises(DomainError, match=r"^a dataset needs at least one column$"):
