@@ -21,15 +21,18 @@ block of rows at a time from slices of the dataset's columns, to a new
 file beside a regular ``path`` that replaces it once the write is done, so
 a write that fails part way leaves an older file intact. Each reader makes
 the columns it returns, one array of doubles per name, and fills them a
-block of rows at a time, each column mapped to doubles in C. Writers and
-readers alike pass each column through a memo while it holds at most
-``_MEMO_SIZE`` distinct values, so a column that repeats its values, such
-as a sweep axis, spells each value once and parses each spelling once; a
-column whose next block would take its memo past that drops the memo and
-is spelled or parsed entry by entry from then on. The JSON reader reads
-the file once, a piece of characters at a time, and decodes the members
-other than ``rows`` through ``json``, refusing a malformed one without
-reading on; the members may come in any order.
+block of rows at a time, each column mapped to doubles in C. Both readers
+read the file once, a piece of ``_READ_CHARS`` characters at a time, and
+parse the rows that the text read so far holds whole, carrying the row
+begun last into the next piece: the CSV reader cuts each piece at its
+last line break. Writers and readers alike pass each column through a
+memo while it holds at most ``_MEMO_SIZE`` distinct values, so a column
+that repeats its values, such as a sweep axis, spells each value once and
+parses each spelling once; a column whose next block would take its memo
+past that drops the memo and is spelled or parsed entry by entry from
+then on. The JSON reader decodes the members other than ``rows`` through
+``json``, refusing a malformed one without reading on; the members may
+come in any order.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import stat
 from array import array
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
-from itertools import chain, islice, repeat
+from functools import partial
+from itertools import chain, repeat
 
 from .errors import DomainError
 from .sweeps import Dataset, Rows
@@ -59,9 +63,12 @@ _MEMO_SIZE = 1024
 
 
 def _spell(values, nonfinite: dict[str, str]) -> list[str]:
-    """``repr(x)`` of each float, mapped in C, with ``nonfinite`` swapped in."""
+    """``repr(x)`` of each float, mapped in C, with ``nonfinite`` swapped in
+    where the values' sum is not finite, as it is wherever one of them is not."""
     texts = list(map(repr, values))
-    return list(map(nonfinite.get, texts, texts)) if nonfinite else texts
+    if nonfinite and not math.isfinite(sum(values)):
+        return list(map(nonfinite.get, texts, texts))
+    return texts
 
 
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
@@ -210,10 +217,11 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
     return len(dataset.rows)
 
 
-# CSV rows are read a block of lines at a time, in small blocks, so a
-# block's strings stay small beside the columns already built: blocks of
-# 4,096 rows raised the figures workload's peak memory by 12%
-_READ_ROWS = 256
+# both readers read a file this many characters at a time, about 240 rows of
+# a four-column sweep, so a block's strings stay small beside the columns
+# already built: blocks of 4,096 rows raised the figures workload's peak
+# memory by 12%
+_READ_CHARS = 1 << 14
 
 
 def _floats(texts, memo: dict | None, null: str | None) -> list[float] | None:
@@ -288,13 +296,21 @@ def _data_line(line: str, metadata: dict) -> bool:
 
 
 def _csv_rows(handle, width: int, metadata: dict, path: str) -> Rows:
-    """The rows of the lines left in ``handle``, ``width`` entries each,
-    parsed ``_READ_ROWS`` lines at a time."""
+    """The rows of the text left in ``handle``, ``width`` entries each, read
+    ``_READ_CHARS`` characters at a time: each piece is cut at its last line
+    break, and the lines it completes are parsed as one block, the line
+    begun last carried into the next piece."""
     columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
-    while lines := list(islice(handle, _READ_ROWS)):
-        joined = "".join(lines)
-        texts = joined.split("\n")[:len(lines)]
-        if "" in texts or "#" in joined:
+    rest = ""
+    # a line break after the last piece ends a last line that has none
+    for piece in chain(iter(partial(handle.read, _READ_CHARS), ""), ["\n"]):
+        cut = piece.rfind("\n")
+        if cut < 0:
+            rest += piece
+            continue
+        block, rest = rest + piece[:cut], piece[cut + 1:]
+        texts = block.split("\n")
+        if "" in texts or "#" in block:
             texts = [text for text in texts if _data_line(text, metadata)]
         if texts:
             _parse_rows(texts, columns, memos, None, path, "the header")
@@ -329,9 +345,6 @@ def read_dataset_csv(path: str) -> Dataset:
     return Dataset(columns=columns, rows=rows, metadata=metadata)
 
 
-# a JSON file is read this many characters at a time: about 240 rows of a
-# four-column sweep, so its blocks are as small as the CSV reader's
-_READ_CHARS = 1 << 14
 _JSON_SPACE = re.compile(r"[ \t\n\r]*")
 # what may still continue a number that ends where the text read so far ends
 _JSON_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")

@@ -11,6 +11,7 @@ splitting, so one isolated precession period is ``s = 2*pi``.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, NoDecoherenceError
 from .numerics import find_root_bracketed
@@ -153,6 +154,14 @@ def decoherence_factor(params: ModelParams, s: float) -> float:
     return math.exp(-im_influence_action(params, s))
 
 
+def _decoherence_factors(params: ModelParams, times) -> list[float]:
+    """``decoherence_factor(params, s)`` for each ``s`` in ``times``, bit for
+    bit, by the same operations in the same order; each ``s`` must already
+    be in the time domain, as a validated sweep's are."""
+    half, multiplier, exp = 0.5 * params.gamma0, params._multiplier, math.exp
+    return [exp(-(half * s * multiplier)) for s in times]
+
+
 def decoherence_time(params: ModelParams) -> float:
     """Time at which the influence action reaches unity.
 
@@ -163,11 +172,12 @@ def decoherence_time(params: ModelParams) -> float:
     if params.gamma0 <= 0.0:
         raise NoDecoherenceError(
             "gamma0 = 0: the influence action stays at 0 and never reaches 1")
-    analytic = 2.0 / (params.gamma0 * dephasing_multiplier(params))
-    # the bracket grows from (0, 1) by doubling and stops at 2**1023
-    if not analytic <= 2.0 ** 1023:
+    # the bracket grows from (0, 1) by doubling up to the largest double, where
+    # the action must reach 1
+    if im_influence_action(params, sys.float_info.max) < 1.0:
         raise DomainError(f"gamma0 {params.gamma0!r} is too small: the decoherence time "
-                          "2/(gamma0*multiplier) exceeds 2**1023")
+                          "2/(gamma0*multiplier) exceeds the largest double")
+    analytic = 2.0 / (params.gamma0 * dephasing_multiplier(params))
     root = find_root_bracketed(lambda s: im_influence_action(params, s) - 1.0,
                                xtol=1e-12)
     if abs(root - analytic) > 1e-9 * max(1.0, abs(analytic)):

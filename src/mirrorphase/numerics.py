@@ -12,6 +12,7 @@ by growing a bracket geometrically and bisecting it in pure Python.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, QuadratureError
@@ -107,16 +108,18 @@ def gauss_legendre(f: Callable[[float], float], a: float, b: float,
 
 def find_root_bracketed(f: Callable[[float], float], xtol: float = 1e-12,
                         bracket: tuple[float, float] = (0.0, 1.0),
-                        max_growth: int = 1023) -> float:
+                        max_growth: int = 1024) -> float:
     """Solve ``f(x) = 0`` for increasing ``f`` by bracketed bisection.
 
     The initial bracket is grown geometrically until it straddles a sign
-    change, at most ``max_growth`` doublings: by default the bracket (0, 1)
-    can reach 2**1023, the largest power of two below the float limit. It
-    is then bisected until it is no wider than ``xtol``. Bisection also
-    stops on an exact zero, or when the midpoint rounds to an endpoint,
-    which ends the search for roots whose float spacing exceeds ``xtol``
-    (above about 8e3 at the default): the result is then within one ulp.
+    change, at most ``max_growth`` doublings, the last of which stops at
+    the largest double: by default the bracket (0, 1) reaches 2**1023 and
+    then the float limit. It is then bisected until it is no wider than
+    ``xtol``, at the midpoint ``0.5*lo + 0.5*hi``, which never overflows.
+    Bisection also stops on an exact zero, or when the midpoint rounds to
+    an endpoint, which ends the search for roots whose float spacing
+    exceeds ``xtol`` (above about 8e3 at the default): the result is then
+    within one ulp.
     """
     lo, hi = bracket
     if not hi > lo:
@@ -128,16 +131,18 @@ def find_root_bracketed(f: Callable[[float], float], xtol: float = 1e-12,
     growths = 0
     # compare signs, not the product, which underflows to 0 for tiny values
     while fhi != 0.0 and (fhi < 0.0) == (flo < 0.0):
-        if growths == max_growth:
+        if growths == max_growth or hi == sys.float_info.max:
             raise DomainError("no sign change found while growing the bracket")
         lo, flo = hi, fhi
-        hi *= 2.0
+        hi = min(2.0 * hi, sys.float_info.max)
         fhi = f(hi)
         growths += 1
     if fhi == 0.0:
         return hi
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
+        # the bits of 0.5*(lo + hi) for endpoints of 2**-1021 or more in size,
+        # without its overflow near the float limit
+        mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             break
         fmid = f(mid)
@@ -147,4 +152,4 @@ def find_root_bracketed(f: Callable[[float], float], xtol: float = 1e-12,
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi

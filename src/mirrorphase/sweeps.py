@@ -8,12 +8,16 @@ value is a double from construction on, so both file formats spell it
 alike. Before any point runs, ``SweepSpec.validate`` checks each fixed
 value and axis end by ``model.require`` or ``qubit.require_bloch_angle``,
 so ``allow_errors`` cannot turn a value outside its domain into NaN rows.
-A sweep runs one cell of the model axes (gamma0, lambda, omega, velocity)
-at a time: it builds the cell's model parameters once, and the target's
-evaluator computes the cell's values a block of at most 4,096 points at a
-time, through the same public functions a scalar call uses. Each block is
-checked, then moved into the table, which is held as one array of doubles
-per column.
+The coordinate columns are built first, one array of doubles per axis,
+and a sweep runs one cell of the model axes (gamma0, lambda, omega,
+velocity) at a time: a cell's points are a run of consecutive rows, and
+it builds the cell's model parameters once. The target's evaluator takes
+a block of at most 4,096 of those rows as slices of the inner axes'
+columns. The decoherence factor evaluates a block of times through the
+model's block form of ``decoherence_factor``, which repeats its
+operations bit for bit; every other target calls the public function a
+scalar call uses, point by point. Each block is checked, then moved into
+the table, which is held as one array of doubles per column.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -28,7 +32,8 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence, Sized
 
 from .errors import DomainError, NoDecoherenceError, QuadratureError, SweepError
-from .model import ModelParams, _Record, decoherence_factor, decoherence_time, require
+from .model import (ModelParams, _decoherence_factors, _Record, decoherence_factor,
+                    decoherence_time, require)
 from .phase import TWO_PI, gp_exact, gp_perturbative
 from .qubit import require_bloch_angle
 
@@ -59,17 +64,18 @@ LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
 
-# run_sweep holds every entry in memory as a double, 8 bytes each; while it
-# runs, the axis grids (a float object and a pointer per grid value) and
-# one block of at most 4,096 points' values add to that, and the writers
-# add only a block's strings; reading a file back peaks near what its
-# columns hold, as no column's memo holds more than 1,024 values
-# (tracemalloc, bytes per point: held 32, peak 32, writing CSV then JSON
-# adds 4.6, reading 34 from CSV and 35 from JSON, for a 250,000-point sweep
-# of four columns; held 16.6, peak 50, write adds 2.2, read 16.5 and 17 for
-# a 500,000-point sweep of one axis; held 24.6, peak 42, write adds 2.4,
-# read 24.6 and 25.8 for 2 x 250,000 points); the cap keeps a sweep and its
-# writing below about 45 MB
+# run_sweep holds every entry in memory as a double, 8 bytes each; an
+# axis's grid (a float object and a pointer per grid value) adds to that
+# while its coordinate column is built, and one block of at most 4,096
+# points' values while the sweep runs; the writers add only a block's
+# strings; reading a file back peaks near what its columns hold, as no
+# column's memo holds more than 1,024 values (tracemalloc, bytes per point:
+# held 32, peak 33, writing CSV then JSON adds 4.5, reading 33 from CSV and
+# 35 from JSON, for a 250,000-point sweep of four columns; held 16.4, peak
+# 48, write adds 2.2, read 16.6 and 17 for a 500,000-point sweep of one
+# axis; held 24.4, peak 36, write adds 2.4, read 25.4 and 25.8 for
+# 2 x 250,000 points); the cap keeps a sweep and its writing below about
+# 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -152,9 +158,12 @@ class Axis(_Record):
                 step = span / n
                 inner = (start + step * i for i in range(1, n))
             return (start, *inner, self.stop)
-        la, lb = math.log(self.start), math.log(self.stop)
-        inner = (math.exp(la + (lb - la) * i / n) for i in range(1, n))
-        return (self.start, *inner, self.stop)
+        start, stop = self.start, self.stop
+        la, lb = math.log(start), math.log(stop)
+        # exp(log(x)) may round past an end that lies a few ulps from the other
+        inner = (min(max(math.exp(la + (lb - la) * i / n), start), stop)
+                 for i in range(1, n))
+        return (start, *inner, stop)
 
 
 class SweepSpec(_Record):
@@ -209,8 +218,11 @@ class SweepSpec(_Record):
 
     def point_count(self) -> int:
         """Grid size, from the axis lengths alone."""
-        return math.prod(len(axis.values) if axis.scale == VALUES else axis.count
-                         for axis in self.axes)
+        return math.prod(map(_axis_length, self.axes))
+
+
+def _axis_length(axis: Axis) -> int:
+    return len(axis.values) if axis.scale == VALUES else axis.count
 
 
 def _check_domain(name: str, value: float, where: str) -> None:
@@ -350,26 +362,32 @@ def _model_params(point: dict[str, float]) -> ModelParams:
 
 
 # An evaluator takes a cell's model, the point dict (fixed values and the
-# cell's coordinates), the inner axis names and a block of inner coordinate
-# tuples, and returns the block's value columns as lists.
+# cell's coordinates), the inner axis names and a block: a slice of each
+# inner axis's coordinate column, or () for the one point of a cell without
+# inner axes. It returns the block's value columns as lists.
 
 def _factor_values(params: ModelParams, point: dict[str, float],
-                   names: tuple[str, ...], block: list[tuple]) -> tuple[list, ...]:
+                   names: tuple[str, ...], block: tuple) -> tuple[list, ...]:
     if not names:  # time is fixed or precedes a model axis: one point per cell
         return ([decoherence_factor(params, point["time"])],)
-    return ([decoherence_factor(params, s) for s, in block],)  # names == ("time",)
+    return (_decoherence_factors(params, block[0]),)  # names == ("time",)
 
 
 def _time_values(params: ModelParams, point: dict[str, float],
-                 names: tuple[str, ...], block: list[tuple]) -> tuple[list, ...]:
+                 names: tuple[str, ...], block: tuple) -> tuple[list, ...]:
     return ([decoherence_time(params)],)  # every axis is a model axis
+
+
+def _points(block: tuple):
+    """The inner coordinate tuples of ``block``."""
+    return zip(*block) if block else [()]
 
 
 def _each_point(row):
     """The evaluator that calls ``row(params, point)`` at each inner point."""
     def evaluate(params, point, names, block):
         rows = []
-        for inner in block:
+        for inner in _points(block):
             point.update(zip(names, inner))
             rows.append(row(params, point))
         return tuple(map(list, zip(*rows)))
@@ -406,10 +424,12 @@ _POINT_ERRORS = (DomainError, NoDecoherenceError, QuadratureError)
 _BLOCK_POINTS = 4096
 
 
-def _product_columns(grids: list[tuple[float, ...]]) -> list[array]:
-    """The columns of the grids' Cartesian product, first grid slowest."""
-    columns, tile, run = [], 1, math.prod(map(len, grids))
-    for grid in grids:
+def _product_columns(axes: Sequence[Axis], count: int) -> list[array]:
+    """The columns of the ``count`` points of the axes' Cartesian product,
+    first axis slowest; each axis's grid is held only while its column is built."""
+    columns, tile, run = [], 1, count
+    for axis in axes:
+        grid = axis.grid()
         run //= len(grid)
         columns.append(array("d", itertools.chain.from_iterable(
             map(itertools.repeat, grid, itertools.repeat(run)))) * tile)
@@ -425,12 +445,15 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     runs one model cell at a time: the axes up to the last model axis
     (gamma0, lambda, omega, velocity) pick the cell, whose model
     parameters are built once, and the axes after it (time, theta) vary
-    inside it. The target's evaluator computes the cell's values a block
-    of ``_BLOCK_POINTS`` points at a time through the public function
-    that a scalar call uses, so a sweep and a scalar call give the same
-    bits. Each block is checked, then moved into the value columns: its
-    width must match the value columns and, unless errors are allowed,
-    every entry must be finite (``DomainError`` otherwise).
+    inside it, so a cell's points are a run of consecutive rows. The
+    target's evaluator computes the cell's values a block of at most
+    ``_BLOCK_POINTS`` rows at a time, from the slices of the inner axes'
+    coordinate columns: the decoherence factor through the model's block
+    form of ``decoherence_factor``, every other target through the public
+    function that a scalar call uses, so a sweep and a scalar call give
+    the same bits. Each block is checked, then moved into the value
+    columns: its width must match the value columns and, unless errors
+    are allowed, every entry must be finite (``DomainError`` otherwise).
 
     A block whose evaluation fails is evaluated again point by point. By
     default the first failed point aborts the sweep, reporting its
@@ -448,15 +471,19 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     value_names = TARGET_COLUMNS[spec.target]
     split = max((i + 1 for i, name in enumerate(names) if name in _MODEL_NAMES),
                 default=0)
-    cell_names, inner_names = names[:split], names[split:]
-    grids = [axis.grid() for axis in spec.axes]
-    columns = _product_columns(grids)
+    inner_names = names[split:]
+    columns = _product_columns(spec.axes, count)
+    cell_columns, inner_columns = columns[:split], columns[split:]
+    size = math.prod(map(_axis_length, spec.axes[split:]))  # points per cell
     value_columns = [array("d") for _ in value_names]
     point = dict(spec.fixed)
-    for cell in itertools.product(*grids[:split]):
-        point.update(zip(cell_names, cell))
-        params, inner_points = None, itertools.product(*grids[split:])
-        while block := list(itertools.islice(inner_points, _BLOCK_POINTS)):
+    for start in range(0, count, size):
+        cell = tuple(column[start] for column in cell_columns)
+        point.update(zip(names, cell))
+        params, stop = None, start + size
+        for begin in range(start, stop, _BLOCK_POINTS):
+            end = min(begin + _BLOCK_POINTS, stop)
+            block = tuple(column[begin:end] for column in inner_columns)
             try:
                 # built inside the try: a model that fails fails each point of its cell
                 if params is None:
@@ -469,7 +496,7 @@ def run_sweep(spec: SweepSpec) -> Dataset:
                 raise DomainError(f"row width {len(names) + len(values)} != "
                                   f"column count {len(names) + len(value_names)}")
             if not (allow_errors or all(all(map(math.isfinite, v)) for v in values)):
-                for inner, row in zip(block, zip(*values)):
+                for inner, row in zip(_points(block), zip(*values)):
                     if not all(map(math.isfinite, row)):
                         raise DomainError(f"non-finite entry in row {cell + inner + row!r}")
             for column, entries in zip(value_columns, values):
@@ -479,17 +506,17 @@ def run_sweep(spec: SweepSpec) -> Dataset:
 
 
 def _walk_failed_block(evaluate, params: ModelParams | None, point: dict[str, float],
-                       names: tuple[str, ...], cell: tuple, block: list[tuple],
+                       names: tuple[str, ...], cell: tuple, block: tuple,
                        allow_errors: bool, value_count: int) -> tuple[list, ...]:
     """The block's value columns, evaluated one point at a time after the
     block as a whole failed: a failed point is NaN with ``allow_errors``, and
     otherwise a ``SweepError`` naming its coordinates."""
     inner_names, parts = names[len(cell):], []
-    for inner in block:
+    for inner in _points(block):
         try:
             if params is None:
                 params = _model_params(point)
-            values = evaluate(params, point, inner_names, [inner])
+            values = evaluate(params, point, inner_names, tuple([x] for x in inner))
         except _POINT_ERRORS as exc:
             combo = cell + inner
             if not allow_errors:

@@ -100,10 +100,10 @@ def count_json_reads(monkeypatch):
 
 @pytest.fixture
 def one_value_memos(monkeypatch):
-    """Memos of one value, and rows read about two at a time, so that a
-    column whose first block repeats one value drops its memo mid-file."""
+    """Memos of one value, and files read 16 characters at a time, a row or
+    two each, so that a column whose first block repeats one value drops
+    its memo mid-file."""
     monkeypatch.setattr(datafiles, "_MEMO_SIZE", 1)
-    monkeypatch.setattr(datafiles, "_READ_ROWS", 2)
     monkeypatch.setattr(datafiles, "_READ_CHARS", 16)
 
 
@@ -307,15 +307,47 @@ class TestReaders:
         path.write_text("# axis.a = linear 0.0 1.0 %s\na,v\n0.0,1.0\n1.0,2.0\n" % ("9" * 5000))
         assert read_dataset_csv(str(path)).rows == ((0.0, 1.0), (1.0, 2.0))
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3])
-    def test_csv_blank_and_comment_lines_on_block_boundaries(self, tmp_path, block_rows):
+    @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
+    def test_csv_blank_and_comment_lines_on_block_boundaries(self, tmp_path, piece):
+        """Comment and blank lines mid-file, and a last line without a line
+        break, wherever the pieces end."""
         path = tmp_path / "hand.csv"
         path.write_text("# target = t\ntime,value\n0,1\n# between = rows\n\n2.5,0.25\n"
                         "3,4\n# a note\n\n\n5,6")
-        with mock.patch.object(datafiles, "_READ_ROWS", block_rows):
+        with mock.patch.object(datafiles, "_READ_CHARS", piece):
             back = read_dataset_csv(str(path))
         assert back.rows == ((0.0, 1.0), (2.5, 0.25), (3.0, 4.0), (5.0, 6.0))
         assert back.metadata == {"target": "t", "between": "rows"}
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("piece", PIECES)
+    def test_csv_rows_split_across_pieces(self, tmp_path, piece, newline):
+        """Rows, entries and line ends cut off where a piece ends read whole,
+        with either line end and with or without one after the last row."""
+        lines = ["# target = t", "time,value", "0.125,-1.5e-07", "", "# between = rows",
+                 "123456789.12345679,5e-324", "-0.0,1.7976931348623157e+308"]
+        for tail in ("", newline):
+            path = tmp_path / "hand.csv"
+            path.write_bytes((newline.join(lines) + tail).encode())
+            with mock.patch.object(datafiles, "_READ_CHARS", piece):
+                back = read_dataset_csv(str(path))
+            assert back.columns == ("time", "value")
+            assert back.rows == ((0.125, -1.5e-07), (123456789.12345679, 5e-324),
+                                 (-0.0, 1.7976931348623157e+308))
+            assert repr(back.rows[2][0]) == "-0.0"
+            assert back.metadata == {"target": "t", "between": "rows"}
+
+    @pytest.mark.parametrize("piece", PIECES)
+    def test_csv_errors_name_the_row_across_pieces(self, tmp_path, piece):
+        """A bad entry or a short row is refused, naming its row, wherever
+        the pieces end."""
+        path = tmp_path / "hand.csv"
+        for text, message in (("a,b\n1,2\n# c\n3,x\n", "row 1: 'x' is not a number"),
+                              ("a,b\n1,2\n\n3,4\n5\n", "row 2 has 1 entries")):
+            path.write_text(text)
+            with mock.patch.object(datafiles, "_READ_CHARS", piece), \
+                    pytest.raises(DomainError, match=re.escape(message)):
+                read_dataset_csv(str(path))
 
     @pytest.mark.parametrize("piece", [*PIECES, 256])
     def test_json_rows_before_metadata_with_irregular_whitespace(self, tmp_path, piece):
@@ -393,8 +425,7 @@ class TestReaders:
         with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
                 mock.patch.object(datafiles, "_spell", counted_spell):
             write_dataset(dataset, str(path), fmt)
-        with mock.patch.object(datafiles, "_READ_ROWS", 2), \
-                mock.patch.object(datafiles, "_READ_CHARS", 40), \
+        with mock.patch.object(datafiles, "_READ_CHARS", 40), \
                 mock.patch.object(datafiles, "_floats", counted_floats):
             back = READERS[fmt](str(path))
         assert back.rows == dataset.rows
@@ -799,12 +830,11 @@ def test_writers_follow_the_per_value_formula(tmp_path_factory, dataset):
        memo_size=st.sampled_from([1, datafiles._MEMO_SIZE]))
 @settings(max_examples=150, deadline=None)
 def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece, memo_size):
-    """The same property with rows written and read two at a time, and the
-    JSON text read ``piece`` characters at a time, so the rows, the memos
-    and every JSON token cross piece boundaries; with memos of one value,
-    a memo is dropped mid-file."""
+    """The same property with rows written two at a time, and both files
+    read ``piece`` characters at a time, so the rows, the memos and every
+    token cross piece boundaries; with memos of one value, a memo is
+    dropped mid-file."""
     with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
-            mock.patch.object(datafiles, "_READ_ROWS", 2), \
             mock.patch.object(datafiles, "_READ_CHARS", piece), \
             mock.patch.object(datafiles, "_MEMO_SIZE", memo_size):
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
@@ -876,9 +906,10 @@ def test_sweep_dataset_size_per_row():
 
 
 # tracemalloc peak per point of run_sweep on a sweep of one long time axis,
-# whose points all share one model cell: it measured 51.1 B (the grid tuple
-# 32, the two columns 16.7). Holding the cell's values in a list until the
-# cell ended peaked at 88.6 B.
+# whose points all share one model cell: it measured 48.4 B, reached while
+# the time column is built (the grid tuple 32, the column and its copy 16);
+# with the grid held to the end of the sweep, 51.1 B. Holding the cell's
+# values in a list until the cell ended peaked at 88.6 B.
 SWEEP_PEAK_BYTES_PER_POINT = 64
 
 

@@ -6,9 +6,10 @@ digits, straight from the closed formulas.
 
 import math
 import pickle
+from array import array
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mirrorphase import (DomainError, ModelParams, NoDecoherenceError,
                          decoherence_factor, decoherence_time,
@@ -199,6 +200,34 @@ class TestDecoherenceFactor:
         assert decoherence_factor(make(v=0.99), 1e4) == 0.0
 
 
+def model_params_in_domain():
+    """``ModelParams`` from the documented domain, its edges drawn often;
+    lambda stays below 1e100, where the multiplier is finite at every velocity."""
+    return st.builds(
+        ModelParams,
+        gamma0=st.one_of(st.sampled_from([0.0, 1e-300, 5e-324, 0.05]),
+                         st.floats(0.0, allow_infinity=False)),
+        lambda_tilde=st.one_of(st.sampled_from([0.0, 5.0, 15.0]), st.floats(0.0, 1e100)),
+        omega_tilde=st.floats(5e-324, allow_infinity=False),
+        velocity=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+
+
+class TestDecoherenceFactors:
+    """``model._decoherence_factors``, the block form that sweeps use."""
+
+    @given(params=model_params_in_domain(),
+           times=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, math.pi, 1e4, 1e308]),
+                                    st.floats(0.0, 100.0),
+                                    st.floats(0.0, allow_infinity=False)), max_size=20))
+    @example(params=make(gamma0=0.0, v=0.0), times=[0.0, 1.0, 1e308])
+    @example(params=make(gamma0=1e-300, v=0.0), times=[0.0, 1.0, 1e308])
+    @example(params=make(), times=[0.0, 1e4, 1e308])
+    def test_matches_decoherence_factor_bit_for_bit(self, params, times):
+        block = model._decoherence_factors(params, array("d", times))
+        expected = [decoherence_factor(params, s) for s in times]
+        assert array("d", block).tobytes() == array("d", expected).tobytes()
+
+
 class TestDecoherenceTime:
     def test_vacuum_only(self):
         assert decoherence_time(make(v=0.0)) == pytest.approx(40.0, abs=1e-9)
@@ -224,16 +253,35 @@ class TestDecoherenceTime:
         expected = 2.0 / (gamma0 * dephasing_multiplier(p))
         assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("gamma0, v", [(1e-320, 0.5), (5e-324, 0.5), (1.5e-308, 0.0)],
-                             ids=["overflow", "least_double", "past_2**1023"])
+    @pytest.mark.parametrize("gamma0, v", [(1e-320, 0.5), (5e-324, 0.5)],
+                             ids=["overflow", "least_double"])
     def test_time_past_the_bracket_names_gamma0(self, gamma0, v, monkeypatch):
-        """Where 2/(gamma0*multiplier) lies past 2**1023, which the bracket
-        cannot reach, gamma0 is refused before the bracket grows."""
+        """Where 2/(gamma0*multiplier) lies past the largest double, which
+        the bracket cannot reach, gamma0 is refused before the bracket grows."""
         def no_search(*args, **kwargs):
             raise AssertionError("the bracket grew")
         monkeypatch.setattr(model, "find_root_bracketed", no_search)
-        with pytest.raises(DomainError, match=r"^gamma0 .* exceeds 2\*\*1023$"):
+        with pytest.raises(DomainError, match=r"^gamma0 .* exceeds the largest double$"):
             decoherence_time(make(gamma0=gamma0, v=v))
+
+    @pytest.mark.parametrize("gamma0, lam, v", [(1.5e-308, 5.0, 0.0), (1.2e-308, 0.0, 0.0),
+                                                (1.0e-308, 0.0, 0.5)])
+    def test_time_past_2_to_the_1023_is_found(self, gamma0, lam, v):
+        """Times in (2**1023, 1.8e308] are finite doubles: the bracket's last
+        growth stops at the largest double, and bisection does not overflow."""
+        p = make(gamma0=gamma0, lam=lam, v=v)
+        expected = 2.0 / (gamma0 * dephasing_multiplier(p))
+        assert 2.0 ** 1023 < expected < math.inf
+        assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
+
+    @given(gamma0=st.floats(1.1e-308, 1.2e-308), lam=st.sampled_from([0.0, 5.0]))
+    def test_edge_of_the_double_range_is_found_or_names_gamma0(self, gamma0, lam):
+        """Near 2/(gamma0*multiplier) = the largest double, decoherence_time
+        returns a finite time or refuses gamma0, nothing else."""
+        try:
+            assert math.isfinite(decoherence_time(make(gamma0=gamma0, lam=lam, v=0.0)))
+        except DomainError as exc:
+            assert str(exc).startswith(f"gamma0 {gamma0!r} is too small")
 
 
 class TestInOutAction:

@@ -110,6 +110,12 @@ class TestRootFinder:
         # 2**1023 is the last power of two below the float limit
         assert find_root_bracketed(lambda x: x - 2.0 ** 1023) == 2.0 ** 1023
 
+    @pytest.mark.parametrize("root", [1.5e308, sys.float_info.max])
+    def test_root_past_2_to_the_1023(self, root):
+        # the last growth stops at the largest double, and the midpoint
+        # 0.5*lo + 0.5*hi does not overflow where lo + hi would
+        assert abs(find_root_bracketed(lambda x: x - root) - root) <= math.ulp(root)
+
 
 # numpy and scipy serve only the oracle and Gauss-Legendre routes; the
 # records are plain classes, so nothing loads dataclasses or what it imports

@@ -6,7 +6,7 @@ import pickle
 from array import array
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mirrorphase import (Axis, Dataset, DegenerateStateError, DomainError, ModelParams,
                          NoDecoherenceError, SweepError, SweepSpec, decoherence_factor,
@@ -70,6 +70,9 @@ class TestAxis:
                          min_size=2, max_size=2, unique=True),
            count=st.integers(min_value=2, max_value=2000))
     @settings(max_examples=300, deadline=None)
+    # exp(log(x)) rounds the middle value of this log grid below its min
+    @example(name="gamma0", scale="log",
+             ends=[1.7976931348622734e308, 1.7976931348622736e308], count=3)
     def test_grids_of_valid_axes_are_finite(self, name, scale, ends, count):
         """A grid runs from min to max without leaving them and stays finite
         up to the float limit, so validate checks only the ends and
@@ -413,10 +416,15 @@ class TestPerCellEvaluation:
                   axes=(Axis.from_values("gamma0", (0.0, 0.05)),
                         Axis.from_values("velocity", (0.2, 0.7))),
                   fixed=without("gamma0", "velocity"), allow_errors=True),
+        SweepSpec(target="decoherence_factor",
+                  axes=(Axis.linear("time", 0.0, 1e4, 2 * sweeps._BLOCK_POINTS + 3),),
+                  fixed=MODEL),
+        SweepSpec(target="decoherence_factor", fixed={**MODEL, "time": math.pi}),
     ], ids=["model_axis_innermost", "model_axis_innermost_phase",
             "model_axes_outermost", "model_axis_outermost_phase",
             "all_fixed_model", "all_fixed_model_phase",
-            "log_model_axes", "log_time_axis", "figure2", "figure3", "allow_errors"])
+            "log_model_axes", "log_time_axis", "figure2", "figure3", "allow_errors",
+            "time_axis_across_blocks", "no_axes"])
     def test_rows_match_a_fresh_model_per_point(self, spec):
         rows, expected = run_sweep(spec).rows, reference_rows(spec)
         assert len(rows) == len(expected) == spec.point_count()
@@ -426,13 +434,14 @@ class TestPerCellEvaluation:
 
     @staticmethod
     def fail_at_half_period(monkeypatch):
-        real = sweeps.decoherence_factor
+        """The model's block form of the factor refuses any block that holds s = pi."""
+        real = sweeps._decoherence_factors
 
-        def factor(params, s):
-            if s == math.pi:
+        def factors(params, times):
+            if math.pi in times:
                 raise DomainError("refused at s = pi")
-            return real(params, s)
-        monkeypatch.setattr(sweeps, "decoherence_factor", factor)
+            return real(params, times)
+        monkeypatch.setattr(sweeps, "_decoherence_factors", factors)
 
     def test_fail_fast_names_the_point_that_failed_mid_cell(self, monkeypatch):
         self.fail_at_half_period(monkeypatch)
@@ -462,15 +471,15 @@ class TestPerCellEvaluation:
     def test_each_row_is_checked_as_it_is_made(self, monkeypatch):
         spec = SweepSpec(target="decoherence_factor",
                          axes=(Axis.linear("time", 0.0, TWO_PI, 3),), fixed=MODEL)
-        monkeypatch.setattr(sweeps, "decoherence_factor",
-                            lambda params, s: math.inf if s == math.pi else 0.5)
+        monkeypatch.setattr(sweeps, "_decoherence_factors", lambda params, times: [
+            math.inf if s == math.pi else 0.5 for s in times])
         with pytest.raises(DomainError, match=r"non-finite entry in row \(3\.14"):
             run_sweep(spec)
         rows = run_sweep(SweepSpec(target=spec.target, axes=spec.axes, fixed=MODEL,
                                    allow_errors=True)).rows
         assert rows == ((0.0, 0.5), (math.pi, math.inf), (TWO_PI, 0.5))
         monkeypatch.setitem(sweeps._EVALUATORS, "decoherence_factor",
-                            lambda params, point, names, block: ([0.5] * len(block),) * 2)
+                            lambda params, point, names, block: ([0.5] * len(block[0]),) * 2)
         with pytest.raises(DomainError, match="row width 3 != column count 2"):
             run_sweep(spec)
 
