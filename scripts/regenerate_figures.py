@@ -20,13 +20,14 @@ import time
 
 from mirrorphase import (figure_preset, read_dataset_csv, read_dataset_json, run_sweep,
                          write_dataset)
+from mirrorphase.datafiles import FORMATS
 from mirrorphase.sweeps import FIGURE_RANGE
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Regenerate the preset figure datasets.")
     parser.add_argument("--outdir", default="data")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=FORMATS, default="csv")
     parser.add_argument("--only", type=int, choices=list(FIGURE_RANGE), default=None,
                         help="regenerate a single figure")
     args = parser.parse_args()

@@ -15,7 +15,7 @@ from .model import _DOMAINS, ModelParams, decoherence_factor, decoherence_time
 from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE
 from .phase import (DEFAULT_ORACLE_STEPS, TWO_PI, gp_exact, gp_kinematic_oracle,
                     gp_perturbative, unitary_gp)
-from .datafiles import FORMATS, write_dataset
+from .datafiles import FORMATS, write_dataset, write_text
 from .qubit import POLE_LIMIT
 from .sweepconfig import GRAMMAR_HELP, format_sweep_config, parse_number, parse_sweep_config
 from .sweeps import FIGURE_RANGE, figure_preset, run_sweep
@@ -110,30 +110,32 @@ def _is_stdout(path: str) -> bool:
         return False
 
 
-def _write(dataset, args: argparse.Namespace) -> int:
-    # the status line must not join a dataset written to standard output
-    status = sys.stderr if _is_stdout(args.output) else sys.stdout
+def _write(path: str, what: str, write) -> int:
+    """Call ``write()``, which writes ``path``, then report ``what`` it
+    wrote; an ``OSError`` is exit 3."""
+    # the status line must not join a file written to standard output
+    status = sys.stderr if _is_stdout(path) else sys.stdout
     try:
-        count = write_dataset(dataset, args.output, args.format)
+        write()
     except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3
-    print(f"wrote {count} rows to {args.output}", file=status)
+    print(f"wrote {what} to {path}", file=status)
     return 0
+
+
+def _write_dataset(dataset, args: argparse.Namespace) -> int:
+    return _write(args.output, f"{len(dataset.rows)} rows",
+                  lambda: write_dataset(dataset, args.output, args.format))
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     spec = figure_preset(args.number)
     if args.emit_config:
-        try:
-            with open(args.emit_config, "w", newline="\n") as handle:
-                handle.write(format_sweep_config(spec))
-        except OSError as exc:
-            print(f"error: cannot write {args.emit_config}: {exc}", file=sys.stderr)
-            return 3
-        print(f"wrote sweep config to {args.emit_config}")
-        return 0
-    return _write(run_sweep(spec), args)
+        path = args.emit_config
+        return _write(path, "sweep config",
+                      lambda: write_text(path, [format_sweep_config(spec)]))
+    return _write_dataset(run_sweep(spec), args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -146,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
     spec = parse_sweep_config(text)
-    return _write(run_sweep(spec), args)
+    return _write_dataset(run_sweep(spec), args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--output", "-o", default=None)
     figure.add_argument("--format", choices=FORMATS, default="csv")
     figure.add_argument("--emit-config", metavar="PATH",
-                        help="write the preset as a sweep config instead of running it")
+                        help="write the preset as a sweep config instead of running it; "
+                             "PATH may be /dev/stdout")
     figure.set_defaults(func=_cmd_figure)
 
     sweep = sub.add_parser(

@@ -43,7 +43,7 @@ import os
 import re
 import stat
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain, repeat
@@ -172,21 +172,16 @@ def dataset_to_json(dataset: Dataset) -> str:
 FORMATS = ("csv", "json")
 
 
-def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
-    """Write the dataset to ``path`` a block of rows at a time; returns the
-    number of data rows.
+def write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write the concatenated ``pieces`` to ``path`` as UTF-8 text.
 
-    Every row was checked when the dataset was built. A regular file, or a
-    path that names nothing yet, is written as a new file beside it, with
-    the mode ``open(path, "w")`` would give, which replaces it (through a
-    symlink, the link's target) once the write is done. A write that fails
-    part way removes the new file, leaves an older one intact and re-raises
-    the error, naming ``path``. Any other path, such as ``/dev/stdout``, is
-    written in place.
+    A regular file, or a path that names nothing yet, is written as a new
+    file beside it, with the mode ``open(path, "w")`` would give, which
+    replaces it (through a symlink, the link's target) once the write is
+    done. A write that fails part way removes the new file, leaves an older
+    one intact and re-raises the error, naming ``path``. Any other path,
+    such as ``/dev/stdout``, is written in place.
     """
-    if fmt not in FORMATS:
-        raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
-    pieces = _csv_pieces(dataset) if fmt == "csv" else _json_pieces(dataset)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -196,7 +191,7 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
     if not (stat.S_ISREG(mode) if mode is not None else os.path.basename(path)):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(pieces)
-        return len(dataset.rows)
+        return
     target = os.path.realpath(path)
     head, name = os.path.split(target)
     temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -214,6 +209,18 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
         if isinstance(exc, OSError) and exc.filename == temp:
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
+    """Write the dataset to ``path`` a block of rows at a time, through
+    ``write_text``; returns the number of data rows.
+
+    Every row was checked when the dataset was built, and the metadata and
+    column names are checked before the file is touched.
+    """
+    if fmt not in FORMATS:
+        raise DomainError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    write_text(path, _csv_pieces(dataset) if fmt == "csv" else _json_pieces(dataset))
     return len(dataset.rows)
 
 

@@ -11,13 +11,15 @@ so ``allow_errors`` cannot turn a value outside its domain into NaN rows.
 The coordinate columns are built first, one array of doubles per axis,
 and a sweep runs one cell of the model axes (gamma0, lambda, omega,
 velocity) at a time: a cell's points are a run of consecutive rows, and
-it builds the cell's model parameters once. The target's evaluator takes
-a block of at most 4,096 of those rows as slices of the inner axes'
-columns. The decoherence factor evaluates a block of times through the
-model's block form of ``decoherence_factor``, which repeats its
-operations bit for bit; every other target calls the public function a
-scalar call uses, point by point. Each block is checked, then moved into
-the table, which is held as one array of doubles per column.
+it builds the cell's model parameters once. Each point is evaluated
+once, by the target's point function, which calls the public function a
+scalar call uses; a point that raises is a ``SweepError`` naming it, or
+with ``allow_errors`` a NaN row. Where time is a decoherence factor
+sweep's only inner axis, the model's block form of
+``decoherence_factor``, which repeats its operations bit for bit,
+evaluates the times instead. Values are made a block of at most 4,096
+rows at a time; each block is checked, then moved into the table, which
+is held as one array of doubles per column.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -31,34 +33,57 @@ import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence, Sized
 
-from .errors import DomainError, NoDecoherenceError, QuadratureError, SweepError
+from .errors import DomainError, QuadratureError, SweepError
 from .model import (ModelParams, _decoherence_factors, _Record, decoherence_factor,
                     decoherence_time, require)
 from .phase import TWO_PI, gp_exact, gp_perturbative
 from .qubit import require_bloch_angle
 
-TARGETS = ("decoherence_factor", "gp_exact", "gp_normalized",
-           "gp_perturbative_ratio", "decoherence_time")
-
 _MODEL_NAMES = ("gamma0", "lambda", "omega", "velocity")
 _PARAMETERS = _MODEL_NAMES + ("theta", "time")
 
-# target -> (required parameter names, optional parameter names)
-_TARGET_PARAMS = {
-    "decoherence_factor": (_MODEL_NAMES + ("time",), ()),
-    "gp_exact": (_MODEL_NAMES + ("theta",), ("time",)),
-    "gp_normalized": (_MODEL_NAMES + ("theta",), ("time",)),
-    "gp_perturbative_ratio": (_MODEL_NAMES + ("theta",), ()),
-    "decoherence_time": (_MODEL_NAMES, ()),
+
+def _factor(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    return (decoherence_factor(params, point["time"]),)
+
+
+def _exact(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
+    return (result.phase, result.quadrature_error, float(result.near_degenerate))
+
+
+def _normalized(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
+    return (result.normalized, result.quadrature_error, float(result.near_degenerate))
+
+
+def _ratio(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    exact = gp_exact(params, point["theta"])
+    approx = gp_perturbative(params, point["theta"])
+    return (exact.phase, approx, exact.phase / approx)
+
+
+def _time(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
+    return (decoherence_time(params),)
+
+
+# target -> (required parameter names, optional parameter names, value
+# columns, point function): the point function maps a cell's model and a
+# point's parameters to the point's values, through the public function a
+# scalar call uses
+_TARGETS = {
+    "decoherence_factor": (_MODEL_NAMES + ("time",), (), ("decoherence_factor",), _factor),
+    "gp_exact": (_MODEL_NAMES + ("theta",), ("time",),
+                 ("phase", "quadrature_error", "near_degenerate"), _exact),
+    "gp_normalized": (_MODEL_NAMES + ("theta",), ("time",),
+                      ("phase_normalized", "quadrature_error", "near_degenerate"), _normalized),
+    "gp_perturbative_ratio": (_MODEL_NAMES + ("theta",), (),
+                              ("phase_exact", "phase_perturbative", "phase_ratio"), _ratio),
+    "decoherence_time": (_MODEL_NAMES, (), ("decoherence_time",), _time),
 }
 
-TARGET_COLUMNS = {
-    "decoherence_factor": ("decoherence_factor",),
-    "gp_exact": ("phase", "quadrature_error", "near_degenerate"),
-    "gp_normalized": ("phase_normalized", "quadrature_error", "near_degenerate"),
-    "gp_perturbative_ratio": ("phase_exact", "phase_perturbative", "phase_ratio"),
-    "decoherence_time": ("decoherence_time",),
-}
+TARGETS = tuple(_TARGETS)
+TARGET_COLUMNS = {target: entry[2] for target, entry in _TARGETS.items()}
 
 LINEAR = "linear"
 LOG = "log"
@@ -186,7 +211,7 @@ class SweepSpec(_Record):
         if self.target not in TARGETS:
             raise DomainError(f"unknown sweep target {self.target!r}; "
                               f"expected one of {TARGETS}")
-        required, optional = _TARGET_PARAMS[self.target]
+        required, optional = _TARGETS[self.target][:2]
         allowed = set(required) | set(optional)
         seen: set[str] = set()
         for axis in self.axes:
@@ -361,66 +386,9 @@ def _model_params(point: dict[str, float]) -> ModelParams:
                        omega_tilde=point["omega"], velocity=point["velocity"])
 
 
-# An evaluator takes a cell's model, the point dict (fixed values and the
-# cell's coordinates), the inner axis names and a block: a slice of each
-# inner axis's coordinate column, or () for the one point of a cell without
-# inner axes. It returns the block's value columns as lists.
+_POINT_ERRORS = (DomainError, QuadratureError)
 
-def _factor_values(params: ModelParams, point: dict[str, float],
-                   names: tuple[str, ...], block: tuple) -> tuple[list, ...]:
-    if not names:  # time is fixed or precedes a model axis: one point per cell
-        return ([decoherence_factor(params, point["time"])],)
-    return (_decoherence_factors(params, block[0]),)  # names == ("time",)
-
-
-def _time_values(params: ModelParams, point: dict[str, float],
-                 names: tuple[str, ...], block: tuple) -> tuple[list, ...]:
-    return ([decoherence_time(params)],)  # every axis is a model axis
-
-
-def _points(block: tuple):
-    """The inner coordinate tuples of ``block``."""
-    return zip(*block) if block else [()]
-
-
-def _each_point(row):
-    """The evaluator that calls ``row(params, point)`` at each inner point."""
-    def evaluate(params, point, names, block):
-        rows = []
-        for inner in _points(block):
-            point.update(zip(names, inner))
-            rows.append(row(params, point))
-        return tuple(map(list, zip(*rows)))
-    return evaluate
-
-
-def _exact_row(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
-    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
-    return (result.phase, result.quadrature_error, float(result.near_degenerate))
-
-
-def _normalized_row(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
-    result = gp_exact(params, point["theta"], s_final=point.get("time", TWO_PI))
-    return (result.normalized, result.quadrature_error, float(result.near_degenerate))
-
-
-def _ratio_row(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
-    exact = gp_exact(params, point["theta"])
-    approx = gp_perturbative(params, point["theta"])
-    return (exact.phase, approx, exact.phase / approx)
-
-
-_EVALUATORS = {
-    "decoherence_factor": _factor_values,
-    "gp_exact": _each_point(_exact_row),
-    "gp_normalized": _each_point(_normalized_row),
-    "gp_perturbative_ratio": _each_point(_ratio_row),
-    "decoherence_time": _time_values,
-}
-
-_POINT_ERRORS = (DomainError, NoDecoherenceError, QuadratureError)
-
-# inner points evaluated, checked and moved into the columns at a time
+# points evaluated, checked and moved into the columns at a time
 _BLOCK_POINTS = 4096
 
 
@@ -437,6 +405,17 @@ def _product_columns(axes: Sequence[Axis], count: int) -> list[array]:
     return columns
 
 
+def _point_error(names: tuple[str, ...], columns: list[array], index: int,
+                 exc: Exception) -> SweepError:
+    """The ``SweepError`` for row ``index``, whose evaluation raised ``exc``,
+    naming its coordinates."""
+    combo = tuple(column[index] for column in columns)
+    coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
+    where = f" at {coords}" if coords else ""
+    return SweepError(f"sweep point failed{where}: {exc}",
+                      coordinates=dict(zip(names, combo)))
+
+
 def run_sweep(spec: SweepSpec) -> Dataset:
     """Evaluate the target over the Cartesian grid of the spec's axes.
 
@@ -445,88 +424,78 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     runs one model cell at a time: the axes up to the last model axis
     (gamma0, lambda, omega, velocity) pick the cell, whose model
     parameters are built once, and the axes after it (time, theta) vary
-    inside it, so a cell's points are a run of consecutive rows. The
-    target's evaluator computes the cell's values a block of at most
-    ``_BLOCK_POINTS`` rows at a time, from the slices of the inner axes'
-    coordinate columns: the decoherence factor through the model's block
-    form of ``decoherence_factor``, every other target through the public
-    function that a scalar call uses, so a sweep and a scalar call give
-    the same bits. Each block is checked, then moved into the value
+    inside it, so a cell's points are a run of consecutive rows. Each
+    point is evaluated once, by the target's point function, which calls
+    the public function that a scalar call uses, so a sweep and a scalar
+    call give the same bits. Where time is a decoherence factor sweep's
+    only inner axis, the model's block form of ``decoherence_factor``,
+    which repeats its operations bit for bit, evaluates a block of times
+    at once instead. Values are made a block of at most ``_BLOCK_POINTS``
+    rows at a time; each block is checked, then moved into the value
     columns: its width must match the value columns and, unless errors
     are allowed, every entry must be finite (``DomainError`` otherwise).
 
-    A block whose evaluation fails is evaluated again point by point. By
-    default the first failed point aborts the sweep, reporting its
-    coordinates; with ``allow_errors`` each failed point produces NaN
-    values instead. Grids of more than ``MAX_SWEEP_POINTS`` points are
-    refused before any is evaluated.
+    A point whose evaluation raises is handled where it is evaluated: by
+    default it aborts the sweep with a ``SweepError`` reporting its
+    coordinates; with ``allow_errors`` it produces NaN values instead. A
+    model that fails fails each point of its cell alike. Grids of more
+    than ``MAX_SWEEP_POINTS`` points are refused before any is evaluated.
     """
     spec.validate()
     count = spec.point_count()
     if count > MAX_SWEEP_POINTS:
         raise DomainError(f"sweep has {count} points; at most {MAX_SWEEP_POINTS} "
                           "are allowed")
-    evaluate, allow_errors = _EVALUATORS[spec.target], spec.allow_errors
+    value_names, evaluate = _TARGETS[spec.target][2:]
+    allow_errors, nan_row = spec.allow_errors, (math.nan,) * len(value_names)
     names = tuple(axis.name for axis in spec.axes)
-    value_names = TARGET_COLUMNS[spec.target]
     split = max((i + 1 for i, name in enumerate(names) if name in _MODEL_NAMES),
                 default=0)
     inner_names = names[split:]
+    kernel = spec.target == "decoherence_factor" and inner_names == ("time",)
     columns = _product_columns(spec.axes, count)
     cell_columns, inner_columns = columns[:split], columns[split:]
     size = math.prod(map(_axis_length, spec.axes[split:]))  # points per cell
     value_columns = [array("d") for _ in value_names]
     point = dict(spec.fixed)
     for start in range(0, count, size):
-        cell = tuple(column[start] for column in cell_columns)
-        point.update(zip(names, cell))
-        params, stop = None, start + size
+        stop = start + size
+        point.update(zip(names, [column[start] for column in cell_columns]))
+        try:
+            params = _model_params(point)
+        except _POINT_ERRORS as exc:  # a model that fails fails each point of its cell
+            if not allow_errors:
+                raise _point_error(names, columns, start, exc) from exc
+            for column in value_columns:
+                column.fromlist([math.nan] * size)
+            continue
         for begin in range(start, stop, _BLOCK_POINTS):
             end = min(begin + _BLOCK_POINTS, stop)
-            block = tuple(column[begin:end] for column in inner_columns)
-            try:
-                # built inside the try: a model that fails fails each point of its cell
-                if params is None:
-                    params = _model_params(point)
-                values = evaluate(params, point, inner_names, block)
-            except _POINT_ERRORS:
-                values = _walk_failed_block(evaluate, params, point, names, cell,
-                                            block, allow_errors, len(value_names))
+            if kernel:
+                values = [_decoherence_factors(params, inner_columns[0][begin:end])]
+            else:
+                rows = []
+                for index in range(begin, end):
+                    point.update(zip(inner_names, [column[index] for column in inner_columns]))
+                    try:
+                        rows.append(evaluate(params, point))
+                    except _POINT_ERRORS as exc:
+                        if not allow_errors:
+                            raise _point_error(names, columns, index, exc) from exc
+                        rows.append(nan_row)
+                values = [list(column) for column in zip(*rows)]
             if len(values) != len(value_names):
                 raise DomainError(f"row width {len(names) + len(values)} != "
                                   f"column count {len(names) + len(value_names)}")
             if not (allow_errors or all(all(map(math.isfinite, v)) for v in values)):
-                for inner, row in zip(_points(block), zip(*values)):
+                for index, row in enumerate(zip(*values), begin):
                     if not all(map(math.isfinite, row)):
-                        raise DomainError(f"non-finite entry in row {cell + inner + row!r}")
+                        combo = tuple(column[index] for column in columns)
+                        raise DomainError(f"non-finite entry in row {combo + row!r}")
             for column, entries in zip(value_columns, values):
                 column.fromlist(entries)
     return Dataset(columns=names + value_names, rows=Rows(columns + value_columns),
                    metadata=describe_spec(spec))
-
-
-def _walk_failed_block(evaluate, params: ModelParams | None, point: dict[str, float],
-                       names: tuple[str, ...], cell: tuple, block: tuple,
-                       allow_errors: bool, value_count: int) -> tuple[list, ...]:
-    """The block's value columns, evaluated one point at a time after the
-    block as a whole failed: a failed point is NaN with ``allow_errors``, and
-    otherwise a ``SweepError`` naming its coordinates."""
-    inner_names, parts = names[len(cell):], []
-    for inner in _points(block):
-        try:
-            if params is None:
-                params = _model_params(point)
-            values = evaluate(params, point, inner_names, tuple([x] for x in inner))
-        except _POINT_ERRORS as exc:
-            combo = cell + inner
-            if not allow_errors:
-                coords = ", ".join(f"{n}={v!r}" for n, v in zip(names, combo))
-                where = f" at {coords}" if coords else ""
-                raise SweepError(f"sweep point failed{where}: {exc}",
-                                 coordinates=dict(zip(names, combo))) from exc
-            values = ([math.nan],) * value_count
-        parts.append(values)
-    return tuple(list(itertools.chain.from_iterable(column)) for column in zip(*parts))
 
 
 def describe_spec(spec: SweepSpec) -> dict:

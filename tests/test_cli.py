@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from mirrorphase import Axis, circular_difference, read_dataset_csv, run_sweep, figure_preset
+from mirrorphase import (Axis, circular_difference, figure_preset, parse_sweep_config,
+                         read_dataset_csv, run_sweep)
 from mirrorphase import phase as phase_module
 from mirrorphase.cli import main
 
@@ -175,6 +176,15 @@ class TestFigureCommand:
         out = tmp_path / "fig2.csv"
         out.write_text(result.stdout)
         assert len(read_dataset_csv(str(out)).rows) == 1000
+
+    def test_config_to_redirected_stdout_keeps_the_status_line_out(self, tmp_path):
+        config = tmp_path / "fig3.cfg"
+        with open(config, "w") as out:
+            result = subprocess.run(
+                [sys.executable, "-m", "mirrorphase.cli", "figure", "3", "--emit-config",
+                 "/dev/stdout"], stdout=out, stderr=subprocess.PIPE, text=True)
+        assert (result.returncode, result.stderr) == (0, "wrote sweep config to /dev/stdout\n")
+        assert parse_sweep_config(config.read_text()) == figure_preset(3)
 
     def test_file_output_prints_the_status_line_on_stdout(self, tmp_path):
         out = tmp_path / "fig2.csv"

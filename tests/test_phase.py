@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mirrorphase import (DegenerateStateError, DomainError, ModelParams, PhaseResult,
                          QuadratureError, circular_difference, decoherence_factor,
@@ -17,6 +17,7 @@ from mirrorphase import (DegenerateStateError, DomainError, ModelParams, PhaseRe
                          gp_kinematic_oracle, gp_perturbative, unitary_gp)
 from mirrorphase import phase as phase_module
 from mirrorphase.phase import _angles_grid
+from mirrorphase.qubit import POLE_LIMIT
 
 from conftest import params_fig2, params_fig6, params_fig7
 from oracles import kinematic_arg_whole_grid
@@ -194,6 +195,18 @@ class TestKinematicOracle:
         exact = gp_exact(make(v), theta).phase
         oracle = gp_kinematic_oracle(make(v), theta, step_count=50_000)
         assert circular_difference(exact, oracle) < 1e-6
+
+    @settings(max_examples=20, deadline=None)
+    @given(gamma0=st.floats(0.0, 1.0), lam=st.floats(0.0, 15.0),
+           omega=st.floats(1e-3, 10.0), v=st.floats(0.0, 0.95),
+           theta=st.floats(0.0, POLE_LIMIT, exclude_min=True, exclude_max=True),
+           periods=st.integers(1, 3))
+    def test_agrees_with_exact_over_the_domain(self, gamma0, lam, omega, v, theta, periods):
+        """C3's bound, modulo 2*pi, at one to three full periods."""
+        p = ModelParams(gamma0=gamma0, lambda_tilde=lam, omega_tilde=omega, velocity=v)
+        s_final = periods * TWO_PI
+        exact = gp_exact(p, theta, s_final=s_final).phase
+        assert circular_difference(exact, gp_kinematic_oracle(p, theta, s_final=s_final)) < 1e-6
 
     def test_step_count_validated(self):
         with pytest.raises(DomainError):

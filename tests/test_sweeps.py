@@ -434,39 +434,65 @@ class TestPerCellEvaluation:
 
     @staticmethod
     def fail_at_half_period(monkeypatch):
-        """The model's block form of the factor refuses any block that holds s = pi."""
-        real = sweeps._decoherence_factors
+        """The exact phase refuses s = pi, so the target's point function fails there."""
+        real = sweeps.gp_exact
 
-        def factors(params, times):
-            if math.pi in times:
+        def phase(params, theta, s_final=TWO_PI):
+            if s_final == math.pi:
                 raise DomainError("refused at s = pi")
-            return real(params, times)
-        monkeypatch.setattr(sweeps, "_decoherence_factors", factors)
+            return real(params, theta, s_final=s_final)
+        monkeypatch.setattr(sweeps, "gp_exact", phase)
+
+    @staticmethod
+    def phase_over_time(allow_errors=False):
+        return SweepSpec(target="gp_exact",
+                         axes=(Axis.from_values("velocity", (0.1, 0.5)),
+                               Axis.linear("time", 0.0, TWO_PI, 5)),
+                         fixed={**without("velocity"), "theta": 1.0},
+                         allow_errors=allow_errors)
 
     def test_fail_fast_names_the_point_that_failed_mid_cell(self, monkeypatch):
         self.fail_at_half_period(monkeypatch)
-        spec = SweepSpec(target="decoherence_factor",
-                         axes=(Axis.from_values("velocity", (0.1, 0.5)),
-                               Axis.linear("time", 0.0, TWO_PI, 5)),
-                         fixed=without("velocity"))
         with pytest.raises(SweepError, match=r"at velocity=0\.1, time=3\.14159265358979"
                                               r"3: refused at s = pi$") as info:
-            run_sweep(spec)
+            run_sweep(self.phase_over_time())
         assert info.value.coordinates == {"velocity": 0.1, "time": math.pi}
 
     def test_error_rows_mid_cell(self, monkeypatch):
         self.fail_at_half_period(monkeypatch)
-        spec = SweepSpec(target="decoherence_factor",
-                         axes=(Axis.from_values("velocity", (0.1, 0.5)),
-                               Axis.linear("time", 0.0, TWO_PI, 5)),
-                         fixed=without("velocity"), allow_errors=True)
+        spec = self.phase_over_time(allow_errors=True)
         data = run_sweep(spec)
         for row, expected in zip(data.rows, reference_rows(spec), strict=True):
             assert row[:2] == expected[:2]
             if row[1] == math.pi:
-                assert math.isnan(row[2])
+                assert all(map(math.isnan, row[2:]))
             else:
-                assert row[2] == expected[2]
+                assert row[2:] == expected[2:]
+
+    @pytest.mark.parametrize("allow_errors", [False, True])
+    def test_each_point_is_evaluated_once(self, monkeypatch, allow_errors):
+        """The exact phase refuses s = 1e8: with allow_errors that point is a
+        NaN row, and otherwise the calls stop at it."""
+        real, calls = sweeps.gp_exact, []
+
+        def counted(params, theta, s_final=TWO_PI):
+            calls.append(s_final)
+            if s_final == 1e8:
+                raise DomainError("refused at s = 1e8")
+            return real(params, theta, s_final=s_final)
+        monkeypatch.setattr(sweeps, "gp_exact", counted)
+        times = (1.0, 2.0, 3.0, 1e8, 4.0, 5.0, 6.0, 7.0)
+        spec = SweepSpec(target="gp_exact", axes=(Axis.from_values("time", times),),
+                         fixed={**MODEL, "theta": 1.0}, allow_errors=allow_errors)
+        if allow_errors:
+            phases = [row[1] for row in run_sweep(spec).rows]
+            assert list(map(math.isnan, phases)) == [False] * 3 + [True] + [False] * 4
+            assert calls == list(times)
+            return
+        with pytest.raises(SweepError, match=r"at time=100000000\.0: refused at s = 1e8$") as info:
+            run_sweep(spec)
+        assert info.value.coordinates == {"time": 1e8}
+        assert calls == list(times[:4])
 
     def test_each_row_is_checked_as_it_is_made(self, monkeypatch):
         spec = SweepSpec(target="decoherence_factor",
@@ -478,8 +504,16 @@ class TestPerCellEvaluation:
         rows = run_sweep(SweepSpec(target=spec.target, axes=spec.axes, fixed=MODEL,
                                    allow_errors=True)).rows
         assert rows == ((0.0, 0.5), (math.pi, math.inf), (TWO_PI, 0.5))
-        monkeypatch.setitem(sweeps._EVALUATORS, "decoherence_factor",
-                            lambda params, point, names, block: ([0.5] * len(block[0]),) * 2)
+        # a point function's rows are checked alike
+        spec = SweepSpec(target="decoherence_time",
+                         axes=(Axis.from_values("gamma0", (0.05, 0.5)),),
+                         fixed=without("gamma0"))
+        monkeypatch.setattr(sweeps, "decoherence_time", lambda params: math.inf)
+        with pytest.raises(DomainError, match=r"non-finite entry in row \(0\.05, inf\)"):
+            run_sweep(spec)
+        entry = sweeps._TARGETS["decoherence_time"]
+        monkeypatch.setitem(sweeps._TARGETS, "decoherence_time",
+                            (*entry[:3], lambda params, point: (0.5, 0.5)))
         with pytest.raises(DomainError, match="row width 3 != column count 2"):
             run_sweep(spec)
 
