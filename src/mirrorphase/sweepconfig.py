@@ -1,9 +1,12 @@
 """Line-oriented ``key = value`` grammar for sweep configuration files.
 
 A config names the target, fixes parameters, and declares one ``[axis.*]``
-section per sweep dimension. Serialization and parsing round-trip exactly
-(floats are written in shortest round-trip form), so a config generated
-from a preset reproduces the preset's dataset byte for byte.
+section per sweep dimension. Each key appears at most once in a section,
+and an axis's ``values`` exclude ``min``, ``max``, ``count`` and any scale
+other than ``values``; ``Axis`` holds the rules of an axis section's keys.
+Serialization and parsing round-trip exactly (floats are written in
+shortest round-trip form), so a config generated from a preset reproduces
+the preset's dataset byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError, DomainError
-from .sweeps import Axis, LINEAR, LOG, SweepSpec, TARGETS, VALUES
+from .sweeps import Axis, LINEAR, SweepSpec, TARGETS, VALUES
 
 GRAMMAR_HELP = """\
 Sweep config grammar (line oriented; '#' starts a comment):
@@ -26,10 +29,13 @@ Sweep config grammar (line oriented; '#' starts a comment):
   min = <number>                # axis varies slowest in the output
   max = <number>
   count = <integer>
-  scale = linear | log          # optional, default linear
-  values = <number>, <number>   # explicit family; excludes min/max/count
+  scale = linear | log | values # optional, default values with values,
+                                # linear otherwise
+  values = <number>, <number>   # explicit family; excludes min, max, count
+                                # and any scale other than values
 
-Numbers may carry a 'pi' suffix (0.5pi, pi) meaning multiples of pi.
+Each key appears at most once in a section. Numbers may carry a 'pi'
+suffix (0.5pi, pi) meaning multiples of pi.
 """
 
 
@@ -50,7 +56,7 @@ def _parse_float(token: str, key: str, line: int) -> float:
         raise ConfigError(f"bad number {token!r} for {key!r}", line=line) from None
 
 
-def _parse_bool(token: str, line: int) -> bool:
+def _parse_bool(token: str, key: str, line: int) -> bool:
     lowered = token.strip().lower()
     if lowered in ("true", "yes", "1"):
         return True
@@ -59,11 +65,37 @@ def _parse_bool(token: str, line: int) -> bool:
     raise ConfigError(f"expected true/false, got {token!r}", line=line)
 
 
-def _parse_int(token: str, line: int) -> int:
+def _parse_int(token: str, key: str, line: int) -> int:
     try:
         return int(token.strip())
     except ValueError:
         raise ConfigError(f"expected an integer, got {token!r}", line=line) from None
+
+
+def _parse_values(token: str, key: str, line: int) -> tuple[float, ...]:
+    try:
+        return tuple(parse_number(tok) for tok in token.split(","))
+    except ValueError:
+        raise ConfigError(f"bad value list {token!r}", line=line) from None
+
+
+def _parse_target(token: str, key: str, line: int) -> str:
+    if token not in TARGETS:
+        raise ConfigError(f"unknown target {token!r}; expected one of "
+                          f"{', '.join(TARGETS)}", line=line)
+    return token
+
+
+def _unknown_axis_key(token: str, key: str, line: int) -> None:
+    raise ConfigError(f"unknown axis key {key!r}", line=line)
+
+
+# section -> key -> reader of the key's value, called as the line is read;
+# the None entry reads every key the section does not name
+_TOP_KEYS = {"target": _parse_target, "allow_errors": _parse_bool, None: _parse_float}
+_AXIS_KEYS = {"min": _parse_float, "max": _parse_float, "count": _parse_int,
+              "scale": lambda token, key, line: token, "values": _parse_values,
+              None: _unknown_axis_key}
 
 
 def _split_pair(text: str, line: int) -> tuple[str, str]:
@@ -77,6 +109,17 @@ def _split_pair(text: str, line: int) -> tuple[str, str]:
     return key, value
 
 
+def _axis(name: str, fields: dict[str, object], line: int) -> Axis:
+    """The axis of section ``[axis.<name>]`` on ``line``, built from every key
+    the section has; ``Axis`` refuses keys that do not go together."""
+    scale = fields.get("scale", VALUES if "values" in fields else LINEAR)
+    try:
+        return Axis(name=name, scale=scale, start=fields.get("min"), stop=fields.get("max"),
+                    count=fields.get("count"), values=fields.get("values"))
+    except DomainError as exc:
+        raise ConfigError(str(exc), line=line) from None
+
+
 def parse_sweep_config(text: str) -> SweepSpec:
     """Parse a config document into a validated sweep spec.
 
@@ -84,89 +127,42 @@ def parse_sweep_config(text: str) -> SweepSpec:
     problems; domain violations surface as :class:`DomainError` from the
     spec validation.
     """
-    target: str | None = None
-    fixed: dict[str, float] = {}
-    allow_errors = False
-    axis_sections: list[tuple[str, dict[str, object], int]] = []
-    section: str | None = None  # None (top level) or axis name
-
-    seen_content = False
+    top: dict[str, object] = {}
+    axes: dict[str, tuple[dict[str, object], int]] = {}  # name -> (keys, header line)
+    table, readers = top, _TOP_KEYS
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        seen_content = True
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ConfigError(f"unterminated section header {stripped!r}", line=lineno)
             header = stripped[1:-1].strip()
-            if header.startswith("axis."):
-                name = header[len("axis."):].strip()
-                if not name:
-                    raise ConfigError("axis section needs a parameter name", line=lineno)
-                if any(existing == name for existing, _, _ in axis_sections):
-                    raise ConfigError(f"duplicate axis section {name!r}", line=lineno)
-                axis_sections.append((name, {}, lineno))
-                section = name
-            else:
+            if not header.startswith("axis."):
                 raise ConfigError(f"unknown section {header!r}", line=lineno)
+            name = header[len("axis."):].strip()
+            if not name:
+                raise ConfigError("axis section needs a parameter name", line=lineno)
+            if name in axes:
+                raise ConfigError(f"duplicate axis section {name!r}", line=lineno)
+            table, readers = {}, _AXIS_KEYS
+            axes[name] = (table, lineno)
             continue
+        key, token = _split_pair(stripped, lineno)
+        if key in table:
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
+        table[key] = readers.get(key, readers[None])(token, key, lineno)
 
-        key, value = _split_pair(stripped, lineno)
-        if section is None:
-            if key == "target":
-                if target is not None:
-                    raise ConfigError("duplicate 'target'", line=lineno)
-                if value not in TARGETS:
-                    raise ConfigError(f"unknown target {value!r}; expected one of "
-                                      f"{', '.join(TARGETS)}", line=lineno)
-                target = value
-            elif key == "allow_errors":
-                allow_errors = _parse_bool(value, lineno)
-            else:
-                if key in fixed:
-                    raise ConfigError(f"duplicate fixed parameter {key!r}", line=lineno)
-                fixed[key] = _parse_float(value, key, lineno)
-        else:
-            fields = axis_sections[-1][1]
-            if key in fields:
-                raise ConfigError(f"duplicate axis key {key!r}", line=lineno)
-            if key in ("min", "max"):
-                fields[key] = _parse_float(value, key, lineno)
-            elif key == "count":
-                fields[key] = _parse_int(value, lineno)
-            elif key == "scale":
-                fields[key] = value
-            elif key == "values":
-                try:
-                    fields[key] = tuple(parse_number(tok) for tok in value.split(","))
-                except ValueError:
-                    raise ConfigError(f"bad value list {value!r}", line=lineno) from None
-            else:
-                raise ConfigError(f"unknown axis key {key!r}", line=lineno)
-
-    if not seen_content:
-        raise ConfigError("empty config.\n" + GRAMMAR_HELP)
-    if target is None:
-        raise ConfigError("config does not name a target.\n" + GRAMMAR_HELP)
-
-    axes = []
-    for name, fields, lineno in axis_sections:
-        try:
-            if "values" in fields:
-                axes.append(Axis.from_values(name, fields["values"]))
-            else:
-                scale = fields.get("scale", LINEAR)
-                if scale not in (LINEAR, LOG):
-                    raise DomainError(f"axis {name!r}: unknown scale {scale!r}")
-                axes.append(Axis(name=name, scale=scale,
-                                 start=fields.get("min"), stop=fields.get("max"),
-                                 count=fields.get("count")))
-        except DomainError as exc:
-            raise ConfigError(str(exc), line=lineno) from None
-
-    spec = SweepSpec(target=target, axes=tuple(axes), fixed=fixed,
-                     allow_errors=allow_errors)
+    if not top and not axes:
+        raise ConfigError("empty config; see 'mirrorphase sweep --help' for the grammar")
+    if "target" not in top:
+        raise ConfigError("config does not name a target; see 'mirrorphase sweep --help' "
+                          "for the grammar")
+    target = top.pop("target")
+    allow_errors = top.pop("allow_errors", False)
+    spec = SweepSpec(target=target,
+                     axes=tuple(_axis(name, *entry) for name, entry in axes.items()),
+                     fixed=top, allow_errors=allow_errors)
     spec.validate()
     return spec
 

@@ -60,6 +60,8 @@ def _normalized(params: ModelParams, point: dict[str, float]) -> tuple[float, ..
 def _ratio(params: ModelParams, point: dict[str, float]) -> tuple[float, ...]:
     exact = gp_exact(params, point["theta"])
     approx = gp_perturbative(params, point["theta"])
+    if approx == 0.0:
+        raise DomainError("the first-order phase is 0, so phase_ratio is undefined")
     return (exact.phase, approx, exact.phase / approx)
 
 

@@ -369,12 +369,47 @@ count = 3
 
 BAD_AXIS_NUMBER_CONFIG = OMEGA_AXIS_CONFIG.replace("min = 0", "min = abc")
 
+VALUES_WITH_COUNT_CONFIG = """\
+target = decoherence_factor
+gamma0 = 0.05
+lambda = 5
+omega = 0.03
+velocity = 0.5
+
+[axis.time]
+values = 1, 2
+count = 7
+"""
+
+REPEATED_ALLOW_ERRORS_CONFIG = NEGATIVE_LAMBDA_CONFIG.replace(
+    "lambda = -1", "allow_errors = true\nlambda = 5\nallow_errors = false")
+
+# at this gamma0 the first-order phase is exactly 0
+ZERO_FIRST_ORDER_CONFIG = """\
+target = gp_perturbative_ratio
+lambda = 0
+omega = 0.03
+velocity = 0
+theta = 1.8
+
+[axis.gamma0]
+values = 2.2832407350039605
+"""
+
 
 @pytest.mark.parametrize("argv,config,code,message", [
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], RETIRED_SECTION_CONFIG, 2,
      "line 8: unknown section 'quadrature'"),
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], BAD_AXIS_NUMBER_CONFIG, 2,
      "line 8: bad number 'abc' for 'min'"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], VALUES_WITH_COUNT_CONFIG, 2,
+     "line 7: axis 'time': values exclude min/max/count"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], REPEATED_ALLOW_ERRORS_CONFIG, 2,
+     "line 5: duplicate key 'allow_errors'"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], "# nothing here\n", 2,
+     "empty config; see 'mirrorphase sweep --help' for the grammar"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], "gamma0 = 0.05\n", 2,
+     "config does not name a target; see 'mirrorphase sweep --help' for the grammar"),
     (["decoherence", "--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
       "--velocity", "1.5", "--time", "1"], None, 2, "velocity must lie in [0, 1)"),
     (["decoherence", *model_flags(gamma0="-1"), "--time", "1"], None, 2,
@@ -397,6 +432,9 @@ BAD_AXIS_NUMBER_CONFIG = OMEGA_AXIS_CONFIG.replace("min = 0", "min = abc")
       "--s-final", "1e8"], None, 2, "grid step s_final/step_count"),
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], FAILING_POINT_CONFIG, 2,
      "sweep point failed at gamma0=0.0"),
+    (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], ZERO_FIRST_ORDER_CONFIG, 2,
+     "sweep point failed at gamma0=2.2832407350039605: the first-order phase is 0, "
+     "so phase_ratio is undefined"),
     (["phase", "--theta", "0", *DECO_FLAGS], None, 2, "theta must lie strictly inside"),
     # step halving moves this phase by 1.7e-4
     (["phase", "--theta", "1", *DECO_FLAGS, "--method", "oracle",
@@ -407,12 +445,14 @@ BAD_AXIS_NUMBER_CONFIG = OMEGA_AXIS_CONFIG.replace("min = 0", "min = abc")
     (["figure", "2"], None, 2, "figure takes exactly one of --output and --emit-config"),
     (["figure", "2", "-o", "{tmp}/out.csv", "--emit-config", "{tmp}/f.cfg"], None, 2,
      "figure takes exactly one of --output and --emit-config"),
-], ids=["ConfigError", "ConfigError_axis_number", "DomainError", "DomainError_gamma0",
-        "DomainError_lambda", "DomainError_omega", "DomainError_velocity",
-        "DomainError_fixed_lambda", "DomainError_omega_axis", "DomainError_approx_periods",
-        "DomainError_approx_s_final", "DomainError_oracle_step", "SweepError",
-        "DegenerateStateError", "QuadratureError", "unwritable_output",
-        "DomainError_infinite_plate_term", "figure_without_output", "figure_with_both_outputs"])
+], ids=["ConfigError", "ConfigError_axis_number", "ConfigError_values_with_count",
+        "ConfigError_repeated_allow_errors", "ConfigError_empty", "ConfigError_no_target",
+        "DomainError", "DomainError_gamma0", "DomainError_lambda", "DomainError_omega",
+        "DomainError_velocity", "DomainError_fixed_lambda", "DomainError_omega_axis",
+        "DomainError_approx_periods", "DomainError_approx_s_final", "DomainError_oracle_step",
+        "SweepError", "SweepError_zero_first_order_phase", "DegenerateStateError",
+        "QuadratureError", "unwritable_output", "DomainError_infinite_plate_term",
+        "figure_without_output", "figure_with_both_outputs"])
 def test_error_class_contract(argv, config, code, message, tmp_path, capsys):
     """One line, the documented exit code, and the name the user typed first."""
     cfg = tmp_path / "run.cfg"

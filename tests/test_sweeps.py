@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mirrorphase import (Axis, Dataset, DegenerateStateError, DomainError, ModelParams,
                          NoDecoherenceError, SweepError, SweepSpec, decoherence_factor,
-                         decoherence_time, figure_preset, gp_exact, run_sweep, sweeps,
-                         unitary_gp)
+                         decoherence_time, figure_preset, gp_exact, gp_perturbative, run_sweep,
+                         sweeps, unitary_gp)
 from mirrorphase.sweeps import Rows
 
 TWO_PI = 2.0 * math.pi
@@ -330,6 +330,25 @@ class TestRunSweep:
                                 "phase_ratio")
         _, exact, approx, ratio = data.rows[0]
         assert ratio == pytest.approx(exact / approx, rel=1e-15)
+
+    @pytest.mark.parametrize("allow_errors", [False, True])
+    def test_ratio_where_the_first_order_phase_is_zero(self, allow_errors):
+        # at this gamma0 the first-order correction cancels pi*(1 + cos(1.8)) exactly
+        zero_at = 2.2832407350039605
+        spec = SweepSpec(target="gp_perturbative_ratio",
+                         axes=(Axis.from_values("gamma0", (0.05, zero_at)),),
+                         fixed={"lambda": 0.0, "omega": 0.03, "velocity": 0.0, "theta": 1.8},
+                         allow_errors=allow_errors)
+        assert gp_perturbative(ModelParams(zero_at, 0.0, 0.03, 0.0), 1.8) == 0.0
+        if not allow_errors:
+            with pytest.raises(SweepError, match=r"at gamma0=2\.2832407350039605: the "
+                                                 r"first-order phase is 0, so phase_ratio "
+                                                 r"is undefined$"):
+                run_sweep(spec)
+            return
+        first, second = run_sweep(spec).rows
+        assert all(map(math.isfinite, first)) and second[0] == zero_at
+        assert all(map(math.isnan, second[1:]))
 
 
 MODEL = {"gamma0": 0.05, "lambda": 5.0, "omega": 0.03, "velocity": 0.5}
