@@ -49,7 +49,7 @@ from functools import partial
 from itertools import chain, repeat
 
 from .errors import DomainError
-from .sweeps import Dataset, Rows
+from .sweeps import FORMATS, Dataset, Rows  # FORMATS is also read from here
 
 
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
@@ -167,9 +167,6 @@ def dataset_to_json(dataset: Dataset) -> str:
     """The bytes of ``json.dumps({"metadata": ..., "rows": ...})``, every entry
     spelled ``repr(float(x))`` and a non-finite one ``null``."""
     return "".join(_json_pieces(dataset))
-
-
-FORMATS = ("csv", "json")
 
 
 def write_text(path: str, pieces: Iterable[str]) -> None:

@@ -91,18 +91,17 @@ LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
 
-# run_sweep holds every entry in memory as a double, 8 bytes each; an
-# axis's grid (a float object and a pointer per grid value) adds to that
-# while its coordinate column is built, and one block of at most 4,096
-# points' values while the sweep runs; the writers add only a block's
-# strings; reading a file back peaks near what its columns hold, as no
-# column's memo holds more than 1,024 values (tracemalloc, bytes per point:
-# held 32, peak 33, writing CSV then JSON adds 4.5, reading 33 from CSV and
-# 35 from JSON, for a 250,000-point sweep of four columns; held 16.4, peak
-# 48, write adds 2.2, read 16.6 and 17 for a 500,000-point sweep of one
-# axis; held 24.4, peak 36, write adds 2.4, read 25.4 and 25.8 for
-# 2 x 250,000 points); the cap keeps a sweep and its writing below about
-# 45 MB
+# run_sweep holds every entry in memory as a double, 8 bytes each, and one
+# block of at most 4,096 points' values while the sweep runs; a coordinate
+# column is filled from its axis's values as they are made, so no grid is
+# held; the writers add only a block's strings; reading a file back peaks
+# near what its columns hold, as no column's memo holds more than 1,024
+# values (tracemalloc, bytes per point: held 32, peak 33, writing CSV then
+# JSON adds 4.5, reading 33 from CSV and 35 from JSON, for a 250,000-point
+# sweep of four columns; held 16.8, peak 17.4, write adds 2.2, read 16.6
+# and 17 for a 500,000-point sweep of one axis; held 24.8, peak 25.4, write
+# adds 2.4, read 25.4 and 25.8 for 2 x 250,000 points); the cap keeps a
+# sweep and its writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -173,24 +172,29 @@ class Axis(_Record):
         return cls(name=name, scale=VALUES, values=values)
 
     def grid(self) -> tuple[float, ...]:
+        return self.values if self.scale == VALUES else tuple(self._generate())
+
+    def _generate(self) -> Iterator[float]:
+        """The grid values in order, made one at a time."""
         if self.scale == VALUES:
-            return self.values
-        n = self.count - 1
+            yield from self.values
+            return
+        start, stop, n = self.start, self.stop, self.count - 1
+        yield start
         if self.scale == LINEAR:
-            start, span = self.start, self.stop - self.start
+            span = stop - start
             if math.isfinite(span * n):
-                inner = (start + span * i / n for i in range(1, n))
+                yield from (start + span * i / n for i in range(1, n))
             else:
                 # span * i overflows near the float limit, so divide first
                 step = span / n
-                inner = (start + step * i for i in range(1, n))
-            return (start, *inner, self.stop)
-        start, stop = self.start, self.stop
-        la, lb = math.log(start), math.log(stop)
-        # exp(log(x)) may round past an end that lies a few ulps from the other
-        inner = (min(max(math.exp(la + (lb - la) * i / n), start), stop)
-                 for i in range(1, n))
-        return (start, *inner, stop)
+                yield from (start + step * i for i in range(1, n))
+        else:
+            la, lb = math.log(start), math.log(stop)
+            # exp(log(x)) may round past an end that lies a few ulps from the other
+            yield from (min(max(math.exp(la + (lb - la) * i / n), start), stop)
+                        for i in range(1, n))
+        yield stop
 
 
 class SweepSpec(_Record):
@@ -359,6 +363,10 @@ class Rows(Sequence):
         return f"<Rows: {len(self)} rows x {self.width} columns>"
 
 
+# the file formats a dataset is written in
+FORMATS = ("csv", "json")
+
+
 class Dataset(_Record):
     """Columnar numeric table plus the metadata that regenerates it.
 
@@ -396,14 +404,19 @@ _BLOCK_POINTS = 4096
 
 def _product_columns(axes: Sequence[Axis], count: int) -> list[array]:
     """The columns of the ``count`` points of the axes' Cartesian product,
-    first axis slowest; each axis's grid is held only while its column is built."""
+    first axis slowest; each column is filled from its axis's values as they
+    are made, so no axis's grid is held."""
     columns, tile, run = [], 1, count
     for axis in axes:
-        grid = axis.grid()
-        run //= len(grid)
-        columns.append(array("d", itertools.chain.from_iterable(
-            map(itertools.repeat, grid, itertools.repeat(run)))) * tile)
-        tile *= len(grid)
+        length = _axis_length(axis)
+        run //= length
+        values = axis._generate()
+        if run > 1:
+            values = itertools.chain.from_iterable(
+                map(itertools.repeat, values, itertools.repeat(run)))
+        column = array("d", values)
+        columns.append(column * tile if tile > 1 else column)
+        tile *= length
     return columns
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import mirrorphase
 from mirrorphase import (Axis, circular_difference, figure_preset, parse_sweep_config,
                          read_dataset_csv, run_sweep)
 from mirrorphase import phase as phase_module
@@ -481,3 +482,19 @@ class TestNumericFormatting:
         assert main(["figure", "3", "-o", str(first)]) == 0
         assert main(["figure", "3", "-o", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+VERSION_LINE = f"mirrorphase {mirrorphase.__version__}\n"
+
+
+class TestVersion:
+    def test_prints_the_package_version(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--version"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == VERSION_LINE
+
+    def test_console_exit_code(self):
+        result = run_cli(["--version"])
+        assert (result.returncode, result.stdout) == (0, VERSION_LINE)
+

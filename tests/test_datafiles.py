@@ -906,11 +906,12 @@ def test_sweep_dataset_size_per_row():
 
 
 # tracemalloc peak per point of run_sweep on a sweep of one long time axis,
-# whose points all share one model cell: it measured 48.4 B, reached while
-# the time column is built (the grid tuple 32, the column and its copy 16);
-# with the grid held to the end of the sweep, 51.1 B. Holding the cell's
-# values in a list until the cell ended peaked at 88.6 B.
-SWEEP_PEAK_BYTES_PER_POINT = 64
+# whose points all share one model cell: it measured 18.1 B, the time and
+# value columns (16) and the arrays' growth. Building the time column from
+# the grid tuple (a float object and a pointer per point, 32 B) and copying
+# it peaked at 48.4 B; holding the cell's values in a list until the cell
+# ended peaked at 88.6 B.
+SWEEP_PEAK_BYTES_PER_POINT = 24
 
 
 def test_one_long_cell_peak_memory_per_point():

@@ -117,34 +117,58 @@ class TestRootFinder:
         assert abs(find_root_bracketed(lambda x: x - root) - root) <= math.ulp(root)
 
 
-# numpy and scipy serve only the oracle and Gauss-Legendre routes; the
-# records are plain classes, so nothing loads dataclasses or what it imports
-UNLOADED_PROBE = """\
+# the modules a fresh process loads for a command, beyond those it held
+# before importing the package: site may load json in some environments
+LOADED_PROBE = """\
 import sys
+before = set(sys.modules)
 import mirrorphase
 if sys.argv[1:]:
     from mirrorphase.cli import main
-    assert main(sys.argv[1:]) == 0
-print(sorted(name for name in ("numpy", "scipy", "dataclasses", "inspect", "ast", "dis",
-                               "tokenize") if name in sys.modules))
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --version exits through argparse
+        code = exc.code
+    assert code == 0, code
+print(" ".join(sorted(set(sys.modules) - before)))
 """
+
+# numpy and scipy serve only the oracle and Gauss-Legendre routes; the
+# records are plain classes, so nothing loads dataclasses or what it imports
+UNUSED = {"numpy", "scipy", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+# only figure and sweep write a file
+FILE_LAYER = {"mirrorphase.datafiles", "json"}
 
 PHASE_FLAGS = ["phase", "--theta", "0.25pi", "--gamma0", "0.05", "--lambda", "5",
                "--omega", "0.03", "--velocity", "0.5"]
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["decoherence", "--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
-     "--velocity", "0.5", "--time", "1", "--solve-td"],
-    [*PHASE_FLAGS, "--method", "exact"],
-    ["figure", "3", "-o", "{tmp}/fig3.csv"],
-], ids=["import", "decoherence", "phase_exact", "figure"])
-def test_unused_modules_stay_unloaded(argv, tmp_path):
-    argv = [arg.format(tmp=tmp_path) for arg in argv]
-    proc = subprocess.run([sys.executable, "-c", UNLOADED_PROBE, *argv],
+def loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ([], UNUSED | FILE_LAYER),
+    (["decoherence", "--gamma0", "0.05", "--lambda", "5", "--omega", "0.03",
+      "--velocity", "0.5", "--time", "1", "--solve-td"], UNUSED | FILE_LAYER),
+    ([*PHASE_FLAGS, "--method", "exact"], UNUSED | FILE_LAYER),
+    ([*PHASE_FLAGS, "--method", "approx"], UNUSED | FILE_LAYER),
+    ([*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"], FILE_LAYER),
+    (["figure", "3", "-o", "{tmp}/fig3.csv"], UNUSED),
+], ids=["import", "decoherence", "phase_exact", "phase_approx", "phase_oracle", "figure"])
+def test_unused_modules_stay_unloaded(argv, unloaded, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    loaded = loaded_modules(argv)
+    assert not loaded & unloaded
+    if argv[:1] == ["figure"]:
+        assert "mirrorphase.datafiles" in loaded
+        assert (tmp_path / "fig3.csv").read_text().startswith("# generator = ")
+
+
+def test_version_loads_no_more_than_phase():
+    assert loaded_modules(["--version"]) <= loaded_modules([*PHASE_FLAGS, "--method", "exact"])
 
 
 @pytest.mark.parametrize("argv", [

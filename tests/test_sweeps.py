@@ -23,6 +23,7 @@ def no_grids(monkeypatch):
     def no_grid(self):
         raise AssertionError(f"axis {self.name!r} was enumerated")
     monkeypatch.setattr(Axis, "grid", no_grid)
+    monkeypatch.setattr(Axis, "_generate", no_grid)
 
 
 class TestAxis:
