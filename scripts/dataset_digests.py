@@ -5,9 +5,12 @@ Usage:
   PYTHONPATH=src python scripts/dataset_digests.py
 
 The datasets are figures 2-8 (``fig2`` .. ``fig8``), an ``allow_errors``
-sweep whose failed points are NaN rows (``nan_rows``), and a decoherence
+sweep whose failed points are NaN rows (``nan_rows``), a decoherence
 factor sweep whose time axis comes before its model axis (``time_first``),
-each written by ``write_dataset`` as CSV and as JSON. Each line reads
+and one of 10,000 rows (``signed_zeros``), three of ``write_dataset``'s
+4,096-row blocks, whose time column holds 0.0 in the first block, -0.0
+first in the second and 0.0 again in the third, each written by
+``write_dataset`` as CSV and as JSON. Each line reads
 ``<digest>  <file name>``, as ``sha256sum`` prints it. The script imports
 ``mirrorphase`` from ``PYTHONPATH``, so pointing that at another tree's
 ``src`` prints that tree's digests, and ``diff`` of two outputs shows which
@@ -37,6 +40,12 @@ def _specs() -> dict:
         target="decoherence_factor",
         axes=(Axis.linear("time", 0.0, 2.0 * TWO_PI, 50),
               Axis.linear("velocity", 0.01, 0.95, 20)),
+        fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03})
+    # 10 times x 1,000 velocities: the memos carry both columns across blocks
+    specs["signed_zeros"] = SweepSpec(
+        target="decoherence_factor",
+        axes=(Axis.from_values("time", (0.0, 0.5, 1.0, 1.5, 2.0, -0.0, 2.5, 3.0, 3.5, 0.0)),
+              Axis.linear("velocity", 0.01, 0.95, 1000)),
         fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03})
     return specs
 

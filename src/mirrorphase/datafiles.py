@@ -28,11 +28,20 @@ begun last into the next piece: the CSV reader cuts each piece at its
 last line break. Writers and readers alike pass each column through a
 memo while it holds at most ``_MEMO_SIZE`` distinct values, so a column
 that repeats its values, such as a sweep axis, spells each value once and
-parses each spelling once; a column whose next block would take its memo
-past that drops the memo and is spelled or parsed entry by entry from
-then on. The JSON reader decodes the members other than ``rows`` through
-``json``, refusing a malformed one without reading on; the members may
-come in any order.
+parses each spelling once. A writer's memo is keyed by each double's 64-bit
+pattern, so -0.0, 0.0 and each NaN have their own entry; a reader's by each
+spelling. Once a memo holds a column's values, a block of that column
+costs one lookup per entry, mapped in C; only a block with a value not yet
+in the memo adds its new values, and a column whose next block would take
+its memo past ``_MEMO_SIZE`` drops the memo and is spelled or parsed entry
+by entry from then on. A reader splits a block into its entries at once,
+each row's first entry marked by a line break, at the CSV line breaks or
+the writers' own JSON ``], [``. Only a block that this leaves with a row
+of another width, an entry that is not a number or a line break of its
+own is cut into rows first: the JSON reader then cuts at ``]``, ``,`` and
+``[`` with any JSON whitespace between. The JSON reader decodes the
+members other than ``rows`` through ``json``, refusing a malformed one
+without reading on; the members may come in any order.
 """
 
 from __future__ import annotations
@@ -71,11 +80,28 @@ def _spell(values, nonfinite: dict[str, str]) -> list[str]:
     return texts
 
 
+def _through_memo(keys, memo: dict, convert) -> list | None:
+    """``memo[key]`` of each key, mapped in C. Keys not yet in ``memo`` are
+    first added with their values, ``convert`` of the set of them; ``None``,
+    with ``memo`` unchanged, if they would take it past ``_MEMO_SIZE``."""
+    try:
+        return list(map(memo.__getitem__, keys))
+    except KeyError:
+        pass
+    new = set(keys)
+    new.difference_update(memo)
+    if len(memo) + len(new) > _MEMO_SIZE:
+        return None
+    memo.update(zip(new, convert(new)))
+    return list(map(memo.__getitem__, keys))
+
+
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
     """Each block of ``_BLOCK_ROWS`` rows as row texts: entries spelled
     ``repr(x)``, a spelling that ``nonfinite`` names replaced by its value,
     and joined by ``sep``. Each column is spelled through a memo shared by
-    the blocks, until the memo would outgrow ``_MEMO_SIZE``."""
+    the blocks, keyed by each double's 64-bit pattern, so -0.0, 0.0 and each
+    NaN have their own entry, until the memo would outgrow ``_MEMO_SIZE``."""
     rows, memos = dataset.rows, [{} for _ in dataset.columns]
     for begin in range(0, len(rows), _BLOCK_ROWS):
         yield _spell_block(rows[begin:begin + _BLOCK_ROWS], memos, sep, nonfinite)
@@ -85,18 +111,15 @@ def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -
     """The row texts of one block of ``rows``; see ``_row_blocks``."""
     texts = []
     for index, memo in enumerate(memos):
-        values = new = None  # the last column's floats go before this column is spelled
         column = rows.column(index)
-        if memo is not None:
-            values = column.tolist()  # a NaN is found only by its own object, which the list keeps
-            new = set(values).difference(memo)
-            if len(memo) + len(new) <= _MEMO_SIZE:
-                memo.update(zip(new, _spell(new, nonfinite)))
-                # 0.0 == -0.0 share one memo entry, so a zero is spelled by its own sign
-                texts.append([memo[x] if x else repr(x) for x in values])
-                continue
-            memos[index] = values = new = None  # from this block on, spelled entry by entry
-        texts.append(_spell(column, nonfinite))
+        # the memo maps each double's 64-bit pattern to its spelling
+        spelled = None if memo is None else _through_memo(
+            column.cast("B").cast("Q"), memo,
+            lambda new: _spell(memoryview(array("Q", new)).cast("B").cast("d"), nonfinite))
+        if spelled is None:
+            memos[index] = None  # from this block on, spelled entry by entry
+            spelled = _spell(column, nonfinite)
+        texts.append(spelled)
     return list(map(sep.join, zip(*texts)))
 
 
@@ -233,11 +256,7 @@ def _floats(texts, memo: dict | None, null: str | None) -> list[float] | None:
     if given; the spelling ``null`` reads as NaN. ``None``, with ``memo``
     unchanged, if the new spellings would take the memo past ``_MEMO_SIZE``."""
     if memo is not None:
-        new = set(texts).difference(memo)
-        if len(memo) + len(new) > _MEMO_SIZE:
-            return None
-        memo.update(zip(new, _floats(new, None, null)))
-        return list(map(memo.__getitem__, texts))
+        return _through_memo(texts, memo, lambda new: _floats(new, None, null))
     try:
         return list(map(float, texts))
     except ValueError:
@@ -246,30 +265,60 @@ def _floats(texts, memo: dict | None, null: str | None) -> list[float] | None:
         return [math.nan if text.strip() == null else float(text) for text in texts]
 
 
+def _parse_columns(entries: list[str], memos: list, null: str | None) -> list[list[float]]:
+    """The floats of each column of ``entries``, one row after another, one
+    entry per memo in ``memos``; each column is parsed by ``_floats`` through
+    its memo, or entry by entry once the memo would outgrow ``_MEMO_SIZE``.
+    An entry that is not a number is a ``ValueError``."""
+    width, columns = len(memos), []
+    for index, memo in enumerate(memos):
+        values = _floats(entries[index::width], memo, null)
+        if values is None:
+            memos[index] = None  # from this block on, parsed entry by entry in C
+            values = _floats(entries[index::width], None, null)
+        columns.append(values)
+    return columns
+
+
+def _parse_block(text: str, row_break: str, columns: list[array], memos: list,
+                 null: str | None) -> int:
+    """Append the rows that ``text`` holds, joined by ``row_break``, to
+    ``columns``, and return how many they are; 0, with nothing appended, if
+    a row has another width than ``columns`` or holds an entry that is not
+    a number. ``text`` holds no line break but those in ``row_break``.
+
+    The entries are split at once: each row begins with a line break, which
+    ``float`` ignores, so the rows all have one entry per column when the
+    first column holds every line break.
+    """
+    width, marked = len(columns), "\n" + text.replace(row_break, ",\n")
+    count, entries = marked.count("\n"), marked.split(",")
+    if len(entries) != width * count or "".join(entries[::width]).count("\n") != count:
+        return 0
+    try:
+        parsed = _parse_columns(entries, memos, null)
+    except ValueError:
+        return 0
+    for column, values in zip(columns, parsed):
+        column.fromlist(values)
+    return count
+
+
 def _parse_rows(texts: list[str], columns: list[array], memos: list, null: str | None,
                 path: str, source: str) -> None:
     """Append the comma-separated entries that ``texts`` spell to ``columns``.
 
     A row has one entry per column, as ``source`` (the header,
     ``metadata.columns`` or row 0) shows. The entries are split at once and
-    sliced into columns, each parsed by ``_floats`` through its memo in
-    ``memos``, or entry by entry once the memo would outgrow ``_MEMO_SIZE``.
-    An entry that is not a number, or a row of another width, is a
-    ``DomainError`` naming the row.
+    sliced into columns for ``_parse_columns``. An entry that is not a
+    number, or a row of another width, is a ``DomainError`` naming the row.
     """
     width, first = len(columns), len(columns[0])
     if set(map(str.count, texts, repeat(","))) <= {width - 1}:
-        entries = ",".join(texts).split(",")
-        try:
-            for index, (column, memo) in enumerate(zip(columns, memos)):
-                values = _floats(entries[index::width], memo, null)
-                if values is None:
-                    memos[index] = None  # from this block on, parsed entry by entry in C
-                    values = _floats(entries[index::width], None, null)
+        with suppress(ValueError):
+            for column, values in zip(columns, _parse_columns(",".join(texts).split(","),
+                                                              memos, null)):
                 column.fromlist(values)
-        except ValueError:
-            pass
-        else:
             return
     for index, text in enumerate(texts, first):  # find the row at fault
         entries = text.split(",")
@@ -313,11 +362,10 @@ def _csv_rows(handle, width: int, metadata: dict, path: str) -> Rows:
             rest += piece
             continue
         block, rest = rest + piece[:cut], piece[cut + 1:]
-        texts = block.split("\n")
-        if "" in texts or "#" in block:
-            texts = [text for text in texts if _data_line(text, metadata)]
-        if texts:
-            _parse_rows(texts, columns, memos, None, path, "the header")
+        if "#" in block or "\n\n" in f"\n{block}\n":  # a comment or a blank line
+            block = "\n".join(text for text in block.split("\n") if _data_line(text, metadata))
+        if block and not _parse_block(block, "\n", columns, memos, None):
+            _parse_rows(block.split("\n"), columns, memos, None, path, "the header")
     return Rows(columns)
 
 
@@ -473,9 +521,10 @@ def _json_rows(text: _JsonText, names: tuple[str, ...] | None) -> Rows | tuple:
     A row has one entry per name in ``names``, the metadata's columns if
     they came first, or else as many as row 0. The rows are parsed a block
     at a time, each block the rows that the text read so far holds whole.
-    It is cut into rows at ``]``, ``,`` and ``[`` with any JSON whitespace
-    between; a bracket left in an entry fails as an entry that is not a
-    number. The row begun last is carried into the next block.
+    ``_parse_block`` splits it at the writers' ``], [``; a block that this
+    does not parse is cut into rows at ``]``, ``,`` and ``[`` with any JSON
+    whitespace between, and a bracket left in an entry fails as an entry
+    that is not a number. The row begun last is carried into the next block.
     """
     text.expect("[")
     if text.at("]"):
@@ -499,13 +548,18 @@ def _json_rows(text: _JsonText, names: tuple[str, ...] | None) -> Rows | tuple:
         else:
             rows, text.pos = buf[pos:end.start() + 1], end.end()
         if rows:
-            texts = _JSON_ROW_BREAK.split(rows[1:-1])
+            body = rows[1:-1]
             if columns is None:
-                width = len(names) if names else texts[0].count(",") + 1
+                width = len(names) if names else _JSON_ROW_BREAK.split(body, 1)[0].count(",") + 1
                 columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
-            _parse_rows(texts, columns, memos, "null", text.path,
-                        "metadata.columns" if names else "row 0")
-            first += len(texts)
+            # split at the writers' own break, unless a line break would pass for a row's mark
+            count = "\n" not in body and _parse_block(body, "], [", columns, memos, "null")
+            if not count:
+                texts = _JSON_ROW_BREAK.split(body)
+                _parse_rows(texts, columns, memos, "null", text.path,
+                            "metadata.columns" if names else "row 0")
+                count = len(texts)
+            first += count
         if end is not None:
             return Rows(columns)
         if not text.more():

@@ -8,6 +8,7 @@ import stat
 import threading
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -55,6 +56,22 @@ def error_spec():
     return SweepSpec(target="decoherence_time",
                      axes=(Axis.from_values("gamma0", (0.0, 0.1)),
                            Axis.linear("velocity", 0.1, 0.9, 3)),
+                     fixed={"lambda": 5.0, "omega": 0.03}, allow_errors=True)
+
+
+def zeros_by_block_spec(times):
+    """decoherence_factor over a time axis of the given zeros outside two
+    velocities, so that in blocks of two rows each block holds one zero."""
+    return factor_spec(axes=(Axis.from_values("time", times),
+                             Axis.from_values("velocity", (0.1, 0.5))))
+
+
+def repeated_error_spec():
+    """decoherence_time over gamma0 {0, 0.1, 0, 0.1} x two velocities, error
+    rows kept: the value column repeats its values, NaN rows among them."""
+    return SweepSpec(target="decoherence_time",
+                     axes=(Axis.from_values("gamma0", (0.0, 0.1, 0.0, 0.1)),
+                           Axis.from_values("velocity", (0.1, 0.9))),
                      fixed={"lambda": 5.0, "omega": 0.03}, allow_errors=True)
 
 
@@ -266,6 +283,49 @@ class TestReaders:
         monkeypatch.setattr(datafiles, "_READ_CHARS", 64)
         assert read_dataset_json(str(path)).rows == dataset.rows
         assert sum(pieces) == len(path.read_text())
+
+    @pytest.mark.parametrize("written", [True, False], ids=["writers_break", "mixed_breaks"])
+    def test_json_rows_split_at_the_writers_break_first(self, tmp_path, written):
+        """A block is split at the writers' ``], [``; only a block that holds
+        another break is split again at ``_JSON_ROW_BREAK``."""
+        pattern, splits = datafiles._JSON_ROW_BREAK, []
+
+        class CountedBreak:
+            def split(self, text):
+                splits.append(text)
+                return pattern.split(text)
+
+        path = tmp_path / "data.json"
+        if written:
+            dataset = run_sweep(factor_spec())
+            write_dataset(dataset, str(path), "json")
+        else:
+            path.write_text('{"metadata": {"columns": ["a", "b"]}, "rows": [[0.0, 1.0], '
+                            '[2.0, 3.0],[4.0, 5.0]\n ,\n[6.0, 7.0], [8.0, 9.0]]}')
+            dataset = Dataset(columns=("a", "b"), rows=[(0.0, 1.0), (2.0, 3.0), (4.0, 5.0),
+                                                        (6.0, 7.0), (8.0, 9.0)], metadata={})
+        with mock.patch.object(datafiles, "_JSON_ROW_BREAK", CountedBreak()):
+            assert read_dataset_json(str(path)).rows == dataset.rows
+        assert len(splits) == (not written)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("[[0.0, 1.0], [2.0, 3.0],[4.0, 5.0]\n ,\n[6.0, x], [8.0, 9.0]]",
+         "row 3: 'x' is not a number"),
+        ("[[0.0, 1.0],[2.0, 3.0], [4.0, [5.0]], [6.0, 7.0]]", "row 2: '[5.0' is not a number"),
+        ("[[0.0, 1.0], [2.0, [3.0], [4.0, 5.0]]", "row 1: '[3.0' is not a number"),
+        ("[[0.0, 1.0],[2.0], [4.0, 5.0]]", "row 1 has 1 entries; metadata.columns has 2"),
+        ("[[0.0, 1.0], [2.0, 3.0]\n,[4.0, 5.0, 6.0]]",
+         "row 2 has 3 entries; metadata.columns has 2"),
+    ], ids=["mixed_breaks", "bracket_in_an_entry", "bracket_across_rows", "short_row",
+            "long_row"])
+    def test_json_row_errors_beside_other_breaks(self, tmp_path, rows, message):
+        """A block that the writers' break leaves unparsed is split at
+        ``_JSON_ROW_BREAK`` and refused naming the row at fault."""
+        path = tmp_path / "hand.json"
+        path.write_text('{"metadata": {"columns": ["a", "b"]}, "rows": %s}' % rows)
+        with pytest.raises(DomainError) as caught:
+            read_dataset_json(str(path))
+        assert str(caught.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("member", ["tru", "1x", "01", "-x", '"\\x"', '"\\u12zz"',
                                         "[1 2]", "{1: 2}", "nul]"])
@@ -621,6 +681,27 @@ class TestWrittenBytes:
         dataset = make()
         assert dataset_to_csv(dataset) == reference_csv(dataset)
         assert dataset_to_json(dataset) == reference_json(dataset)
+
+    @pytest.mark.parametrize("make", [lambda: run_sweep(zeros_by_block_spec((0.0, -0.0))),
+                                      lambda: run_sweep(zeros_by_block_spec((-0.0, 0.0))),
+                                      lambda: run_sweep(repeated_error_spec())],
+                             ids=["zero_then_negative_zero", "negative_zero_then_zero",
+                                  "repeated_values_and_nan"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_memos_across_blocks_of_two_rows(self, tmp_path, monkeypatch, make, fmt):
+        """At the default memo size every column keeps its memo, keyed by bit
+        pattern in a writer: a zero or NaN that an earlier block put in the
+        memo leaves a later block's other zero, or its repeats, as spelled."""
+        monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(datafiles, "_READ_CHARS", 40)
+        dataset = make()
+        spelled = [tuple(map(repr, row)) for row in dataset.rows]
+        assert len(set(spelled)) < len(spelled) or {"0.0", "-0.0"} <= set(chain(*spelled))
+        path = tmp_path / f"data.{fmt}"
+        write_dataset(dataset, str(path), fmt)
+        reference = reference_csv if fmt == "csv" else reference_json
+        assert path.read_bytes() == reference(dataset).encode()
+        assert [tuple(map(repr, row)) for row in READERS[fmt](str(path)).rows] == spelled
 
     @pytest.mark.parametrize("rows", [((0.0, 1.0, 2.0), (1.0, 2.0)),
                                       ((0.0, 1.0, 2.0, 3.0),),

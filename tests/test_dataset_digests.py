@@ -5,7 +5,7 @@ import math
 import runpy
 from pathlib import Path
 
-from mirrorphase import run_sweep
+from mirrorphase import datafiles, run_sweep
 
 from oracles import reference_csv, reference_json
 
@@ -15,9 +15,13 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "dataset_digests.p
 def test_digests_are_those_of_the_files_written():
     script = runpy.run_path(str(SCRIPT))
     specs = {name: spec for name, spec in script["_specs"]().items()
-             if name in ("fig3", "nan_rows", "time_first")}
+             if name in ("fig3", "nan_rows", "time_first", "signed_zeros")}
     assert any(math.isnan(row[-1]) for row in run_sweep(specs["nan_rows"]).rows)
     assert specs["time_first"].axes[0].name == "time"
+    times = [repr(row[0]) for row in run_sweep(specs["signed_zeros"]).rows]
+    block = datafiles._BLOCK_ROWS  # the time column's zeros by block
+    assert [sorted({t for t in times[i:i + block] if t in ("0.0", "-0.0")})
+            for i in range(0, len(times), block)] == [["0.0"], ["-0.0"], ["0.0"]]
     expected = []
     for name, spec in specs.items():
         dataset = run_sweep(spec)
