@@ -33,13 +33,15 @@ pattern, so -0.0, 0.0 and each NaN have their own entry; a reader's by each
 spelling. Once a memo holds a column's values, a block of that column
 costs one lookup per entry, mapped in C; only a block with a value not yet
 in the memo adds its new values, and a column whose next block would take
-its memo past ``_MEMO_SIZE`` drops the memo and is spelled or parsed entry
-by entry from then on. A reader splits a block into its entries at once,
-each row's first entry marked by a line break, at the CSV line breaks or
-the writers' own JSON ``], [``. Only a block that this leaves with a row
-of another width, an entry that is not a number or a line break of its
-own is cut into rows first: the JSON reader then cuts at ``]``, ``,`` and
-``[`` with any JSON whitespace between. The JSON reader decodes the
+its memo past ``_MEMO_SIZE`` drops the memo and is spelled or parsed a
+block at a time, without one, from then on. Each block of rows takes one
+path: it is split into its entries at once, each row's first entry marked
+by a line break, at the CSV line breaks or the writers' own JSON ``], [``.
+A JSON block in another form is first put into the writers' form, its line
+breaks turned into spaces and each ``]``, ``,`` and ``[`` with any JSON
+whitespace between into ``], [``. Only a block that is still not parsed,
+with a row of another width or an entry that is not a number, is cut into
+rows, to name the first row at fault. The JSON reader decodes the
 members other than ``rows`` through ``json``, refusing a malformed one
 without reading on; the members may come in any order.
 """
@@ -56,6 +58,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import chain, repeat
+from typing import NoReturn
 
 from .errors import DomainError
 from .sweeps import FORMATS, Dataset, Rows  # FORMATS is also read from here
@@ -71,29 +74,39 @@ _BLOCK_ROWS = 4096
 _MEMO_SIZE = 1024
 
 
-def _spell(values, nonfinite: dict[str, str]) -> list[str]:
-    """``repr(x)`` of each float, mapped in C, with ``nonfinite`` swapped in
-    where the values' sum is not finite, as it is wherever one of them is not."""
+def _spell(patterns, nonfinite: dict[str, str]) -> list[str]:
+    """``repr(x)`` of each double whose 64-bit pattern is in ``patterns`` (a
+    block's memoryview, read in place, or a set of new ones), mapped in C,
+    with ``nonfinite`` swapped in where the values' sum is not finite, as it
+    is wherever one of them is not."""
+    if not isinstance(patterns, memoryview):
+        patterns = memoryview(array("Q", patterns))
+    values = patterns.cast("B").cast("d")
     texts = list(map(repr, values))
     if nonfinite and not math.isfinite(sum(values)):
         return list(map(nonfinite.get, texts, texts))
     return texts
 
 
-def _through_memo(keys, memo: dict, convert) -> list | None:
-    """``memo[key]`` of each key, mapped in C. Keys not yet in ``memo`` are
-    first added with their values, ``convert`` of the set of them; ``None``,
-    with ``memo`` unchanged, if they would take it past ``_MEMO_SIZE``."""
-    try:
-        return list(map(memo.__getitem__, keys))
-    except KeyError:
-        pass
-    new = set(keys)
-    new.difference_update(memo)
-    if len(memo) + len(new) > _MEMO_SIZE:
-        return None
-    memo.update(zip(new, convert(new)))
-    return list(map(memo.__getitem__, keys))
+def _through_memo(keys, memos: list, index: int, convert) -> list:
+    """``convert(keys)`` through the memo ``memos[index]``: one lookup per
+    key, mapped in C, once the memo holds them all. New keys are added as
+    one set, ``convert`` of that set; keys that would take the memo past
+    ``_MEMO_SIZE`` drop it (``memos[index] = None``), and from then on each
+    block of the column is ``convert`` of its keys."""
+    memo = memos[index]
+    if memo is not None:
+        try:
+            return list(map(memo.__getitem__, keys))
+        except KeyError:
+            pass
+        new = set(keys)
+        new.difference_update(memo)
+        if len(memo) + len(new) <= _MEMO_SIZE:
+            memo.update(zip(new, convert(new)))
+            return list(map(memo.__getitem__, keys))
+        memos[index] = None
+    return convert(keys)
 
 
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
@@ -109,17 +122,9 @@ def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterat
 
 def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -> list[str]:
     """The row texts of one block of ``rows``; see ``_row_blocks``."""
-    texts = []
-    for index, memo in enumerate(memos):
-        column = rows.column(index)
-        # the memo maps each double's 64-bit pattern to its spelling
-        spelled = None if memo is None else _through_memo(
-            column.cast("B").cast("Q"), memo,
-            lambda new: _spell(memoryview(array("Q", new)).cast("B").cast("d"), nonfinite))
-        if spelled is None:
-            memos[index] = None  # from this block on, spelled entry by entry
-            spelled = _spell(column, nonfinite)
-        texts.append(spelled)
+    spell = partial(_spell, nonfinite=nonfinite)
+    texts = [_through_memo(rows.column(index).cast("B").cast("Q"), memos, index, spell)
+             for index in range(len(memos))]
     return list(map(sep.join, zip(*texts)))
 
 
@@ -251,33 +256,15 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
 _READ_CHARS = 1 << 14
 
 
-def _floats(texts, memo: dict | None, null: str | None) -> list[float] | None:
-    """``float`` of each text, mapped in C, through ``memo`` (text -> float)
-    if given; the spelling ``null`` reads as NaN. ``None``, with ``memo``
-    unchanged, if the new spellings would take the memo past ``_MEMO_SIZE``."""
-    if memo is not None:
-        return _through_memo(texts, memo, lambda new: _floats(new, None, null))
+def _floats(texts, null: str | None) -> list[float]:
+    """``float`` of each text, mapped in C; the spelling ``null`` reads as
+    NaN. A text that is neither is a ``ValueError``."""
     try:
         return list(map(float, texts))
     except ValueError:
         if null is None:
             raise
         return [math.nan if text.strip() == null else float(text) for text in texts]
-
-
-def _parse_columns(entries: list[str], memos: list, null: str | None) -> list[list[float]]:
-    """The floats of each column of ``entries``, one row after another, one
-    entry per memo in ``memos``; each column is parsed by ``_floats`` through
-    its memo, or entry by entry once the memo would outgrow ``_MEMO_SIZE``.
-    An entry that is not a number is a ``ValueError``."""
-    width, columns = len(memos), []
-    for index, memo in enumerate(memos):
-        values = _floats(entries[index::width], memo, null)
-        if values is None:
-            memos[index] = None  # from this block on, parsed entry by entry in C
-            values = _floats(entries[index::width], None, null)
-        columns.append(values)
-    return columns
 
 
 def _parse_block(text: str, row_break: str, columns: list[array], memos: list,
@@ -289,14 +276,17 @@ def _parse_block(text: str, row_break: str, columns: list[array], memos: list,
 
     The entries are split at once: each row begins with a line break, which
     ``float`` ignores, so the rows all have one entry per column when the
-    first column holds every line break.
+    first column holds every line break. Each column is parsed through its
+    memo in ``memos`` by ``_through_memo``.
     """
     width, marked = len(columns), "\n" + text.replace(row_break, ",\n")
     count, entries = marked.count("\n"), marked.split(",")
     if len(entries) != width * count or "".join(entries[::width]).count("\n") != count:
         return 0
+    parse = partial(_floats, null=null)
     try:
-        parsed = _parse_columns(entries, memos, null)
+        parsed = [_through_memo(entries[index::width], memos, index, parse)
+                  for index in range(width)]
     except ValueError:
         return 0
     for column, values in zip(columns, parsed):
@@ -304,33 +294,25 @@ def _parse_block(text: str, row_break: str, columns: list[array], memos: list,
     return count
 
 
-def _parse_rows(texts: list[str], columns: list[array], memos: list, null: str | None,
-                path: str, source: str) -> None:
-    """Append the comma-separated entries that ``texts`` spell to ``columns``.
-
-    A row has one entry per column, as ``source`` (the header,
-    ``metadata.columns`` or row 0) shows. The entries are split at once and
-    sliced into columns for ``_parse_columns``. An entry that is not a
-    number, or a row of another width, is a ``DomainError`` naming the row.
-    """
-    width, first = len(columns), len(columns[0])
-    if set(map(str.count, texts, repeat(","))) <= {width - 1}:
-        with suppress(ValueError):
-            for column, values in zip(columns, _parse_columns(",".join(texts).split(","),
-                                                              memos, null)):
-                column.fromlist(values)
-            return
-    for index, text in enumerate(texts, first):  # find the row at fault
+def _row_fault(texts: list[str], columns: list[array], null: str | None, path: str,
+               source: str) -> NoReturn:
+    """Refuse the rows that ``texts`` spell, comma-separated entries each,
+    with a ``DomainError`` naming the first row at fault, numbered on from
+    the rows in ``columns``: an entry that is not a number, or a row
+    without one entry per column, as ``source`` (the header,
+    ``metadata.columns`` or row 0) shows."""
+    width = len(columns)
+    for index, text in enumerate(texts, len(columns[0])):
         entries = text.split(",")
         for entry in entries:
             try:
-                _floats([entry], None, null)
+                _floats([entry], null)
             except ValueError:
                 raise DomainError(f"{path}: row {index}: {entry.strip()!r} is not a number"
                                   ) from None
         if len(entries) != width:
-            raise DomainError(f"{path}: row {index} has {len(entries)} entries; "
-                              f"{source} has {width}")
+            break
+    raise DomainError(f"{path}: row {index} has {len(entries)} entries; {source} has {width}")
 
 
 def _data_line(line: str, metadata: dict) -> bool:
@@ -365,7 +347,7 @@ def _csv_rows(handle, width: int, metadata: dict, path: str) -> Rows:
         if "#" in block or "\n\n" in f"\n{block}\n":  # a comment or a blank line
             block = "\n".join(text for text in block.split("\n") if _data_line(text, metadata))
         if block and not _parse_block(block, "\n", columns, memos, None):
-            _parse_rows(block.split("\n"), columns, memos, None, path, "the header")
+            _row_fault(block.split("\n"), columns, None, path, "the header")
     return Rows(columns)
 
 
@@ -520,11 +502,14 @@ def _json_rows(text: _JsonText, names: tuple[str, ...] | None) -> Rows | tuple:
 
     A row has one entry per name in ``names``, the metadata's columns if
     they came first, or else as many as row 0. The rows are parsed a block
-    at a time, each block the rows that the text read so far holds whole.
-    ``_parse_block`` splits it at the writers' ``], [``; a block that this
-    does not parse is cut into rows at ``]``, ``,`` and ``[`` with any JSON
-    whitespace between, and a bracket left in an entry fails as an entry
-    that is not a number. The row begun last is carried into the next block.
+    at a time, each block the rows that the text read so far holds whole,
+    by ``_parse_block`` in the writers' form: rows joined by ``], [``, with
+    no line break. A block in another form is put into the writers' form
+    first, its line breaks turned into spaces and each ``_JSON_ROW_BREAK``
+    into ``], [``. A block still not parsed goes to ``_row_fault``, cut at
+    ``_JSON_ROW_BREAK`` as written, where a bracket left in an entry fails
+    as an entry that is not a number. The row begun last is carried into
+    the next block.
     """
     text.expect("[")
     if text.at("]"):
@@ -552,13 +537,14 @@ def _json_rows(text: _JsonText, names: tuple[str, ...] | None) -> Rows | tuple:
             if columns is None:
                 width = len(names) if names else _JSON_ROW_BREAK.split(body, 1)[0].count(",") + 1
                 columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
-            # split at the writers' own break, unless a line break would pass for a row's mark
-            count = "\n" not in body and _parse_block(body, "], [", columns, memos, "null")
+            # the writers' form first, unless a line break would pass for a row's
+            # mark; a block in another form is put into the writers' form once
+            count = ("\n" not in body and _parse_block(body, "], [", columns, memos, "null")
+                     or _parse_block(_JSON_ROW_BREAK.sub("], [", body.replace("\n", " ")),
+                                     "], [", columns, memos, "null"))
             if not count:
-                texts = _JSON_ROW_BREAK.split(body)
-                _parse_rows(texts, columns, memos, "null", text.path,
-                            "metadata.columns" if names else "row 0")
-                count = len(texts)
+                _row_fault(_JSON_ROW_BREAK.split(body), columns, "null", text.path,
+                           "metadata.columns" if names else "row 0")
             first += count
         if end is not None:
             return Rows(columns)

@@ -447,8 +447,8 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     which repeats its operations bit for bit, evaluates a block of times
     at once instead. Values are made a block of at most ``_BLOCK_POINTS``
     rows at a time; each block is checked, then moved into the value
-    columns: its width must match the value columns and, unless errors
-    are allowed, every entry must be finite (``DomainError`` otherwise).
+    columns: unless errors are allowed, every entry must be finite
+    (``DomainError`` otherwise).
 
     A point whose evaluation raises is handled where it is evaluated: by
     default it aborts the sweep with a ``SweepError`` reporting its
@@ -499,9 +499,6 @@ def run_sweep(spec: SweepSpec) -> Dataset:
                             raise _point_error(names, columns, index, exc) from exc
                         rows.append(nan_row)
                 values = [list(column) for column in zip(*rows)]
-            if len(values) != len(value_names):
-                raise DomainError(f"row width {len(names) + len(values)} != "
-                                  f"column count {len(names) + len(value_names)}")
             if not (allow_errors or all(all(map(math.isfinite, v)) for v in values)):
                 for index, row in enumerate(zip(*values), begin):
                     if not all(map(math.isfinite, row)):

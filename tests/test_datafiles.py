@@ -287,13 +287,17 @@ class TestReaders:
     @pytest.mark.parametrize("written", [True, False], ids=["writers_break", "mixed_breaks"])
     def test_json_rows_split_at_the_writers_break_first(self, tmp_path, written):
         """A block is split at the writers' ``], [``; only a block that holds
-        another break is split again at ``_JSON_ROW_BREAK``."""
-        pattern, splits = datafiles._JSON_ROW_BREAK, []
+        another break is put into that form, once, through ``_JSON_ROW_BREAK``."""
+        pattern, calls = datafiles._JSON_ROW_BREAK, []
 
         class CountedBreak:
-            def split(self, text):
-                splits.append(text)
-                return pattern.split(text)
+            def sub(self, replacement, text):
+                calls.append("sub")
+                return pattern.sub(replacement, text)
+
+            def split(self, text, maxsplit=0):
+                calls.append("split")
+                return pattern.split(text, maxsplit)
 
         path = tmp_path / "data.json"
         if written:
@@ -306,7 +310,7 @@ class TestReaders:
                                                         (6.0, 7.0), (8.0, 9.0)], metadata={})
         with mock.patch.object(datafiles, "_JSON_ROW_BREAK", CountedBreak()):
             assert read_dataset_json(str(path)).rows == dataset.rows
-        assert len(splits) == (not written)
+        assert calls == ([] if written else ["sub"])
 
     @pytest.mark.parametrize("rows, message", [
         ("[[0.0, 1.0], [2.0, 3.0],[4.0, 5.0]\n ,\n[6.0, x], [8.0, 9.0]]",
@@ -472,15 +476,14 @@ class TestReaders:
         spelled, parsed = Counter(), Counter()
         spell, floats = datafiles._spell, datafiles._floats
 
-        def counted_spell(values, nonfinite):
-            texts = spell(values, nonfinite)
+        def counted_spell(patterns, nonfinite):
+            texts = spell(patterns, nonfinite)
             spelled.update(texts)
             return texts
 
-        def counted_floats(texts, memo, null):
-            if memo is None:  # a memo passes its new spellings on without one
-                parsed.update(text.strip() for text in texts)
-            return floats(texts, memo, null)
+        def counted_floats(texts, null):
+            parsed.update(text.strip() for text in texts)
+            return floats(texts, null)
 
         with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
                 mock.patch.object(datafiles, "_spell", counted_spell):
@@ -919,6 +922,55 @@ def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece, 
             mock.patch.object(datafiles, "_READ_CHARS", piece), \
             mock.patch.object(datafiles, "_MEMO_SIZE", memo_size):
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
+
+
+@pytest.fixture(scope="module")
+def spaced_rows_file():
+    """A decoherence_time sweep over gamma0 {-0.0, 0.1, 0.0} x two
+    velocities, error rows kept, so its rows hold NaN (``null`` in JSON) and
+    both zeros; with its JSON text before the rows array and the array's
+    tokens: brackets, commas and entries."""
+    dataset = run_sweep(SweepSpec(target="decoherence_time",
+                                  axes=(Axis.from_values("gamma0", (-0.0, 0.1, 0.0)),
+                                        Axis.from_values("velocity", (0.1, 0.9))),
+                                  fixed={"lambda": 5.0, "omega": 0.03}, allow_errors=True))
+    head, rows, tail = dataset_to_json(dataset).partition('"rows": ')
+    assert tail.endswith("]}\n")
+    return dataset, head + rows, re.findall(r"[][,]|[^][,\s]+", tail[:-2])
+
+
+# JSON whitespace; "\r" reads as a line break, as text files are read
+_JSON_SPACES = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+
+
+@given(data=st.data(), piece=st.integers(min_value=1, max_value=16),
+       bad=st.sampled_from(["x", "1.0.0", "true", '"1.5"', "1e", "--2", "0x1p3"]))
+@settings(max_examples=60, deadline=None)
+def test_json_rows_in_any_spacing(tmp_path_factory, spaced_rows_file, data, piece, bad):
+    """The rows array re-spaced with JSON whitespace around every bracket
+    and comma, inside rows and between them, reads back as written, wherever
+    the pieces cut it; with one entry that is not a number, the read names
+    that entry and its row."""
+    dataset, head, tokens = spaced_rows_file
+    spaces = data.draw(st.lists(_JSON_SPACES, min_size=len(tokens) + 1,
+                                max_size=len(tokens) + 1))
+    path = tmp_path_factory.mktemp("spaced") / "data.json"
+
+    def read(tokens):
+        path.write_text(head + "".join(map("".join, zip(spaces, tokens))) + spaces[-1] + "}")
+        with mock.patch.object(datafiles, "_READ_CHARS", piece):
+            return read_dataset_json(str(path))
+
+    back = read(tokens)
+    assert [tuple(map(repr, row)) for row in back.rows] == [
+        tuple(map(repr, row)) for row in dataset.rows]
+    # the array's "[" and each row's "[" before the entry
+    index = data.draw(st.sampled_from([i for i, token in enumerate(tokens)
+                                       if token not in ("[", "]", ",")]))
+    row = tokens[:index].count("[") - 2
+    with pytest.raises(DomainError) as caught:
+        read([*tokens[:index], bad, *tokens[index + 1:]])
+    assert str(caught.value) == f"{path}: row {row}: {bad!r} is not a number"
 
 
 def grid_spec():

@@ -531,11 +531,18 @@ class TestPerCellEvaluation:
         monkeypatch.setattr(sweeps, "decoherence_time", lambda params: math.inf)
         with pytest.raises(DomainError, match=r"non-finite entry in row \(0\.05, inf\)"):
             run_sweep(spec)
-        entry = sweeps._TARGETS["decoherence_time"]
-        monkeypatch.setitem(sweeps._TARGETS, "decoherence_time",
-                            (*entry[:3], lambda params, point: (0.5, 0.5)))
-        with pytest.raises(DomainError, match="row width 3 != column count 2"):
-            run_sweep(spec)
+
+    @pytest.mark.parametrize("target", sweeps.TARGETS)
+    def test_each_point_function_gives_one_entry_per_value_column(self, target):
+        """``run_sweep`` moves a point function's values into the value
+        columns unchecked for width: at a valid point, each target's point
+        function gives one finite entry per value column."""
+        required, optional, value_names, evaluate = sweeps._TARGETS[target]
+        point = {**MODEL, "theta": 1.0, "time": 1.0}
+        point = {name: point[name] for name in required + optional}
+        values = evaluate(sweeps._model_params(point), point)
+        assert len(values) == len(value_names)
+        assert all(type(x) is float and math.isfinite(x) for x in values)
 
     @pytest.mark.parametrize("allow_errors", [False, True])
     def test_a_cell_whose_model_fails(self, monkeypatch, allow_errors):
