@@ -8,42 +8,33 @@ Both writers spell the metadata through ``json``, CSV as one
 ``# key = <JSON>`` comment per key, so both readers read back the metadata
 written, and a CSV read back writes the same bytes again.
 
-Both readers refuse a row without one entry per column, an entry that
-``float()`` refuses (a JSON ``null`` reads as NaN), text that is not UTF-8,
-a JSON value nested past the recursion limit and a JSON
-``metadata.columns`` that is not a non-empty list of strings, with a
-one-line ``DomainError`` naming the file. So the JSON reader also reads
-spellings outside JSON's number grammar, such as ``1_000``, ``.5``,
-``+1``, ``inf`` and ``nan``; no writer writes them.
+Each reader reads its writer's layout and no other. A CSV file is zero or
+more ``# key = <JSON>`` lines, the header, then one row per line, each line
+ending in a line break. A JSON file is ``{"metadata": ``, the metadata
+object, ``, "rows": [``, the rows, each opened by ``[``, closed by ``]``
+and joined by ``, ``, then ``]}`` and a line break. Anything else is refused
+with a one-line ``DomainError`` naming the file and the line, character or
+row where it leaves that layout: so are a row without one entry per column,
+an entry that ``float()`` refuses (a JSON ``null`` reads as NaN), text that
+is not UTF-8, metadata that ``json`` does not decode and a JSON
+``metadata.columns`` that is not a non-empty list of strings. Earlier
+versions also read JSON with other spacing or its members in another order,
+and CSV with blank lines, other comments or metadata values that are not
+JSON; such files are now refused.
 
 No write or read holds a file's whole text. The writers spell and write a
 block of rows at a time from slices of the dataset's columns, to a new
 file beside a regular ``path`` that replaces it once the write is done, so
-a write that fails part way leaves an older file intact. Each reader makes
-the columns it returns, one array of doubles per name, and fills them a
-block of rows at a time, each column mapped to doubles in C. Both readers
-read the file once, a piece of ``_READ_CHARS`` characters at a time, and
-parse the rows that the text read so far holds whole, carrying the row
-begun last into the next piece: the CSV reader cuts each piece at its
-last line break. Writers and readers alike pass each column through a
-memo while it holds at most ``_MEMO_SIZE`` distinct values, so a column
-that repeats its values, such as a sweep axis, spells each value once and
-parses each spelling once. A writer's memo is keyed by each double's 64-bit
-pattern, so -0.0, 0.0 and each NaN have their own entry; a reader's by each
-spelling. Once a memo holds a column's values, a block of that column
-costs one lookup per entry, mapped in C; only a block with a value not yet
-in the memo adds its new values, and a column whose next block would take
-its memo past ``_MEMO_SIZE`` drops the memo and is spelled or parsed a
-block at a time, without one, from then on. Each block of rows takes one
-path: it is split into its entries at once, each row's first entry marked
-by a line break, at the CSV line breaks or the writers' own JSON ``], [``.
-A JSON block in another form is first put into the writers' form, its line
-breaks turned into spaces and each ``]``, ``,`` and ``[`` with any JSON
-whitespace between into ``], [``. Only a block that is still not parsed,
-with a row of another width or an entry that is not a number, is cut into
-rows, to name the first row at fault. The JSON reader decodes the
-members other than ``rows`` through ``json``, refusing a malformed one
-without reading on; the members may come in any order.
+a write that fails part way leaves an older file intact. Both readers read
+the file once, a piece of ``_READ_CHARS`` characters at a time, and parse
+the rows that the text read so far holds whole as one block, carrying the
+row begun last into the next piece; each block is split into its entries at
+once by ``_parse_block``, each column mapped to doubles in C and appended
+to one array of doubles per name. Only a block that is not parsed is cut
+into rows, to name the first row at fault. Writers and readers alike pass
+each column through a memo while it holds at most ``_MEMO_SIZE`` distinct
+values, so a column that repeats its values, such as a sweep axis, spells
+each value once and parses each spelling once; see ``_through_memo``.
 """
 
 from __future__ import annotations
@@ -57,7 +48,7 @@ from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import NoReturn
 
 from .errors import DomainError
@@ -66,6 +57,9 @@ from .sweeps import FORMATS, Dataset, Rows  # FORMATS is also read from here
 
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
 _JSON_NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
+# a JSON file: the metadata object between the first two, the rows, each
+# opened by "[", joined by "], [" and closed by "]", and the last
+_JSON_HEAD, _JSON_ROWS, _JSON_END = '{"metadata": ', ', "rows": [', "]}\n"
 
 # rows are spelled and written a block at a time, so only one block's
 # strings are held
@@ -137,8 +131,9 @@ def _json(value) -> str:
         raise DomainError(f"metadata cannot be written as JSON: {exc}") from None
 
 
-# the metadata keys and the column names that the CSV reader reads back as written
-_CSV_KEY = re.compile(r"[^=\n\r]+")
+# the metadata keys and the column names that the CSV reader reads back as
+# written: a key holds no "=" or line break and has no space at its ends
+_CSV_KEY = re.compile(r"(?!\s)[^=\n\r]+(?<!\s)")
 _CSV_NAME = re.compile(r"[^,\n\r]+")
 
 
@@ -159,8 +154,7 @@ def _csv_pieces(dataset: Dataset) -> Iterator[str]:
     rows. A key or column name the reader would misread is a ``DomainError``."""
     head = []
     for key, value in dataset.metadata.items():
-        if not (isinstance(key, str) and key == key.strip() and _CSV_KEY.fullmatch(key)
-                and _utf8(key)):
+        if not (isinstance(key, str) and _CSV_KEY.fullmatch(key) and _utf8(key)):
             raise DomainError(f"metadata key {key!r} cannot be written to CSV: a key is "
                               "text without '=', a line break, a lone surrogate or space "
                               "at its ends")
@@ -181,10 +175,10 @@ def _json_pieces(dataset: Dataset) -> Iterator[str]:
     per block of rows, and the close."""
     blocks = _row_blocks(dataset, ", ", _JSON_NONFINITE)
     metadata = {**dataset.metadata, "columns": list(dataset.columns)}
-    head = _json({"metadata": metadata})[:-1] + ', "rows": ['
     # "[" opens the first row and ", [" each block's first row after it
-    return chain([head], map("{}[{}]".format, chain([""], repeat(", ")),
-                             map("], [".join, blocks)), ["]}\n"])
+    return chain([_JSON_HEAD + _json(metadata) + _JSON_ROWS],
+                 map("{}[{}]".format, chain([""], repeat(", ")), map("], [".join, blocks)),
+                 [_JSON_END])
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
@@ -298,11 +292,13 @@ def _row_fault(texts: list[str], columns: list[array], null: str | None, path: s
                source: str) -> NoReturn:
     """Refuse the rows that ``texts`` spell, comma-separated entries each,
     with a ``DomainError`` naming the first row at fault, numbered on from
-    the rows in ``columns``: an entry that is not a number, or a row
-    without one entry per column, as ``source`` (the header,
-    ``metadata.columns`` or row 0) shows."""
+    the rows in ``columns``: a line break in a row, an entry that is not a
+    number, or a row without one entry per column, as ``source`` (the
+    header or ``metadata.columns``) shows."""
     width = len(columns)
     for index, text in enumerate(texts, len(columns[0])):
+        if "\n" in text:
+            raise DomainError(f"{path}: row {index} holds a line break")
         entries = text.split(",")
         for entry in entries:
             try:
@@ -315,39 +311,33 @@ def _row_fault(texts: list[str], columns: list[array], null: str | None, path: s
     raise DomainError(f"{path}: row {index} has {len(entries)} entries; {source} has {width}")
 
 
-def _data_line(line: str, metadata: dict) -> bool:
-    """Whether a CSV line holds the header or a row. A ``# key = value``
-    comment sets ``metadata[key]`` to the value decoded by ``json``, or to
-    its text if that is not JSON; blank lines and other comments are skipped."""
-    if line.startswith("#"):
-        key, equals, value = line[1:].partition("=")
-        key, value = key.strip(), value.strip()
-        if equals and key:
-            with suppress(ValueError, RecursionError):  # older files hold text such as 0.1.0
-                value = json.loads(value)
-            metadata[key] = value
-        return False
-    return bool(line)
+def _metadata_line(line: str, number: int, metadata: dict, path: str) -> None:
+    """Set ``metadata[key]`` from ``line``, line ``number``, a ``# key = <JSON>``
+    line with a key that the CSV writer takes; any other line is refused."""
+    key, equals, value = line[2:].partition(" = ")
+    if not (line.startswith("# ") and equals and _CSV_KEY.fullmatch(key)):
+        raise DomainError(f"{path}: line {number} is not a '# key = <JSON>' line")
+    try:
+        metadata[key] = json.loads(value)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"{path}: line {number}: the value is not JSON ({exc})") from None
 
 
-def _csv_rows(handle, width: int, metadata: dict, path: str) -> Rows:
-    """The rows of the text left in ``handle``, ``width`` entries each, read
-    ``_READ_CHARS`` characters at a time: each piece is cut at its last line
-    break, and the lines it completes are parsed as one block, the line
-    begun last carried into the next piece."""
+def _csv_rows(handle, width: int, path: str) -> Rows:
+    """The rows of the text left in ``handle``, ``width`` entries each, one
+    per line: the lines that each piece completes are parsed as one block."""
     columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
     rest = ""
-    # a line break after the last piece ends a last line that has none
-    for piece in chain(iter(partial(handle.read, _READ_CHARS), ""), ["\n"]):
+    for piece in iter(partial(handle.read, _READ_CHARS), ""):
         cut = piece.rfind("\n")
         if cut < 0:
             rest += piece
             continue
         block, rest = rest + piece[:cut], piece[cut + 1:]
-        if "#" in block or "\n\n" in f"\n{block}\n":  # a comment or a blank line
-            block = "\n".join(text for text in block.split("\n") if _data_line(text, metadata))
-        if block and not _parse_block(block, "\n", columns, memos, None):
+        if not _parse_block(block, "\n", columns, memos, None):
             _row_fault(block.split("\n"), columns, None, path, "the header")
+    if rest:
+        raise DomainError(f"{path}: row {len(columns[0])} has no line break at its end")
     return Rows(columns)
 
 
@@ -363,213 +353,115 @@ def _text_file(path: str):
 
 
 def read_dataset_csv(path: str) -> Dataset:
-    """Read back a CSV dataset: each ``# key = value`` comment is a metadata
-    entry, its value decoded by ``json``, or kept as text where it is not
-    JSON, as in files written before metadata was spelled in JSON."""
+    """Read back a CSV dataset: ``# key = <JSON>`` lines, each a metadata
+    entry, the header, then one row per line, each line ending in a line
+    break."""
     metadata: dict = {}
     with _text_file(path) as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if _data_line(line, metadata):
-                columns = tuple(line.split(","))
+        for number, line in enumerate(handle, 1):
+            if not line.startswith("#"):
                 break
+            _metadata_line(line, number, metadata, path)
         else:
             raise DomainError(f"{path}: no header row found")
-        rows = _csv_rows(handle, len(columns), metadata, path)
+        columns = tuple(line[:-1].split(","))
+        if not (line.endswith("\n") and all(columns)):
+            raise DomainError(f"{path}: line {number} is not a header: names joined by ',' "
+                              "and a line break")
+        rows = _csv_rows(handle, len(columns), path)
     return Dataset(columns=columns, rows=rows, metadata=metadata)
 
 
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
-# what may still continue a number that ends where the text read so far ends
-_JSON_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*\Z")
-# the literals that the text read so far may end inside
-_JSON_WORDS = ("true", "false", "null", "NaN", "Infinity", "-Infinity")
-# where one row of the rows array ends and the next begins
-_JSON_ROW_BREAK = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
-# the last row's close and the rows array's
-_JSON_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
 _JSON_DECODER = json.JSONDecoder()
 
 
-class _JsonText:
-    """The text of an open JSON file, read ``_READ_CHARS`` characters at a
-    time: ``buf[pos:]`` is what has been read and not yet consumed, and
-    ``offset`` the number of characters dropped before ``buf``."""
+def _json_metadata(pieces: Iterator[str], path: str) -> tuple[object, str]:
+    """The value that follows ``_JSON_HEAD``, decoded by ``json``, and the
+    text read after the ``_JSON_ROWS`` that follows it, one character at least.
 
-    def __init__(self, handle, path: str) -> None:
-        self.handle, self.path = handle, path
-        self.buf, self.pos, self.offset = "", 0, 0
-
-    def fail(self, message: str) -> DomainError:
-        return DomainError(f"{self.path}: {message}")
-
-    def more(self, size: int = 0) -> bool:
-        """Drop the consumed text and read one more piece of at least
-        ``size`` characters; False, with nothing changed, at the end of the file."""
-        piece = self.handle.read(max(size, _READ_CHARS))
-        if piece:
-            self.offset += self.pos
-            self.buf, self.pos = self.buf[self.pos:] + piece, 0
-        return bool(piece)
-
-    def skip_space(self) -> bool:
-        """Consume any whitespace; whether text follows it."""
-        while True:
-            self.pos = _JSON_SPACE.match(self.buf, self.pos).end()
-            if self.pos < len(self.buf) or not self.more():
-                return self.pos < len(self.buf)
-
-    def at(self, char: str) -> bool:
-        """Whether ``char`` comes next, after any whitespace."""
-        self.skip_space()
-        return self.buf.startswith(char, self.pos)
-
-    def expect(self, char: str) -> None:
-        if not self.at(char):
-            raise self.fail(f"expected {char!r} at character {self.offset + self.pos}")
-        self.pos += 1
-
-    def value(self):
-        """The JSON value next, decoded by ``json``.
-
-        While the value fails only because the text read so far ends inside
-        it, or decodes to a number that may run on past that end, the text
-        read is doubled; any other failure is refused at once.
-        """
-        self.skip_space()
-        while True:
-            try:
-                value, end = _JSON_DECODER.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError as exc:
-                if self.cut_off(exc) and self.more(len(self.buf)):
-                    continue
-                raise self.fail(f"{exc.msg} at character {self.offset + exc.pos}") from None
-            except RecursionError:
-                raise self.fail("a value nested past the recursion limit at character "
-                                f"{self.offset + self.pos}") from None
-            if not _JSON_NUMBER_TAIL.match(self.buf, end) or not self.more(len(self.buf)):
-                self.pos = end
-                return value
-
-    def cut_off(self, exc: json.JSONDecodeError) -> bool:
-        """Whether more text may mend ``exc``: whether the text read so far
-        ends inside a string, or inside the number, literal or ``\\u``
-        escape where decoding stopped."""
-        if exc.msg.startswith("Unterminated string"):
-            return True
-        rest = self.buf[exc.pos:exc.pos + 10]  # "-Infinity" and one character more
-        if exc.msg.startswith("Invalid \\uXXXX"):
-            return len(rest) <= len("uXXXX")  # json refuses an escape that ends the text
-        return (_JSON_NUMBER_TAIL.match(self.buf, exc.pos) is not None
-                or any(word.startswith(rest) for word in _JSON_WORDS))
-
-
-def _json_columns(metadata) -> tuple[str, ...] | None:
-    """``metadata["columns"]`` as a tuple, if ``metadata`` is an object whose
-    ``columns`` is a non-empty list of strings; otherwise ``None``."""
-    columns = metadata.get("columns") if isinstance(metadata, dict) else None
-    if isinstance(columns, list) and columns and all(isinstance(name, str) for name in columns):
-        return tuple(columns)
-    return None
-
-
-def _json_object(text: _JsonText) -> dict:
-    """The top-level object's members: ``rows`` read by ``_json_rows``,
-    every other member decoded by ``json``."""
-    members = {}
-    text.expect("{")
-    more = not text.at("}")
-    while more:
-        if not text.at('"'):
-            raise text.fail(f"expected '\"' at character {text.offset + text.pos}")
-        key = text.value()
-        text.expect(":")
-        if key == "rows":
-            members[key] = _json_rows(text, _json_columns(members.get("metadata")))
-        else:
-            members[key] = text.value()
-        more = text.at(",")
-        if more:
-            text.pos += 1
-    text.expect("}")
-    if text.skip_space():
-        raise text.fail(f"unexpected text after character {text.offset + text.pos}")
-    return members
-
-
-def _json_rows(text: _JsonText, names: tuple[str, ...] | None) -> Rows | tuple:
-    """The rows of the rows array next; ``()`` if it is empty.
-
-    A row has one entry per name in ``names``, the metadata's columns if
-    they came first, or else as many as row 0. The rows are parsed a block
-    at a time, each block the rows that the text read so far holds whole,
-    by ``_parse_block`` in the writers' form: rows joined by ``], [``, with
-    no line break. A block in another form is put into the writers' form
-    first, its line breaks turned into spaces and each ``_JSON_ROW_BREAK``
-    into ``], [``. A block still not parsed goes to ``_row_fault``, cut at
-    ``_JSON_ROW_BREAK`` as written, where a bracket left in an entry fails
-    as an entry that is not a number. The row begun last is carried into
-    the next block.
+    The metadata may hold a key ``rows`` itself, so the value ends at the
+    first ``_JSON_ROWS`` where ``raw_decode`` ends it. Decoding the text up
+    to a mark fails there only for want of the text after it; a decode error
+    before it, or a value that ends before it, is refused at once.
     """
-    text.expect("[")
-    if text.at("]"):
-        text.pos += 1
-        return ()
-    columns = memos = None
-    first = 0  # the rows parsed so far
+    text, start = "", len(_JSON_HEAD)  # start: where the next mark is looked for
     while True:
-        buf, pos = text.buf, text.pos
-        if not buf.startswith("[", pos):
-            raise text.fail(f"the rows array is not an array of number arrays after row {first}")
-        end = _JSON_ROWS_END.search(buf, pos)
-        if end is None:
-            cut = max(buf.rfind("[", pos + 1), pos)  # where the row begun last opens
-            block = buf[pos:cut].rstrip(" \t\n\r")
-            rows = block[:-1].rstrip(" \t\n\r")  # without the comma after the last row
-            if block and not (block.endswith(",") and rows.endswith("]")):
-                raise text.fail("the rows array is not an array of number arrays "
-                                f"after row {first}")
-            text.pos = cut
+        piece = next(pieces, None)
+        text += piece or ""
+        if not (text.startswith(_JSON_HEAD) or piece and _JSON_HEAD.startswith(text)):
+            raise DomainError(f"{path}: expected {_JSON_HEAD!r} at character 0")
+        # each mark with a character after it; at the end of the file, the end
+        mark = text.find(_JSON_ROWS, start, len(text) - 1) if piece else len(text)
+        while mark >= 0:
+            found = _metadata_before(text, mark, piece is None, path)
+            if found:
+                return found
+            start = mark + 1
+            mark = text.find(_JSON_ROWS, start, len(text) - 1)
+        start = max(start, len(text) - len(_JSON_ROWS))  # no mark ends before here
+
+
+def _metadata_before(text: str, mark: int, last: bool, path: str) -> tuple[object, str] | None:
+    """The value that ``raw_decode`` finds between ``_JSON_HEAD`` and a mark
+    at ``mark``, and the text after the mark; ``None`` if the value runs on
+    past it, unless the mark is the ``last`` one."""
+    try:
+        value, end = _JSON_DECODER.raw_decode(text[:mark], len(_JSON_HEAD))
+    except json.JSONDecodeError as exc:
+        if exc.pos < mark or last:
+            raise DomainError(f"{path}: {exc.msg} at character {exc.pos}") from None
+        return None
+    except RecursionError:
+        raise DomainError(f"{path}: a value nested past the recursion limit at character "
+                          f"{len(_JSON_HEAD)}") from None
+    except ValueError as exc:  # an integer past the digit limit of int
+        raise DomainError(f"{path}: metadata: {exc}") from None
+    if end < mark or last:
+        raise DomainError(f"{path}: expected {_JSON_ROWS!r} and a row at character {end}")
+    return value, text[mark + len(_JSON_ROWS):]
+
+
+def _json_rows(text: str, pieces: Iterator[str], width: int, path: str) -> Rows:
+    """The rows that follow ``_JSON_ROWS``, ``width`` entries each: ``text``
+    the text read after it, ``pieces`` the rest of the file. The rows that
+    each piece completes are parsed as one block; a block that holds a line
+    break, which no writer writes, or that is not parsed goes to ``_row_fault``.
+    """
+    columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
+    if not text.startswith("["):  # no row: the rows array closes at once
+        # three pieces more hold a character past a whole _JSON_END, if there is one
+        if text + "".join(islice(pieces, len(_JSON_END))) != _JSON_END:
+            raise DomainError(f"{path}: expected row 0 to open with '[', or the file to end "
+                              f"in {_JSON_END!r} with no row")
+        return Rows(columns)
+    rest, end = "", "]" + _JSON_END
+    for piece in chain([text[1:]], pieces, [None]):
+        if piece is None:  # the end of the file: the last block
+            if not rest.endswith(end):
+                raise DomainError(f"{path}: expected the last row to close with {end!r} and "
+                                  "the end of the file")
+            block = rest[:-len(end)]
         else:
-            rows, text.pos = buf[pos:end.start() + 1], end.end()
-        if rows:
-            body = rows[1:-1]
-            if columns is None:
-                width = len(names) if names else _JSON_ROW_BREAK.split(body, 1)[0].count(",") + 1
-                columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
-            # the writers' form first, unless a line break would pass for a row's
-            # mark; a block in another form is put into the writers' form once
-            count = ("\n" not in body and _parse_block(body, "], [", columns, memos, "null")
-                     or _parse_block(_JSON_ROW_BREAK.sub("], [", body.replace("\n", " ")),
-                                     "], [", columns, memos, "null"))
-            if not count:
-                _row_fault(_JSON_ROW_BREAK.split(body), columns, "null", text.path,
-                           "metadata.columns" if names else "row 0")
-            first += count
-        if end is not None:
-            return Rows(columns)
-        if not text.more():
-            raise text.fail("the rows array is not closed")
+            rest += piece
+            cut = rest.rfind("], [")
+            if cut < 0:
+                continue
+            block, rest = rest[:cut], rest[cut + 4:]
+        if "\n" in block or not _parse_block(block, "], [", columns, memos, "null"):
+            _row_fault(block.split("], ["), columns, "null", path, "metadata.columns")
+    return Rows(columns)
 
 
 def read_dataset_json(path: str) -> Dataset:
-    """Read back a JSON dataset in one pass, in pieces of ``_READ_CHARS``
-    characters.
-
-    The members other than ``rows`` are decoded through ``json``; the rows
-    are parsed straight into the columns, a block at a time, so neither the
-    file's text nor a list of lists is held. The members may come in any
-    order: rows that come before ``metadata`` take their width from row 0.
-    """
+    """Read back a JSON dataset: ``_JSON_HEAD``, the metadata object,
+    ``_JSON_ROWS``, the rows, each opened by ``[``, joined by ``], [`` and
+    closed by ``]``, and ``_JSON_END``."""
     with _text_file(path) as handle:
-        members = _json_object(_JsonText(handle, path))
-    metadata = members.get("metadata")
-    columns = _json_columns(metadata)
-    if "rows" not in members or columns is None:
-        raise DomainError(f"{path}: expected an object with rows and metadata.columns, "
-                          "a non-empty list of strings")
-    rows = members["rows"]
-    if len(rows) and rows.width != len(columns):
-        raise DomainError(f"{path}: row 0 has {rows.width} entries; "
-                          f"metadata.columns has {len(columns)}")
-    return Dataset(columns=columns, rows=rows, metadata=metadata)
+        pieces = iter(partial(handle.read, _READ_CHARS), "")
+        metadata, text = _json_metadata(pieces, path)
+        columns = metadata.get("columns") if isinstance(metadata, dict) else None
+        if not (isinstance(columns, list) and columns
+                and all(isinstance(name, str) for name in columns)):
+            raise DomainError(f"{path}: metadata.columns is not a non-empty list of strings")
+        rows = _json_rows(text, pieces, len(columns), path)
+    return Dataset(columns=tuple(columns), rows=rows, metadata=metadata)

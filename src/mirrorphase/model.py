@@ -136,11 +136,15 @@ def dephasing_multiplier(params: ModelParams) -> float:
 def im_influence_action(params: ModelParams, s: float) -> float:
     """Imaginary part of the influence action accumulated up to time ``s``.
 
-    Linear in ``s``: (gamma0*s/2) * (1 + (2/3)v^2 + friction_factor).
+    Linear in ``s``: (gamma0*s/2) * (1 + (2/3)v^2 + friction_factor). An
+    action past the largest double is a ``DomainError``.
     """
     require("time", s)
-    # hot in the exact phase's integrand: reading _multiplier pays for require's lookup
-    return 0.5 * params.gamma0 * s * params._multiplier
+    action = 0.5 * params.gamma0 * s * params._multiplier
+    if not action < math.inf:
+        raise DomainError(f"time {s!r} takes the influence action past the largest double "
+                          f"at gamma0 {params.gamma0!r} and velocity {params.velocity!r}")
+    return action
 
 
 def decoherence_factor(params: ModelParams, s: float) -> float:
@@ -148,10 +152,14 @@ def decoherence_factor(params: ModelParams, s: float) -> float:
 
     r = exp(-im_influence_action); equal to 1 at s = 0 and strictly
     decreasing in ``s`` whenever gamma0 > 0. Mathematically positive, but
-    underflows to 0.0 once the action exceeds ~745; consumers that need
-    r > 0 reject that edge explicitly.
+    underflows to 0.0 once the action exceeds ~745, also where the action
+    itself passes the largest double; consumers that need r > 0 reject that
+    edge explicitly. The action is computed here, by the operations of
+    ``_decoherence_factors`` in the same order.
     """
-    return math.exp(-im_influence_action(params, s))
+    # hot in the exact phase's integrand: reading _multiplier pays for require's lookup
+    require("time", s)
+    return math.exp(-(0.5 * params.gamma0 * s * params._multiplier))
 
 
 def _decoherence_factors(params: ModelParams, times) -> list[float]:
@@ -174,7 +182,7 @@ def decoherence_time(params: ModelParams) -> float:
             "gamma0 = 0: the influence action stays at 0 and never reaches 1")
     # the bracket grows from (0, 1) by doubling up to the largest double, where
     # the action must reach 1
-    if im_influence_action(params, sys.float_info.max) < 1.0:
+    if 0.5 * params.gamma0 * sys.float_info.max * params._multiplier < 1.0:
         raise DomainError(f"gamma0 {params.gamma0!r} is too small: the decoherence time "
                           "2/(gamma0*multiplier) exceeds the largest double")
     analytic = 2.0 / (params.gamma0 * dephasing_multiplier(params))

@@ -100,18 +100,28 @@ def hand_file(tmp_path, fmt, columns, rows):
     return str(path)
 
 
-def count_json_reads(monkeypatch):
-    """The characters that each ``_JsonText.more`` call reads, as a list
-    that fills while the reader runs."""
-    more, pieces = datafiles._JsonText.more, []
+def count_reads(monkeypatch):
+    """The characters that each ``read`` of a file that a reader opens
+    returns, as a list that fills while the reader runs."""
+    pieces = []
 
-    def counted_more(text, size=0):
-        before = text.offset + len(text.buf)
-        read = more(text, size)
-        pieces.append(text.offset + len(text.buf) - before)
-        return read
+    class Counted:
+        def __init__(self, handle):
+            self.handle = handle
 
-    monkeypatch.setattr(datafiles._JsonText, "more", counted_more)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def read(self, size):
+            piece = self.handle.read(size)
+            pieces.append(len(piece))
+            return piece
+
+    monkeypatch.setattr(datafiles, "open", lambda *args, **kwargs: Counted(open(*args, **kwargs)),
+                        raising=False)
     return pieces
 
 
@@ -153,20 +163,16 @@ class TestRoundTrip:
         assert back.metadata["allow_errors"] is True
         assert back.rows == dataset.rows  # NaN equals NaN
 
-    def test_empty_dataset_keeps_its_columns(self, tmp_path):
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_empty_dataset_keeps_its_columns(self, tmp_path, fmt):
         """A dataset without rows holds one empty column per name, so it
-        equals its read-back in both formats and a rows-first JSON file."""
+        equals its read-back in both formats."""
         dataset = Dataset(columns=("a", "b"), rows=(), metadata={})
         assert dataset.rows.width == 2
-        rows_first = tmp_path / "rows_first.json"
-        rows_first.write_text('{"rows": [], "metadata": {"columns": ["a", "b"]}}')
-        backs = [read_dataset_json(str(rows_first))]
-        for fmt in FORMATS:
-            path = str(tmp_path / f"data.{fmt}")
-            write_dataset(dataset, path, fmt)
-            backs.append(READERS[fmt](path))
-        for back in backs:
-            assert back.columns == dataset.columns and back.rows == dataset.rows
+        path = str(tmp_path / f"data.{fmt}")
+        write_dataset(dataset, path, fmt)
+        back = READERS[fmt](path)
+        assert back.columns == dataset.columns and back.rows == dataset.rows
 
     def test_error_rows_spell_nan_as_null_in_json(self):
         payload = json.loads(dataset_to_json(run_sweep(error_spec())))
@@ -178,25 +184,34 @@ class TestRoundTrip:
         assert text.splitlines()[-6:-3] == ["0.0,0.1,nan", "0.0,0.5,nan", "0.0,0.9,nan"]
 
 
+def read_refused(path, fmt, piece=None) -> str:
+    """The one-line refusal of the file at ``path``, read ``piece``
+    characters at a time, without the ``<path>: `` that starts it."""
+    with mock.patch.object(datafiles, "_READ_CHARS", piece or datafiles._READ_CHARS), \
+            pytest.raises(DomainError) as caught:
+        READERS[fmt](str(path))
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    return message[len(f"{path}: "):]
+
+
+JSON_ONE = '{"metadata": {"columns": ["a"]}, "rows": '
+JSON_TWO = '{"metadata": {"columns": ["a", "b"]}, "rows": '
+HEAD = "expected '{\"metadata\": ' at character 0"
+COLUMNS = "metadata.columns is not a non-empty list of strings"
+LAST_ROW = "expected the last row to close with ']]}\\n' and the end of the file"
+NO_ROW = "expected row 0 to open with '[', or the file to end in ']}\\n' with no row"
+
+
 class TestReaders:
     def test_json_integers_read_back_as_floats(self, tmp_path):
         path = tmp_path / "hand.json"
-        path.write_text('{"metadata": {"columns": ["time", "value"]},\n'
-                        ' "rows": [[0, 1], [2, 0.5], [3, null]]}\n')
+        path.write_text('{"metadata": {"columns": ["time", "value"]}, '
+                        '"rows": [[0, 1], [2, 0.5], [3, null]]}\n')
         back = read_dataset_json(str(path))
         assert back.columns == ("time", "value")
         assert back.rows == ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan))
         assert all(type(x) is float for row in back.rows for x in row)
-
-    def test_csv_blank_and_comment_lines(self, tmp_path):
-        path = tmp_path / "hand.csv"
-        path.write_text("# mirrorphase dataset\n\n# target = decoherence_factor\n"
-                        "# a note without a value\ntime,value\n\n0,1\n"
-                        "# between rows\n2.5,0.25\n\n")
-        back = read_dataset_csv(str(path))
-        assert back.columns == ("time", "value")
-        assert back.rows == ((0.0, 1.0), (2.5, 0.25))
-        assert back.metadata == {"target": "decoherence_factor"}
 
     @pytest.mark.parametrize("rows, message", [
         ((("0.0", "1.0"), ("2.0",), ("3.0", "4.0", "5.0")), "row 1 has 1 entries"),
@@ -218,135 +233,140 @@ class TestReaders:
         with pytest.raises(DomainError, match=f"{path}: row 1"):
             read_dataset_json(path)
 
-    @pytest.mark.parametrize("text", [
-        '{"metadata": {"columns": ["a"]}, "rows": [[0] [1]]}',
-        '{"metadata": {"columns": ["a"]}, "rows": [[0], [1],]}',
-        '{"metadata": {"columns": ["a"]}, "rows": [[0], 1]}',
-        '{"metadata": {"columns": ["a", "b"]}, "rows": [[0, 1], [2, [3]]]}',
-        '{"metadata": {"columns": ["a"]}, "rows": [[0]]} []',
-        '{"metadata": {"columns": ["a"]}, "rows": [[0]]',
-        '{"metadata": {"columns": ["a"]}}',
-        '{"rows": [], "metadata": {"columns": ["a"], "axes": [}}',
-        '[[0]]',
-        '{"metadata": {"columns": 5}, "rows": [[0]]}',
-        '{"metadata": {"columns": [1, 2]}, "rows": [[0, 1]]}',
-        '{"metadata": {"columns": "ab"}, "rows": [[0, 1]]}',
-        '{"metadata": {"columns": []}, "rows": []}',
-        '{"rows": [], "metadata": {"columns": []}}',
-    ], ids=["no_comma", "trailing_comma", "bare_entry", "nested", "trailing_text",
-            "unclosed", "no_rows", "bad_metadata", "not_an_object", "number_columns",
-            "number_names", "text_columns", "no_columns", "rows_first_no_columns"])
+    @pytest.mark.parametrize("text, message", [
+        (JSON_ONE + "[[0] [1]]}\n", "row 0: '0] [1' is not a number"),
+        (JSON_ONE + "[[0],[1]]}\n", "row 0: '0]' is not a number"),
+        (JSON_TWO + "[[0.0, 1.0], [2.0, 3.0],[4.0, 5.0]\n ,\n[6.0, x], [8.0, 9.0]]}\n",
+         "row 1 holds a line break"),
+        (JSON_ONE + "[[0],\n[1]]}\n", "row 0 holds a line break"),
+        (JSON_TWO + "[[0.0, 1.0], [2.0, 3.0], [4.0, [5.0]], [6.0, 7.0]]}\n",
+         "row 2: '[5.0]' is not a number"),
+        (JSON_TWO + "[[0.0, 1.0], [2.0, [3.0], [4.0, 5.0]]}\n",
+         "row 1: '[3.0' is not a number"),
+        (JSON_TWO + "[[0.0, 1.0], [2.0], [4.0, 5.0]]}\n",
+         "row 1 has 1 entries; metadata.columns has 2"),
+        (JSON_TWO + "[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0, 6.0]]}\n",
+         "row 2 has 3 entries; metadata.columns has 2"),
+        (JSON_TWO + "[[0.0, 1.0], []]}\n", "row 1: '' is not a number"),
+        (JSON_ONE + "[[0], [1],]}\n", LAST_ROW),
+        (JSON_ONE + "[[0], 1]}\n", LAST_ROW),
+        (JSON_ONE + "[[0]]} []\n", LAST_ROW),
+        (JSON_ONE + "[[0]]\n", LAST_ROW),
+        (JSON_ONE + "[[0]]}", LAST_ROW),
+        (JSON_ONE + "[]}\nx", NO_ROW),
+        (JSON_ONE + "[]\n", NO_ROW),
+        ('{"metadata": {"columns": ["a"]}}\n',
+         "expected ', \"rows\": [' and a row at character 31"),
+        ('{"metadata": {"columns": ["a"]} , "rows": [[0]]}\n',
+         "expected ', \"rows\": [' and a row at character 31"),
+        ('{"metadata": {"columns": ["a"]}, "note": 1, "rows": [[0]]}\n',
+         "expected ', \"rows\": [' and a row at character 31"),
+        ('{"metadata": {"columns": ["a"], "axes": [}, "rows": []}\n',
+         "Expecting value at character 41"),
+        ("[[0]]\n", HEAD),
+        ('{"rows": [[0]], "metadata": {"columns": ["a"]}}\n', HEAD),
+        ('{"metadata":{"columns": ["a"]}, "rows": [[0]]}\n', HEAD),
+        ('{ "metadata": {"columns": ["a"]}, "rows": [[0]]}\n', HEAD),
+        ("", HEAD),
+        ('{"meta', HEAD),
+        ('{"metadata": {"columns": 5}, "rows": [[0]]}\n', COLUMNS),
+        ('{"metadata": {"columns": [1, 2]}, "rows": [[0, 1]]}\n', COLUMNS),
+        ('{"metadata": {"columns": "ab"}, "rows": [[0, 1]]}\n', COLUMNS),
+        ('{"metadata": {"columns": []}, "rows": []}\n', COLUMNS),
+        ('{"metadata": [1], "rows": []}\n', COLUMNS),
+        ('{"metadata": {"n": %s, "columns": ["a"]}, "rows": [[0]]}\n' % ("9" * 5000),
+         "metadata: Exceeds the limit (4300 digits) for integer string conversion"),
+    ], ids=["no_comma", "row_break_without_space", "mixed_breaks", "line_break_between_rows",
+            "bracket_in_an_entry", "bracket_across_rows", "short_row", "long_row", "empty_row",
+            "trailing_comma",
+            "bare_entry", "trailing_text", "unclosed", "no_line_break", "text_after_no_rows",
+            "no_rows_unclosed", "no_rows_member", "space_before_rows", "second_member",
+            "bad_metadata", "not_an_object", "rows_first", "no_space_after_metadata",
+            "space_before_metadata", "empty_file", "cut_short", "number_columns",
+            "number_names", "text_columns", "no_columns", "metadata_list", "long_integer"])
     @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
-    def test_json_that_is_not_a_dataset_object(self, tmp_path, text, piece):
+    def test_json_off_the_writers_layout(self, tmp_path, text, message, piece):
+        """Each file is refused in one line naming where it leaves the
+        writers' layout, wherever the pieces end."""
         path = tmp_path / "hand.json"
         path.write_text(text)
-        with mock.patch.object(datafiles, "_READ_CHARS", piece), \
-                pytest.raises(DomainError, match=str(path)) as caught:
-            read_dataset_json(str(path))
-        assert "\n" not in str(caught.value)
+        assert read_refused(path, "json", piece).startswith(message)
+
+    @pytest.mark.parametrize("text, message", [
+        ('# a note\na,b\n0,1\n', "line 1 is not a '# key = <JSON>' line"),
+        ('#  target = "t"\na,b\n0,1\n', "line 1 is not a '# key = <JSON>' line"),
+        ('# target  = "t"\na,b\n0,1\n', "line 1 is not a '# key = <JSON>' line"),
+        ('#target = "t"\na,b\n0,1\n', "line 1 is not a '# key = <JSON>' line"),
+        ('# target = "t"\n# version = 0.1.0\na,b\n0,1\n', "line 2: the value is not JSON"),
+        ('# n = %s\na\n0\n' % ("9" * 5000), "line 1: the value is not JSON (Exceeds the limit"),
+        ('# x = %s%s\na\n0\n' % ("[" * 100_000, "]" * 100_000),
+         "line 1: the value is not JSON (maximum recursion depth exceeded"),
+        ('# target = "t"\n\na,b\n0,1\n', "line 2 is not a header"),
+        ("a,,b\n0,1,2\n", "line 1 is not a header"),
+        ('# target = "t"\na,b', "line 2 is not a header"),
+        ('# target = "t"\n', "no header row found"),
+        ("a,b\n0,1\n\n2,3\n", "row 1: '' is not a number"),
+        ("a,b\n0,1\n# between = 1\n2,3\n", "row 1: '# between = 1' is not a number"),
+        ("a,b\n0,1\n2,3\n\n", "row 2: '' is not a number"),
+        ("a,b\n0,1\n2,3", "row 1 has no line break at its end"),
+        ("a,b\n0,1\n2,x\n", "row 1: 'x' is not a number"),
+        ("a,b\n0,1\n2,3\n4\n", "row 2 has 1 entries; the header has 2"),
+    ], ids=["comment_without_value", "key_after_two_spaces", "key_before_two_spaces",
+            "no_space_after_hash", "value_not_json", "long_integer", "nested_too_deep",
+            "blank_before_header", "empty_name", "header_without_line_break", "no_header",
+            "blank_among_rows", "comment_among_rows", "blank_at_the_end",
+            "no_line_break_at_the_end", "not_a_number", "short_row"])
+    @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
+    def test_csv_off_the_writers_layout(self, tmp_path, text, message, piece):
+        """Each file is refused in one line naming the line or row where it
+        leaves the writers' layout, wherever the pieces end."""
+        path = tmp_path / "hand.csv"
+        path.write_text(text)
+        assert read_refused(path, "csv", piece).startswith(message)
 
     @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
     def test_json_nested_past_the_recursion_limit(self, tmp_path, piece):
         path = tmp_path / "deep.json"
         depth = 100_000
         path.write_text('{"metadata": {"columns": ["a"], "x": ' + "[" * depth + "]" * depth
-                        + '}, "rows": [[1.0]]}')
-        with mock.patch.object(datafiles, "_READ_CHARS", piece), \
-                pytest.raises(DomainError, match=f"^{re.escape(str(path))}: a value nested "
-                                                 "past the recursion limit at character 13$"):
-            read_dataset_json(str(path))
+                        + '}, "rows": [[1.0]]}\n')
+        assert read_refused(path, "json", piece) == ("a value nested past the recursion limit "
+                                                     "at character 13")
 
-    @pytest.mark.parametrize("text, message", [
-        ('{"rows": [[0], [1, 2]], "metadata": {"columns": ["a"]}}',
-         "row 1 has 2 entries; row 0 has 1"),
-        ('{"rows": [[0, 1], [2, 3]], "metadata": {"columns": ["a"]}}',
-         "row 0 has 2 entries; metadata.columns has 1"),
-        ('{"metadata": {"columns": ["a", "b"]}, "rows": [[0, 1], [2]]}',
-         "row 1 has 1 entries; metadata.columns has 2"),
-    ], ids=["rows_first", "rows_first_wider", "metadata_first"])
+    @pytest.mark.parametrize("rows, message", [
+        ("[[0, 1], [2, 3]]", "row 0 has 2 entries; metadata.columns has 1"),
+        ("[[0], [1, 2]]", "row 1 has 2 entries; metadata.columns has 1"),
+    ], ids=["wider_row_0", "wider_row_1"])
     @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
-    def test_json_width_errors_state_the_widths_the_file_shows(self, tmp_path, text, message,
-                                                               piece):
-        """The row width comes from metadata.columns when it comes first, and
-        otherwise from row 0."""
+    def test_json_width_errors_state_the_widths(self, tmp_path, rows, message, piece):
+        """The row width comes from metadata.columns."""
         path = tmp_path / "hand.json"
-        path.write_text(text)
-        with mock.patch.object(datafiles, "_READ_CHARS", piece), \
-                pytest.raises(DomainError, match=f"^{path}: {message}$"):
-            read_dataset_json(str(path))
+        path.write_text(JSON_ONE + rows + "}\n")
+        assert read_refused(path, "json", piece) == message
 
     def test_json_file_is_read_once(self, tmp_path, monkeypatch):
         path = tmp_path / "data.json"
         dataset = run_sweep(factor_spec())
         write_dataset(dataset, str(path), "json")
-        pieces = count_json_reads(monkeypatch)
+        pieces = count_reads(monkeypatch)
         monkeypatch.setattr(datafiles, "_READ_CHARS", 64)
         assert read_dataset_json(str(path)).rows == dataset.rows
         assert sum(pieces) == len(path.read_text())
 
-    @pytest.mark.parametrize("written", [True, False], ids=["writers_break", "mixed_breaks"])
-    def test_json_rows_split_at_the_writers_break_first(self, tmp_path, written):
-        """A block is split at the writers' ``], [``; only a block that holds
-        another break is put into that form, once, through ``_JSON_ROW_BREAK``."""
-        pattern, calls = datafiles._JSON_ROW_BREAK, []
-
-        class CountedBreak:
-            def sub(self, replacement, text):
-                calls.append("sub")
-                return pattern.sub(replacement, text)
-
-            def split(self, text, maxsplit=0):
-                calls.append("split")
-                return pattern.split(text, maxsplit)
-
-        path = tmp_path / "data.json"
-        if written:
-            dataset = run_sweep(factor_spec())
-            write_dataset(dataset, str(path), "json")
-        else:
-            path.write_text('{"metadata": {"columns": ["a", "b"]}, "rows": [[0.0, 1.0], '
-                            '[2.0, 3.0],[4.0, 5.0]\n ,\n[6.0, 7.0], [8.0, 9.0]]}')
-            dataset = Dataset(columns=("a", "b"), rows=[(0.0, 1.0), (2.0, 3.0), (4.0, 5.0),
-                                                        (6.0, 7.0), (8.0, 9.0)], metadata={})
-        with mock.patch.object(datafiles, "_JSON_ROW_BREAK", CountedBreak()):
-            assert read_dataset_json(str(path)).rows == dataset.rows
-        assert calls == ([] if written else ["sub"])
-
-    @pytest.mark.parametrize("rows, message", [
-        ("[[0.0, 1.0], [2.0, 3.0],[4.0, 5.0]\n ,\n[6.0, x], [8.0, 9.0]]",
-         "row 3: 'x' is not a number"),
-        ("[[0.0, 1.0],[2.0, 3.0], [4.0, [5.0]], [6.0, 7.0]]", "row 2: '[5.0' is not a number"),
-        ("[[0.0, 1.0], [2.0, [3.0], [4.0, 5.0]]", "row 1: '[3.0' is not a number"),
-        ("[[0.0, 1.0],[2.0], [4.0, 5.0]]", "row 1 has 1 entries; metadata.columns has 2"),
-        ("[[0.0, 1.0], [2.0, 3.0]\n,[4.0, 5.0, 6.0]]",
-         "row 2 has 3 entries; metadata.columns has 2"),
-    ], ids=["mixed_breaks", "bracket_in_an_entry", "bracket_across_rows", "short_row",
-            "long_row"])
-    def test_json_row_errors_beside_other_breaks(self, tmp_path, rows, message):
-        """A block that the writers' break leaves unparsed is split at
-        ``_JSON_ROW_BREAK`` and refused naming the row at fault."""
-        path = tmp_path / "hand.json"
-        path.write_text('{"metadata": {"columns": ["a", "b"]}, "rows": %s}' % rows)
-        with pytest.raises(DomainError) as caught:
-            read_dataset_json(str(path))
-        assert str(caught.value) == f"{path}: {message}"
-
     @pytest.mark.parametrize("member", ["tru", "1x", "01", "-x", '"\\x"', '"\\u12zz"',
                                         "[1 2]", "{1: 2}", "nul]"])
-    def test_malformed_json_member_fails_at_once(self, tmp_path, monkeypatch, member):
-        """A member that more text cannot mend is refused, with the message
-        that decoding the whole file gives, without reading the rest of it."""
-        text = '{"metadata": {"note": %s, "columns": ["a"]}, "rows": [%s]}' % (
+    def test_malformed_metadata_fails_at_once(self, tmp_path, monkeypatch, member):
+        """Malformed metadata is refused, with the message that decoding the
+        whole file gives, without reading the rest of it."""
+        text = '{"metadata": {"note": %s, "columns": ["a"]}, "rows": [%s]}\n' % (
             member, ", ".join(["[0.5]"] * 20_000))
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(json.JSONDecodeError) as decoded:
             json.loads(text)
-        pieces = count_json_reads(monkeypatch)
-        with pytest.raises(DomainError) as caught:
-            read_dataset_json(str(path))
-        assert str(caught.value) == (f"{path}: {decoded.value.msg} at character "
-                                     f"{decoded.value.pos}")
+        pieces = count_reads(monkeypatch)
+        assert read_refused(path, "json") == (f"{decoded.value.msg} at character "
+                                              f"{decoded.value.pos}")
         assert len(text) > 4 * datafiles._READ_CHARS
         assert sum(pieces) <= 2 * datafiles._READ_CHARS
 
@@ -361,90 +381,48 @@ class TestReaders:
         axes that name no grid leave the rows as written."""
         path = tmp_path / "hand.json"
         path.write_text('{"metadata": {"columns": ["a", "v"], "axes": %s}, '
-                        '"rows": [[0.0, 1.0], [1, 2.0], [0.0, 3.0], [1.0, 4.0]]}' % axes)
+                        '"rows": [[0.0, 1.0], [1, 2.0], [0.0, 3.0], [1.0, 4.0]]}\n' % axes)
         back = read_dataset_json(str(path))
         assert back.rows == ((0.0, 1.0), (1.0, 2.0), (0.0, 3.0), (1.0, 4.0))
         assert all(type(x) is float for row in back.rows for x in row)
 
-    def test_csv_axis_count_too_long_for_int(self, tmp_path):
-        path = tmp_path / "hand.csv"
-        path.write_text("# axis.a = linear 0.0 1.0 %s\na,v\n0.0,1.0\n1.0,2.0\n" % ("9" * 5000))
-        assert read_dataset_csv(str(path)).rows == ((0.0, 1.0), (1.0, 2.0))
-
-    @pytest.mark.parametrize("piece", [*PIECES, datafiles._READ_CHARS])
-    def test_csv_blank_and_comment_lines_on_block_boundaries(self, tmp_path, piece):
-        """Comment and blank lines mid-file, and a last line without a line
-        break, wherever the pieces end."""
-        path = tmp_path / "hand.csv"
-        path.write_text("# target = t\ntime,value\n0,1\n# between = rows\n\n2.5,0.25\n"
-                        "3,4\n# a note\n\n\n5,6")
-        with mock.patch.object(datafiles, "_READ_CHARS", piece):
-            back = read_dataset_csv(str(path))
-        assert back.rows == ((0.0, 1.0), (2.5, 0.25), (3.0, 4.0), (5.0, 6.0))
-        assert back.metadata == {"target": "t", "between": "rows"}
-
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("piece", PIECES)
     def test_csv_rows_split_across_pieces(self, tmp_path, piece, newline):
-        """Rows, entries and line ends cut off where a piece ends read whole,
-        with either line end and with or without one after the last row."""
-        lines = ["# target = t", "time,value", "0.125,-1.5e-07", "", "# between = rows",
-                 "123456789.12345679,5e-324", "-0.0,1.7976931348623157e+308"]
-        for tail in ("", newline):
-            path = tmp_path / "hand.csv"
-            path.write_bytes((newline.join(lines) + tail).encode())
-            with mock.patch.object(datafiles, "_READ_CHARS", piece):
-                back = read_dataset_csv(str(path))
-            assert back.columns == ("time", "value")
-            assert back.rows == ((0.125, -1.5e-07), (123456789.12345679, 5e-324),
-                                 (-0.0, 1.7976931348623157e+308))
-            assert repr(back.rows[2][0]) == "-0.0"
-            assert back.metadata == {"target": "t", "between": "rows"}
-
-    @pytest.mark.parametrize("piece", PIECES)
-    def test_csv_errors_name_the_row_across_pieces(self, tmp_path, piece):
-        """A bad entry or a short row is refused, naming its row, wherever
-        the pieces end."""
+        """Metadata lines, rows, entries and line ends cut off where a piece
+        ends read whole, with either line end."""
+        lines = ['# target = "t"', '# note = {"a": [1.5, null], "b": "x, y"}', "time,value",
+                 "0.125,-1.5e-07", "123456789.12345679,5e-324", "-0.0,1.7976931348623157e+308"]
         path = tmp_path / "hand.csv"
-        for text, message in (("a,b\n1,2\n# c\n3,x\n", "row 1: 'x' is not a number"),
-                              ("a,b\n1,2\n\n3,4\n5\n", "row 2 has 1 entries")):
-            path.write_text(text)
-            with mock.patch.object(datafiles, "_READ_CHARS", piece), \
-                    pytest.raises(DomainError, match=re.escape(message)):
-                read_dataset_csv(str(path))
-
-    @pytest.mark.parametrize("piece", [*PIECES, 256])
-    def test_json_rows_before_metadata_with_irregular_whitespace(self, tmp_path, piece):
-        path = tmp_path / "hand.json"
-        path.write_text('{"rows":[[0,1] ,\n\t[ 2 ,0.5 ],[3,\r\n null]\n,[-0.0,4e1]\n] ,\n'
-                        ' "metadata" : {"columns": ["time","value"], "axes": '
-                        '[{"name": "time", "count": 1}, {"name": "value", "count": 2}]}}')
+        path.write_bytes((newline.join(lines) + newline).encode())
         with mock.patch.object(datafiles, "_READ_CHARS", piece):
-            back = read_dataset_json(str(path))
+            back = read_dataset_csv(str(path))
         assert back.columns == ("time", "value")
-        assert back.rows == ((0.0, 1.0), (2.0, 0.5), (3.0, math.nan), (-0.0, 40.0))
-        assert repr(back.rows[3][0]) == "-0.0"
-        assert all(type(x) is float for row in back.rows for x in row)
+        assert back.rows == ((0.125, -1.5e-07), (123456789.12345679, 5e-324),
+                             (-0.0, 1.7976931348623157e+308))
+        assert repr(back.rows[2][0]) == "-0.0"
+        assert back.metadata == {"target": "t", "note": {"a": [1.5, None], "b": "x, y"}}
 
     @pytest.mark.parametrize("piece", PIECES)
-    def test_json_members_split_across_pieces(self, tmp_path, piece):
-        """A top-level number member and a metadata value spelled "rows" read
-        whole, wherever the pieces end."""
+    def test_json_metadata_holding_rows_split_across_pieces(self, tmp_path, piece):
+        """Metadata that holds the rows mark itself, in a value and as a
+        nested key, reads whole, wherever the pieces end."""
+        metadata = {"note": ', "rows": [', "rows": [1, {"x": 2, "rows": [3]}],
+                    "columns": ["a"]}
         path = tmp_path / "hand.json"
-        path.write_text('{"count": 123456789e-3, "metadata": {"note": "rows", "rows": [1],'
-                        ' "columns": ["a"]}, "rows": [[1.5], [-2]], "tail": -0.25}')
+        path.write_text('{"metadata": %s, "rows": [[1.5], [-2]]}\n' % json.dumps(metadata))
         with mock.patch.object(datafiles, "_READ_CHARS", piece):
             back = read_dataset_json(str(path))
         assert back.rows == ((1.5,), (-2.0,))
-        assert back.metadata == {"note": "rows", "rows": [1], "columns": ["a"]}
+        assert back.metadata == metadata
 
     @pytest.mark.parametrize("piece", PIECES)
     def test_json_strings_and_literals_split_across_pieces(self, tmp_path, piece):
         """Escapes, literals and numbers cut off where a piece ends read whole."""
-        metadata = {"note": "\u00e9\U0001d11e\\ \"x\"", "flags": [True, False, None],
+        metadata = {"note": "é\U0001d11e\\ \"x\"", "flags": [True, False, None],
                     "limits": [-math.inf, math.inf, -1.5e-7], "columns": ["a"]}
         path = tmp_path / "hand.json"
-        path.write_text('{"metadata": %s, "rows": [[1.5]]}' % json.dumps(metadata))
+        path.write_text('{"metadata": %s, "rows": [[1.5]]}\n' % json.dumps(metadata))
         with mock.patch.object(datafiles, "_READ_CHARS", piece):
             back = read_dataset_json(str(path))
         assert back.metadata == metadata and back.rows == ((1.5,),)
@@ -496,21 +474,12 @@ class TestReaders:
         assert {text: spelled[text] for text in axis_texts} == dict.fromkeys(axis_texts, 1)
         assert {text: parsed[text] for text in axis_texts} == dict.fromkeys(axis_texts, 1)
 
-    def test_csv_without_header_row(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("# mirrorphase dataset\n\n# allow_errors = false\n")
-        with pytest.raises(DomainError, match="no header row found"):
-            read_dataset_csv(str(path))
-
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_file_that_is_not_utf8(self, tmp_path, fmt):
         path = hand_file(tmp_path, fmt, ("time", "value"), [("0.0", "1.0")])
         with open(path, "ab") as handle:
             handle.write(b"\xff\n")
-        with pytest.raises(DomainError, match="not UTF-8 text") as caught:
-            READERS[fmt](path)
-        assert str(caught.value).startswith(f"{path}: ")
-        assert "\n" not in str(caught.value)
+        assert read_refused(path, fmt).startswith("not UTF-8 text")
 
 
 def test_csv_read_back_writes_the_same_bytes(tmp_path):
@@ -577,23 +546,15 @@ class TestMetadata:
         if fmt == "csv":
             assert dataset_to_csv(back) == open(path, encoding="utf-8").read()
 
-    def test_older_comment_lines_read_as_flat_keys(self, tmp_path):
-        """A CSV written before metadata was spelled in JSON reads each
-        comment as one key: its JSON value where there is one, else its text."""
+    def test_older_comment_lines_are_refused(self, tmp_path):
+        """A CSV written before metadata was spelled in JSON is refused at
+        its first comment that is not a ``# key = <JSON>`` line."""
         path = tmp_path / "old.csv"
         path.write_text("# mirrorphase dataset\n# version = 0.1.0\n# target = decoherence_factor\n"
-                        "# axis.velocity = values 0.1 0.5\n"
-                        "# axis.time = linear 0.0 6.283185307179586 2\n# fixed.gamma0 = 0.05\n"
-                        "# fixed.lambda = 5.0\n# fixed.omega = 0.03\n# allow_errors = false\n"
-                        "velocity,time,decoherence_factor\n0.1,0.0,1.0\n"
-                        "0.1,6.283185307179586,0.6862746861513069\n")
-        back = read_dataset_csv(str(path))
-        assert back.rows == ((0.1, 0.0, 1.0), (0.1, 6.283185307179586, 0.6862746861513069))
-        assert back.metadata == {
-            "version": "0.1.0", "target": "decoherence_factor",
-            "axis.velocity": "values 0.1 0.5", "axis.time": "linear 0.0 6.283185307179586 2",
-            "fixed.gamma0": 0.05, "fixed.lambda": 5.0, "fixed.omega": 0.03,
-            "allow_errors": False}
+                        "velocity,time,decoherence_factor\n0.1,0.0,1.0\n")
+        assert read_refused(path, "csv") == "line 1 is not a '# key = <JSON>' line"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        assert read_refused(path, "csv").startswith("line 1: the value is not JSON")
 
     @pytest.mark.parametrize("key", ["", " a", "a ", "a=b", "a\nb", "a\rb", "\t", 1, None,
                                      ("a",), "k\ud800", "\udfff"])
@@ -924,53 +885,170 @@ def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece, 
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
 
 
-@pytest.fixture(scope="module")
-def spaced_rows_file():
-    """A decoherence_time sweep over gamma0 {-0.0, 0.1, 0.0} x two
-    velocities, error rows kept, so its rows hold NaN (``null`` in JSON) and
-    both zeros; with its JSON text before the rows array and the array's
-    tokens: brackets, commas and entries."""
-    dataset = run_sweep(SweepSpec(target="decoherence_time",
-                                  axes=(Axis.from_values("gamma0", (-0.0, 0.1, 0.0)),
-                                        Axis.from_values("velocity", (0.1, 0.9))),
-                                  fixed={"lambda": 5.0, "omega": 0.03}, allow_errors=True))
-    head, rows, tail = dataset_to_json(dataset).partition('"rows": ')
-    assert tail.endswith("]}\n")
-    return dataset, head + rows, re.findall(r"[][,]|[^][,\s]+", tail[:-2])
+def outcome(path, fmt, piece):
+    """What reading ``path`` ``piece`` characters at a time gives: the
+    columns, each row's ``repr`` spellings and the metadata, or the text of
+    a one-line ``DomainError`` that starts with the path."""
+    with mock.patch.object(datafiles, "_READ_CHARS", piece):
+        try:
+            back = READERS[fmt](str(path))
+        except DomainError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: ") and "\n" not in message
+            return message
+    return back.columns, [tuple(map(repr, row)) for row in back.rows], back.metadata
 
 
-# JSON whitespace; "\r" reads as a line break, as text files are read
-_JSON_SPACES = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+# whitespace that JSON allows between tokens; text files read "\r" as a line break
+_SPACES = st.sampled_from([" ", "\t", "\n", "\r\n", "  "])
 
 
-@given(data=st.data(), piece=st.integers(min_value=1, max_value=16),
-       bad=st.sampled_from(["x", "1.0.0", "true", '"1.5"', "1e", "--2", "0x1p3"]))
-@settings(max_examples=60, deadline=None)
-def test_json_rows_in_any_spacing(tmp_path_factory, spaced_rows_file, data, piece, bad):
-    """The rows array re-spaced with JSON whitespace around every bracket
-    and comma, inside rows and between them, reads back as written, wherever
-    the pieces cut it; with one entry that is not a number, the read names
-    that entry and its row."""
-    dataset, head, tokens = spaced_rows_file
-    spaces = data.draw(st.lists(_JSON_SPACES, min_size=len(tokens) + 1,
-                                max_size=len(tokens) + 1))
-    path = tmp_path_factory.mktemp("spaced") / "data.json"
+def splits(text, at):
+    """Whether ``at`` lies between two characters of one number or word."""
+    return re.fullmatch(r"[-+.\w]{2}", text[at - 1:at + 1]) is not None
 
-    def read(tokens):
-        path.write_text(head + "".join(map("".join, zip(spaces, tokens))) + spaces[-1] + "}")
-        with mock.patch.object(datafiles, "_READ_CHARS", piece):
-            return read_dataset_json(str(path))
 
-    back = read(tokens)
-    assert [tuple(map(repr, row)) for row in back.rows] == [
-        tuple(map(repr, row)) for row in dataset.rows]
-    # the array's "[" and each row's "[" before the entry
-    index = data.draw(st.sampled_from([i for i, token in enumerate(tokens)
-                                       if token not in ("[", "]", ",")]))
-    row = tokens[:index].count("[") - 2
-    with pytest.raises(DomainError) as caught:
-        read([*tokens[:index], bad, *tokens[index + 1:]])
-    assert str(caught.value) == f"{path}: row {row}: {bad!r} is not a number"
+@st.composite
+def json_edits(draw, text, meta_end):
+    """One edit of ``text``, a written JSON file whose metadata object ends
+    at ``meta_end``, and whether the edited file keeps the writers' layout.
+
+    Whitespace keeps it inside the metadata object, and beside an entry
+    inside a row if it holds no line break, unless it splits a number or
+    word; so does reordering the metadata's members. Whitespace anywhere
+    else, the rows before the metadata, a ``]`` or ``,`` outside a string
+    dropped or doubled, and a comment leave it.
+    """
+    head, rows_start = len(datafiles._JSON_HEAD), meta_end + len(datafiles._JSON_ROWS)
+    tokens = list(re.finditer(r'"(?:[^"\\]|\\.)*"|.', text, re.S))  # a string is one token
+    bounds = [0] + [token.end() for token in tokens]
+
+    def in_row(at):  # between the brackets of a row
+        return text.rfind("[", rows_start, at) > text.rfind("]", rows_start, at)
+
+    kind = draw(st.sampled_from(["space", "unspace", "reorder", "rows_first", "bracket_comma",
+                                 "comment"]))
+    if kind == "space":
+        at, space = draw(st.sampled_from(bounds)), draw(_SPACES)
+        keeps = (head < at < meta_end or in_row(at) and space.isspace()
+                 and not {"\n", "\r"} & set(space)) and not splits(text, at)
+        return text[:at] + space + text[at:], keeps
+    if kind == "unspace":
+        at = draw(st.sampled_from([t.start() for t in tokens if t.group() in (" ", "\n")]))
+        return text[:at] + text[at + 1:], head <= at < meta_end or in_row(at)
+    if kind == "reorder":
+        metadata = json.loads(text[head:meta_end])
+        return (text[:head] + json.dumps(dict(reversed(metadata.items()))) + text[meta_end:],
+                True)
+    if kind == "rows_first":
+        rows = text[meta_end + len(', "rows": '):-2]
+        return '{"rows": ' + rows + ', "metadata": ' + text[head:meta_end] + "}\n", False
+    if kind == "bracket_comma":
+        at = draw(st.sampled_from([t.start() for t in tokens if t.group() in ("]", ",")]))
+        return text[:at] + draw(st.sampled_from(["", text[at] * 2])) + text[at + 1:], False
+    at = draw(st.sampled_from(bounds))
+    return text[:at] + draw(st.sampled_from(["/* note */", "// note\n"])) + text[at:], False
+
+
+@st.composite
+def csv_edits(draw, text):
+    """One edit of ``text``, a written CSV file, and whether the edited
+    file keeps the writers' layout.
+
+    A space or tab beside an entry, or at the end of a metadata line, keeps
+    it, as do a line break spelled CR LF and two metadata lines swapped. A
+    space or tab that splits an entry or ends the file, a blank line, a
+    comment among the rows or before the header, the header swapped with a
+    metadata line, and a ``,`` or ``]`` dropped or added among the rows
+    leave it.
+    """
+    header = 0
+    while text.startswith("#", header):
+        header = text.index("\n", header) + 1
+    rows = text.index("\n", header) + 1  # where the rows begin
+    breaks = [at for at, char in enumerate(text) if char == "\n"]
+    meta_starts = [0] + [at + 1 for at in breaks if at < header]
+    kind = draw(st.sampled_from(["space", "crlf", "row_line", "meta_line", "reorder",
+                                 "comma"]))
+    if kind == "space":
+        at = draw(st.sampled_from([*range(rows, len(text) + 1),
+                                   *(at for at in breaks if at < header)]))
+        keeps = at < len(text) and (at < header or not re.fullmatch(r"[^,\n]{2}",
+                                                                       text[at - 1:at + 1]))
+        return text[:at] + draw(st.sampled_from([" ", "\t"])) + text[at:], keeps
+    if kind == "crlf":
+        at = draw(st.sampled_from(breaks))
+        return text[:at] + "\r" + text[at:], True
+    if kind == "row_line":
+        at = draw(st.sampled_from([rows] + [at + 1 for at in breaks if at >= rows]))
+        line = draw(st.sampled_from(["\n", "# note\n", "# between = 1\n"]))
+        return text[:at] + line + text[at:], False
+    if kind == "meta_line":
+        at = draw(st.sampled_from(meta_starts))
+        line = draw(st.sampled_from(["\n", "# a note\n", "# note = not JSON\n"]))
+        return text[:at] + line + text[at:], False
+    if kind == "reorder":
+        lines = text[:rows].split("\n")[:-1]  # the metadata lines and the header
+        at = draw(st.integers(0, len(lines) - 2))
+        lines[at:at + 2] = lines[at + 1], lines[at]
+        return "\n".join(lines) + "\n" + text[rows:], at + 2 < len(lines)
+    commas = [at for at in range(rows, len(text)) if text[at] == ","]
+    if commas and draw(st.booleans()):
+        at = draw(st.sampled_from(commas))
+        return text[:at] + draw(st.sampled_from(["", ",,"])) + text[at + 1:], False
+    at = draw(st.integers(rows, len(text)))
+    return text[:at] + draw(st.sampled_from([",", "]"])) + text[at:], False
+
+
+@pytest.mark.parametrize("make", [awkward_dataset, empty_dataset], ids=["rows", "no_rows"])
+def test_json_space_in_or_beside_a_fixed_mark_is_refused(tmp_path, make):
+    """A space anywhere in ``{"metadata": ``, between the metadata object
+    and ``, "rows": [`` or in it, inside a row break, or after the last row
+    leaves the writers' layout, and the file is refused."""
+    dataset = make()
+    path = tmp_path / "data.json"
+    write_dataset(dataset, str(path), "json")
+    text = path.read_text()
+    meta_end = len(datafiles._JSON_HEAD) + len(json.dumps(read_back_metadata(dataset, "json")))
+    breaks = [match.start() + offset for match in re.finditer(r"\], \[", text)
+              for offset in (1, 2, 3)]
+    spots = [*range(len(datafiles._JSON_HEAD) + 1),
+             *range(meta_end, meta_end + len(datafiles._JSON_ROWS) + 1),
+             *breaks, *range(len(text) - 3, len(text) + 1)]
+    assert len(breaks) == 3 * max(len(dataset.rows) - 1, 0)
+    for at in spots:
+        path.write_text(text[:at] + " " + text[at:])
+        read_refused(path, "json")
+
+
+@given(dataset=hand_built_datasets(), fmt=st.sampled_from(FORMATS), data=st.data(),
+       piece=st.sampled_from(PIECES), mark=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_edited_files_read_as_written_or_are_refused(tmp_path_factory, dataset, fmt, data,
+                                                      piece, mark):
+    """A written file with one edit reads back as the file written where
+    the edit keeps the writers' layout, and is refused in one line naming
+    the file where it does not, alike at every piece size. With ``mark``,
+    the metadata holds the JSON reader's rows mark itself."""
+    if mark:
+        dataset = Dataset(columns=dataset.columns, rows=dataset.rows,
+                          metadata={**dataset.metadata, "rows": [{"x": 1, "rows": [2]}]})
+    path = tmp_path_factory.mktemp("edited") / f"data.{fmt}"
+    write_dataset(dataset, str(path), fmt)
+    text, written = path.read_bytes().decode(), outcome(path, fmt, datafiles._READ_CHARS)
+    if fmt == "json":
+        meta_end = len(datafiles._JSON_HEAD) + len(json.dumps(
+            read_back_metadata(dataset, fmt)))
+        edited, keeps = data.draw(json_edits(text, meta_end))
+    else:
+        edited, keeps = data.draw(csv_edits(text))
+    path.write_bytes(edited.encode())
+    read = outcome(path, fmt, piece)
+    assert read == outcome(path, fmt, datafiles._READ_CHARS)
+    if keeps:
+        assert read == written
+    else:
+        assert isinstance(read, str)
 
 
 def grid_spec():

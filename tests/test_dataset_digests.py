@@ -5,7 +5,9 @@ import math
 import runpy
 from pathlib import Path
 
-from mirrorphase import datafiles, run_sweep
+import pytest
+
+from mirrorphase import datafiles, read_dataset_csv, read_dataset_json, run_sweep
 
 from oracles import reference_csv, reference_json
 
@@ -28,3 +30,20 @@ def test_digests_are_those_of_the_files_written():
         for fmt, text in (("csv", reference_csv(dataset)), ("json", reference_json(dataset))):
             expected.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}.{fmt}")
     assert list(script["_digest_lines"](specs)) == expected
+
+
+@pytest.mark.parametrize("name", ["nan_rows", "time_first", "signed_zeros"])
+def test_datasets_read_back_bit_for_bit(tmp_path, name):
+    """Each dataset other than the figures, which C8 reads back, reads back
+    through both readers entry for entry by ``repr``, NaN rows and the sign
+    of zero included, with the metadata written."""
+    dataset = run_sweep(runpy.run_path(str(SCRIPT))["_specs"]()[name])
+    spelled = [tuple(map(repr, row)) for row in dataset.rows]
+    for fmt, read in (("csv", read_dataset_csv), ("json", read_dataset_json)):
+        path = str(tmp_path / f"{name}.{fmt}")
+        datafiles.write_dataset(dataset, path, fmt)
+        back = read(path)
+        assert back.columns == dataset.columns
+        assert [tuple(map(repr, row)) for row in back.rows] == spelled
+        columns = {"columns": list(dataset.columns)} if fmt == "json" else {}
+        assert back.metadata == {**dataset.metadata, **columns}

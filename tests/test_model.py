@@ -6,6 +6,7 @@ digits, straight from the closed formulas.
 
 import math
 import pickle
+import sys
 from array import array
 
 import pytest
@@ -164,6 +165,30 @@ class TestInfluenceAction:
         with pytest.raises(DomainError, match="finite"):
             im_influence_action(make(), math.inf)
 
+    def test_action_past_the_largest_double_is_refused(self):
+        """Inside the domain, the action may pass the largest double; it is
+        refused in one line, and the decoherence factor there is 0.0."""
+        p = make(gamma0=0.5, lam=1.0, omega=5e-324, v=math.nextafter(1.0, 0.0))
+        with pytest.raises(DomainError) as caught:
+            im_influence_action(p, 1e300)
+        assert str(caught.value) == ("time 1e+300 takes the influence action past the largest "
+                                     "double at gamma0 0.5 and velocity 0.9999999999999999")
+        assert math.copysign(1.0, decoherence_factor(p, 1e300)) == 1.0
+        assert decoherence_factor(p, 1e300) == 0.0
+        assert model._decoherence_factors(p, [1e300]) == [0.0]
+
+    @given(params=st.deferred(lambda: model_params_in_domain()),
+           s=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e300, 1.7976931348623157e308]),
+                       st.floats(0.0, allow_infinity=False)))
+    def test_finite_or_refused_in_one_line(self, params, s):
+        try:
+            action = im_influence_action(params, s)
+        except DomainError as exc:
+            assert "\n" not in str(exc) and str(exc).startswith(f"time {s!r} takes")
+            assert not 0.5 * params.gamma0 * s * dephasing_multiplier(params) < math.inf
+        else:
+            assert 0.0 <= action < math.inf
+
 
 class TestDecoherenceFactor:
     def test_starts_at_one(self):
@@ -273,6 +298,22 @@ class TestDecoherenceTime:
         expected = 2.0 / (gamma0 * dephasing_multiplier(p))
         assert 2.0 ** 1023 < expected < math.inf
         assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
+
+    def test_too_small_guard_does_not_evaluate_the_action(self, monkeypatch):
+        """The guard compares the action at the largest double with 1 by
+        itself: ``im_influence_action`` refuses that time for ordinary
+        parameters, whose action there overflows."""
+        p = make(gamma0=1.0)
+        with pytest.raises(DomainError, match="past the largest double"):
+            im_influence_action(p, sys.float_info.max)
+        times = []
+
+        def recorded(params, s):
+            times.append(s)
+            return im_influence_action(params, s)
+        monkeypatch.setattr(model, "im_influence_action", recorded)
+        assert decoherence_time(p) == pytest.approx(2.0 / dephasing_multiplier(p), rel=1e-12)
+        assert times and max(times) < sys.float_info.max
 
     @given(gamma0=st.floats(1.1e-308, 1.2e-308), lam=st.sampled_from([0.0, 5.0]))
     def test_edge_of_the_double_range_is_found_or_names_gamma0(self, gamma0, lam):
