@@ -17,7 +17,6 @@ import sys
 from . import __version__
 from .errors import ConfigError, DomainError, QuadratureError, SweepError
 from .model import _DOMAINS, ModelParams, decoherence_factor, decoherence_time
-from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE
 from .phase import (DEFAULT_ORACLE_STEPS, TWO_PI, gp_exact, gp_kinematic_oracle,
                     gp_perturbative, unitary_gp)
 from .qubit import POLE_LIMIT
@@ -99,7 +98,7 @@ def _cmd_phase(args: argparse.Namespace) -> int:
         s_final = TWO_PI
     params = _params(args)
     if args.method == "exact":
-        result = gp_exact(params, args.theta, s_final=s_final, method=args.quad_method)
+        result = gp_exact(params, args.theta, s_final=s_final)
         record = [f"method=exact", f"phase={_fmt(result.phase)}",
                   f"normalized={_fmt(result.normalized)}",
                   f"quadrature_error={_fmt(result.quadrature_error)}",
@@ -184,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     when.add_argument("--time", type=_number, help="dimensionless time s")
     when.add_argument("--periods", type=_number, help="time in isolated periods (s = 2*pi*n)")
     deco.add_argument("--solve-td", action="store_true",
-                      help="also solve for the time at which the influence action reaches 1")
+                      help="also give the time at which the influence action reaches 1")
     deco.set_defaults(func=_cmd_decoherence)
 
     phase = sub.add_parser("phase", help="geometric phase of the open evolution")
@@ -195,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     total = phase.add_mutually_exclusive_group()
     total.add_argument("--s-final", type=_number, help="integrate up to this time")
     total.add_argument("--periods", type=_number, help="integrate over this many periods")
-    phase.add_argument("--quad-method", choices=(ADAPTIVE_SIMPSON, GAUSS_LEGENDRE),
-                       default=ADAPTIVE_SIMPSON,
-                       help="integration rule of the exact method; gauss-legendre "
-                            "is a cross-check")
     phase.add_argument("--steps", type=int, default=DEFAULT_ORACLE_STEPS,
                        help="grid steps for the oracle method")
     phase.set_defaults(func=_cmd_phase)

@@ -11,10 +11,10 @@ splitting, so one isolated precession period is ``s = 2*pi``.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import DomainError, NoDecoherenceError
-from .numerics import find_root_bracketed
+# unused here; perfbench/tracing.py patches it here by name
+from .numerics import find_root_bracketed  # noqa: F401
 
 # Each input's domain, under the name a user types: name -> (low, high, rule),
 # for low <= value < high; the smallest positive double as low means "> 0"
@@ -171,27 +171,25 @@ def _decoherence_factors(params: ModelParams, times) -> list[float]:
 
 
 def decoherence_time(params: ModelParams) -> float:
-    """Time at which the influence action reaches unity.
+    """Time 2/(gamma0*multiplier) at which the linear influence action reaches 1.
 
-    Solved with a generic bracketing root-finder (so the operation survives
-    future non-linear models) and checked against the analytic inversion of
-    the linear action, 2 / (gamma0 * multiplier).
+    2/gamma0/multiplier where that product overflows. gamma0 = 0 never
+    decoheres; a time past the largest double, or one that underflows to 0,
+    is a ``DomainError`` naming gamma0.
     """
-    if params.gamma0 <= 0.0:
+    gamma0, multiplier = params.gamma0, params._multiplier
+    if gamma0 <= 0.0:
         raise NoDecoherenceError(
             "gamma0 = 0: the influence action stays at 0 and never reaches 1")
-    # the bracket grows from (0, 1) by doubling up to the largest double, where
-    # the action must reach 1
-    if 0.5 * params.gamma0 * sys.float_info.max * params._multiplier < 1.0:
-        raise DomainError(f"gamma0 {params.gamma0!r} is too small: the decoherence time "
+    rate = gamma0 * multiplier
+    time = 2.0 / rate if rate < math.inf else 2.0 / gamma0 / multiplier
+    if not time < math.inf:
+        raise DomainError(f"gamma0 {gamma0!r} is too small: the decoherence time "
                           "2/(gamma0*multiplier) exceeds the largest double")
-    analytic = 2.0 / (params.gamma0 * dephasing_multiplier(params))
-    root = find_root_bracketed(lambda s: im_influence_action(params, s) - 1.0,
-                               xtol=1e-12)
-    if abs(root - analytic) > 1e-9 * max(1.0, abs(analytic)):
-        raise RuntimeError(
-            f"root finder ({root}) disagrees with the analytic inversion ({analytic})")
-    return root
+    if time == 0.0:
+        raise DomainError(f"gamma0 {gamma0!r} is too large: the decoherence time "
+                          "2/(gamma0*multiplier) underflows to 0")
+    return time
 
 
 def im_inout_action(params: ModelParams, flight_time: float) -> float:

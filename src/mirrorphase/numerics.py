@@ -1,12 +1,12 @@
 """Quadrature and root-finding utilities.
 
-Two independent integration routes are provided on purpose: the adaptive
-Simpson rule is the workhorse, and a fixed-node Gauss-Legendre rule serves
-as a cross-check against silent bias in either method. Both integrate in
-pure Python; only the Gauss-Legendre node table comes from numpy, which is
-imported when a rule size is first needed. The tolerance at which the phase
-is integrated is set in :mod:`mirrorphase.phase`, not here. Roots are found
-by growing a bracket geometrically and bisecting it in pure Python.
+The adaptive Simpson rule integrates the exact phase, at the tolerance set
+in :mod:`mirrorphase.phase`. A fixed-node Gauss-Legendre rule and a
+bracketing root-finder serve no route of the package; the tests use the
+rule to check the Simpson rule for silent bias. Both integrate in pure
+Python; only the Gauss-Legendre node table comes from numpy, which is
+imported when a rule size is first needed. Roots are found by growing a
+bracket geometrically and bisecting it in pure Python.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .errors import DomainError, QuadratureError
 
 if TYPE_CHECKING:
     import numpy as np
-
-ADAPTIVE_SIMPSON = "adaptive-simpson"
-GAUSS_LEGENDRE = "gauss-legendre"
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,

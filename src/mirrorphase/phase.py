@@ -1,10 +1,9 @@
 """Geometric phase of the open qubit: unitary, exact, oracle, and perturbative.
 
 The exact phase integrates cos^2(theta_t) over dimensionless time with the
-adaptive Simpson rule at the absolute tolerance ``QUADRATURE_TOLERANCE``.
-This module is the one place that sets the integration policy; the
-Gauss-Legendre rule serves only as a cross-check. The kinematic oracle
-instead evaluates the full mixed-state phase definition
+adaptive Simpson rule at the absolute tolerance ``QUADRATURE_TOLERANCE``;
+this module is the one place that sets the integration policy. The
+kinematic oracle instead evaluates the full mixed-state phase definition
 (instantaneous eigenvectors, a finite-difference parallel-transport
 connection, and a final argument) and is the independent check on the
 closed-form route; the two agree modulo 2*pi at full periods.
@@ -14,11 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, QuadratureError
 from .model import ModelParams, decoherence_factor, dephasing_multiplier, require
-from .numerics import ADAPTIVE_SIMPSON, GAUSS_LEGENDRE, adaptive_simpson, gauss_legendre
+# gauss_legendre is unused here; perfbench/tracing.py patches it here by name
+from .numerics import adaptive_simpson, gauss_legendre  # noqa: F401
 from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap,
                     eigenvalues_closed_form, require_bloch_angle, require_polar_angle)
 
@@ -74,38 +75,24 @@ def circular_difference(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI,
-             method: str = ADAPTIVE_SIMPSON) -> PhaseResult:
+def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI) -> PhaseResult:
     """Geometric phase of the open evolution up to ``s_final``.
 
-    Quadrature of cos^2(theta_t(s)), a smooth integrand bounded in [0, 1],
-    with r(s) taken from the dephasing model; where r(s) underflows to 0 the
-    integrand takes its r -> 0 limit. Defaults to one isolated period.
-    ``method`` picks the adaptive Simpson rule or the Gauss-Legendre
-    cross-check; both must meet ``QUADRATURE_TOLERANCE``, or
-    :class:`QuadratureError` is raised. ``require_bloch_angle`` refuses a
-    ``theta`` where the normalizing pi*(1+cos(theta)) rounds to 0.
+    Adaptive Simpson quadrature of cos^2(theta_t(s)), a smooth integrand
+    bounded in [0, 1], with r(s) taken from the dephasing model; where r(s)
+    underflows to 0 the integrand takes its r -> 0 limit. Defaults to one
+    isolated period. A panel unconverged at ``QUADRATURE_TOLERANCE`` raises
+    :class:`QuadratureError`. ``require_bloch_angle`` refuses a ``theta``
+    where the normalizing pi*(1+cos(theta)) rounds to 0.
     """
     require_bloch_angle(theta)
     require("time", s_final)
-    if method not in (ADAPTIVE_SIMPSON, GAUSS_LEGENDRE):
-        raise DomainError(f"unknown quadrature method {method!r}; expected "
-                          f"{ADAPTIVE_SIMPSON!r} or {GAUSS_LEGENDRE!r}")
 
     def integrand(s: float) -> float:
         cos_t = angles_closed_form(theta, decoherence_factor(params, s)).cos_theta_t
         return cos_t * cos_t
 
-    if method == ADAPTIVE_SIMPSON:
-        value, error = adaptive_simpson(integrand, 0.0, s_final,
-                                        tolerance=QUADRATURE_TOLERANCE)
-    else:
-        value, error = gauss_legendre(integrand, 0.0, s_final)
-        if error > QUADRATURE_TOLERANCE:
-            raise QuadratureError(
-                f"Gauss-Legendre error estimate {error:.3e} exceeds tolerance "
-                f"{QUADRATURE_TOLERANCE:.3e}",
-                best_estimate=value, error_estimate=error)
+    value, error = adaptive_simpson(integrand, 0.0, s_final, tolerance=QUADRATURE_TOLERANCE)
     gap = eigenvalue_gap(theta, decoherence_factor(params, s_final))
     return PhaseResult(phase=value,
                        normalized=value / unitary_gp(theta),
@@ -196,9 +183,10 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     The grids are walked a block at a time, so the memory held does not
     grow with ``step_count``; ``MAX_ORACLE_STEPS`` bounds the run time,
     which grows with the 3*step_count + 2 points of the two grids. The
-    step ``s_final/step_count`` must lie in (0, ``MAX_ORACLE_STEP``]: a
-    coarser grid cannot resolve the precession, and the step-halving check
-    need not notice.
+    step ``s_final/step_count`` must lie in [``sys.float_info.min``,
+    ``MAX_ORACLE_STEP``]: a coarser grid cannot resolve the precession, and
+    the step-halving check need not notice; a subnormal step overflows the
+    difference stencils to NaN.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """
@@ -207,9 +195,9 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     if not 10 <= step_count <= MAX_ORACLE_STEPS:
         raise DomainError(f"step_count must lie in [10, {MAX_ORACLE_STEPS}], "
                           f"got {step_count}")
-    if not 0.0 < s_final / step_count <= MAX_ORACLE_STEP:
+    if not sys.float_info.min <= s_final / step_count <= MAX_ORACLE_STEP:
         raise DomainError(f"grid step s_final/step_count = {s_final / step_count:.3g} "
-                          f"must lie in (0, {MAX_ORACLE_STEP}]")
+                          f"must lie in [{sys.float_info.min!r}, {MAX_ORACLE_STEP}]")
     coarse = _kinematic_arg(params, theta, s_final, step_count)
     fine = _kinematic_arg(params, theta, s_final, 2 * step_count)
     # flags step counts too coarse for the decay rate; the residual O(h^2)

@@ -75,6 +75,13 @@ class TestDecoherenceCommand:
         assert main(args) == 2
         assert "gamma0" in capsys.readouterr().err
 
+    def test_solve_td_with_strong_plate_coupling(self, capsys):
+        """A root search to an absolute 1e-12 printed 4.547473508864641e-13 here."""
+        assert main(["decoherence", *model_flags(gamma0="1", **{"lambda": "1e7"}),
+                     "--time", "1", "--solve-td"]) == 0
+        fields = record_fields(capsys.readouterr().out.strip())
+        assert fields["decoherence_time"] == "3.3285452181913434e-14"
+
     def test_solve_td_past_the_double_range_exits_2(self, capsys):
         args = ["decoherence", "--gamma0", "1e-320", "--lambda", "5", "--omega", "0.03",
                 "--velocity", "0.5", "--time", "1", "--solve-td"]
@@ -149,6 +156,13 @@ class TestPhaseCommand:
     def test_pole_exits_2_and_names_the_unitary_formula(self, capsys):
         assert main(["phase", "--theta", "0", *DECO_FLAGS]) == 2
         assert "pi*(1+cos(theta))" in capsys.readouterr().err
+
+    def test_quad_method_is_refused_as_usage(self, capsys):
+        """The exact phase has one quadrature, so argparse refuses the flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(["phase", "--theta", "1", *DECO_FLAGS, "--quad-method", "adaptive-simpson"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad-method" in capsys.readouterr().err
 
 
 class TestFigureCommand:
@@ -431,6 +445,9 @@ values = 2.2832407350039605
      None, 2, "--s-final does not apply to --method approx"),
     (["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
       "--s-final", "1e8"], None, 2, "grid step s_final/step_count"),
+    (["phase", "--theta", "1", *DECO_FLAGS, "--method", "oracle", "--s-final", "1e-310",
+      "--steps", "10"], None, 2,
+     "grid step s_final/step_count = 1e-311 must lie in [2.2250738585072014e-308, 0.1]"),
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], FAILING_POINT_CONFIG, 2,
      "sweep point failed at gamma0=0.0"),
     (["sweep", "{cfg}", "-o", "{tmp}/out.csv"], ZERO_FIRST_ORDER_CONFIG, 2,
@@ -451,6 +468,7 @@ values = 2.2832407350039605
         "DomainError", "DomainError_gamma0", "DomainError_lambda", "DomainError_omega",
         "DomainError_velocity", "DomainError_fixed_lambda", "DomainError_omega_axis",
         "DomainError_approx_periods", "DomainError_approx_s_final", "DomainError_oracle_step",
+        "DomainError_oracle_subnormal_step",
         "SweepError", "SweepError_zero_first_order_phase", "DegenerateStateError",
         "QuadratureError", "unwritable_output", "DomainError_infinite_plate_term",
         "figure_without_output", "figure_with_both_outputs"])

@@ -8,9 +8,10 @@ import math
 import pickle
 import sys
 from array import array
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from mirrorphase import (DomainError, ModelParams, NoDecoherenceError,
                          decoherence_factor, decoherence_time,
@@ -273,36 +274,30 @@ class TestDecoherenceTime:
 
     @pytest.mark.parametrize("gamma0", [1e-70, 1e-300])
     def test_tiny_coupling_matches_analytic_inversion(self, gamma0):
-        # the time lies far beyond 2**200, so the bracket must keep growing
+        # the time lies far beyond 2**200
         p = make(gamma0=gamma0)
         expected = 2.0 / (gamma0 * dephasing_multiplier(p))
         assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("gamma0, v", [(1e-320, 0.5), (5e-324, 0.5)],
                              ids=["overflow", "least_double"])
-    def test_time_past_the_bracket_names_gamma0(self, gamma0, v, monkeypatch):
-        """Where 2/(gamma0*multiplier) lies past the largest double, which
-        the bracket cannot reach, gamma0 is refused before the bracket grows."""
-        def no_search(*args, **kwargs):
-            raise AssertionError("the bracket grew")
-        monkeypatch.setattr(model, "find_root_bracketed", no_search)
+    def test_time_past_the_largest_double_names_gamma0(self, gamma0, v):
         with pytest.raises(DomainError, match=r"^gamma0 .* exceeds the largest double$"):
             decoherence_time(make(gamma0=gamma0, v=v))
 
     @pytest.mark.parametrize("gamma0, lam, v", [(1.5e-308, 5.0, 0.0), (1.2e-308, 0.0, 0.0),
                                                 (1.0e-308, 0.0, 0.5)])
     def test_time_past_2_to_the_1023_is_found(self, gamma0, lam, v):
-        """Times in (2**1023, 1.8e308] are finite doubles: the bracket's last
-        growth stops at the largest double, and bisection does not overflow."""
+        """Times in (2**1023, 1.8e308] are finite doubles."""
         p = make(gamma0=gamma0, lam=lam, v=v)
         expected = 2.0 / (gamma0 * dephasing_multiplier(p))
         assert 2.0 ** 1023 < expected < math.inf
         assert decoherence_time(p) == pytest.approx(expected, rel=1e-12)
 
     def test_too_small_guard_does_not_evaluate_the_action(self, monkeypatch):
-        """The guard compares the action at the largest double with 1 by
-        itself: ``im_influence_action`` refuses that time for ordinary
-        parameters, whose action there overflows."""
+        """The time is the closed form, guarded by itself: the action is not
+        evaluated at all, so ``im_influence_action``, which refuses the
+        largest double for ordinary parameters, is never reached."""
         p = make(gamma0=1.0)
         with pytest.raises(DomainError, match="past the largest double"):
             im_influence_action(p, sys.float_info.max)
@@ -312,8 +307,8 @@ class TestDecoherenceTime:
             times.append(s)
             return im_influence_action(params, s)
         monkeypatch.setattr(model, "im_influence_action", recorded)
-        assert decoherence_time(p) == pytest.approx(2.0 / dephasing_multiplier(p), rel=1e-12)
-        assert times and max(times) < sys.float_info.max
+        assert decoherence_time(p) == 2.0 / dephasing_multiplier(p)
+        assert times == []
 
     @given(gamma0=st.floats(1.1e-308, 1.2e-308), lam=st.sampled_from([0.0, 5.0]))
     def test_edge_of_the_double_range_is_found_or_names_gamma0(self, gamma0, lam):
@@ -323,6 +318,78 @@ class TestDecoherenceTime:
             assert math.isfinite(decoherence_time(make(gamma0=gamma0, lam=lam, v=0.0)))
         except DomainError as exc:
             assert str(exc).startswith(f"gamma0 {gamma0!r} is too small")
+
+    @given(params=st.deferred(lambda: model_params_at_the_edges()))
+    # a root search to an absolute 1e-12 gave 4.5e-13 here, where the action is 13.66
+    @example(params=make(gamma0=1.0, lam=1e7))
+    # gamma0*multiplier overflows, and 2/gamma0/multiplier is a positive subnormal
+    @example(params=make(gamma0=1e10, lam=1e150))
+    # 2/gamma0/multiplier underflows to 0
+    @example(params=make(gamma0=1e300, lam=1e150, v=0.98))
+    # im_influence_action gives 1 - 2.5 ulp here, 1.25 ulp of it from the time
+    @example(params=make(gamma0=6.555058586816763e-257, lam=1.9613019566757928e+146,
+                         omega=9.920139498658448e-65, v=0.9999999999999999))
+    # gamma0*multiplier is subnormal; im_influence_action gives 1 + 3 ulp
+    @example(params=make(gamma0=1.1125369292536e-308, lam=0.0, omega=5e-324, v=0.25))
+    def test_closed_form_or_refused_in_one_line(self, params):
+        """Over the domain's edges the time is 2/(gamma0*multiplier), or
+        2/gamma0/multiplier where that product overflows, to the bit, and a
+        normal time takes the action, evaluated exactly, to 1 within 2 ulp
+        (``im_influence_action`` within 3 at a normal gamma0); or it is
+        refused in one line naming gamma0, exactly where gamma0 is 0 or that
+        form is past the largest double (too small) or 0 (too large)."""
+        gamma0, multiplier = params.gamma0, dephasing_multiplier(params)
+        rate = gamma0 * multiplier  # 0 only where gamma0 is, as the multiplier is >= 1
+        form = (2.0 / rate if rate < math.inf else 2.0 / gamma0 / multiplier) if rate else None
+        try:
+            time = decoherence_time(params)
+        except DomainError as exc:
+            message = str(exc)
+            assert "\n" not in message
+            if gamma0 == 0.0:
+                assert isinstance(exc, NoDecoherenceError) and message.startswith("gamma0 = 0")
+            else:
+                assert form in (0.0, math.inf)
+                too = "small" if form else "large"
+                assert message.startswith(f"gamma0 {gamma0!r} is too {too}")
+        else:
+            assert 0.0 < time < math.inf and time == form
+            if time >= sys.float_info.min:
+                exact = Fraction(gamma0) * Fraction(time) * Fraction(multiplier) / 2
+                assert abs(exact - 1) <= 2 * Fraction(math.ulp(1.0))
+                # the action adds three roundings of its own, and more error
+                # where gamma0 is subnormal
+                if gamma0 >= sys.float_info.min:
+                    assert abs(im_influence_action(params, time) - 1.0) <= 3.0 * math.ulp(1.0)
+
+
+# the too-small boundary of gamma0 at a unit multiplier, 2/gamma0 = the largest double
+_TOO_SMALL = 2.0 / sys.float_info.max
+_EDGES = [0.0, 5e-324, 1e-320, 1e-300, 1e300, sys.float_info.max]
+
+
+def model_params_at_the_edges():
+    """``ModelParams`` at the edges of ``model._DOMAINS``, with lambda up to
+    1e150 and the velocity up to the double below 1; a draw whose multiplier
+    overflows is refused at construction and rejected here."""
+    def built(gamma0, lam, omega, v):
+        try:
+            return ModelParams(gamma0, lam, omega, v)
+        except DomainError:
+            reject()
+
+    positive = [edge for edge in _EDGES if edge > 0.0]
+    return st.builds(
+        built,
+        st.one_of(st.sampled_from([*_EDGES, _TOO_SMALL, math.nextafter(_TOO_SMALL, 0.0),
+                                   math.nextafter(_TOO_SMALL, 1.0), 1.0]),
+                  st.floats(0.0, allow_infinity=False)),
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e7, 1e150]),
+                  st.floats(0.0, 1e150)),
+        st.one_of(st.sampled_from([*positive, 0.03]),
+                  st.floats(5e-324, allow_infinity=False)),
+        st.one_of(st.sampled_from([0.0, 5e-324, 0.5, 0.98, math.nextafter(1.0, 0.0)]),
+                  st.floats(0.0, 1.0, exclude_max=True)))
 
 
 class TestInOutAction:

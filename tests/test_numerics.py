@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
-from mirrorphase import (DomainError, QuadratureError, adaptive_simpson,
-                         find_root_bracketed, gauss_legendre)
+from mirrorphase import (TWO_PI, DomainError, QuadratureError, adaptive_simpson,
+                         angles_closed_form, decoherence_factor, find_root_bracketed,
+                         gauss_legendre, gp_exact)
+from mirrorphase.phase import QUADRATURE_TOLERANCE
+
+from conftest import params_fig6
 
 
 class TestAdaptiveSimpson:
@@ -62,6 +66,19 @@ class TestGaussLegendre:
         simpson, _ = adaptive_simpson(f, 0.0, 4.0)
         gauss, _ = gauss_legendre(f, 0.0, 4.0)
         assert gauss == pytest.approx(simpson, abs=1e-10)
+
+    def test_agrees_with_simpson_on_the_exact_phase(self):
+        """The cross-check of the exact phase's quadrature: the integrand of
+        ``gp_exact`` at the figure 6 point, integrated both ways."""
+        p, theta = params_fig6(0.5), 0.3 * math.pi
+
+        def integrand(s):
+            cos_t = angles_closed_form(theta, decoherence_factor(p, s)).cos_theta_t
+            return cos_t * cos_t
+        simpson, _ = adaptive_simpson(integrand, 0.0, TWO_PI, tolerance=QUADRATURE_TOLERANCE)
+        gauss, _ = gauss_legendre(integrand, 0.0, TWO_PI)
+        assert gauss == pytest.approx(simpson, abs=1e-9)
+        assert simpson == gp_exact(p, theta).phase
 
 
 class TestRootFinder:
@@ -133,8 +150,8 @@ if sys.argv[1:]:
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
-# numpy and scipy serve only the oracle and Gauss-Legendre routes; the
-# records are plain classes, so nothing loads dataclasses or what it imports
+# numpy and scipy serve only the oracle route; the records are plain
+# classes, so nothing loads dataclasses or what it imports
 UNUSED = {"numpy", "scipy", "dataclasses", "inspect", "ast", "dis", "tokenize"}
 # only figure and sweep write a file
 FILE_LAYER = {"mirrorphase.datafiles", "json"}
@@ -173,8 +190,7 @@ def test_version_loads_no_more_than_phase():
 
 @pytest.mark.parametrize("argv", [
     [*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"],
-    [*PHASE_FLAGS, "--quad-method", "gauss-legendre"],
-], ids=["oracle", "gauss_legendre"])
+], ids=["oracle"])
 def test_numpy_routes_load_numpy_on_demand(argv):
     proc = subprocess.run([sys.executable, "-m", "mirrorphase.cli", *argv],
                           capture_output=True, text=True)
