@@ -22,7 +22,6 @@ _HOMES = {
     "model": ("ModelParams", "decoherence_factor", "decoherence_time",
               "dephasing_multiplier", "friction_factor", "im_influence_action",
               "im_inout_action"),
-    "numerics": ("adaptive_simpson", "find_root_bracketed", "gauss_legendre"),
     "qubit": ("MixedAngles", "angles_closed_form", "bloch_cosine", "eigenvalue_gap",
               "eigenvalues_closed_form"),
     "phase": ("PhaseResult", "TWO_PI", "circular_difference", "dynamical_phase",

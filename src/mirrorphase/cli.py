@@ -78,8 +78,9 @@ def _cmd_decoherence(args: argparse.Namespace) -> int:
 
 
 def _normalized(phase: float, theta: float) -> float:
-    """``phase / pi*(1+cos(theta))`` for the first-order phase, which admits the
-    poles; refused where that rounds to 0, from ``POLE_LIMIT`` on."""
+    """``phase / pi*(1+cos(theta))``, the normalized phase of every method;
+    refused where that rounds to 0, from ``POLE_LIMIT`` on, which only the
+    first-order phase admits."""
     unitary = unitary_gp(theta)
     if unitary == 0.0:
         raise DomainError(f"theta {_fmt(theta)} rounds pi*(1+cos(theta)) to 0, so the "
@@ -97,21 +98,19 @@ def _cmd_phase(args: argparse.Namespace) -> int:
     if s_final is None:
         s_final = TWO_PI
     params = _params(args)
+    diagnostics = []
     if args.method == "exact":
         result = gp_exact(params, args.theta, s_final=s_final)
-        record = [f"method=exact", f"phase={_fmt(result.phase)}",
-                  f"normalized={_fmt(result.normalized)}",
-                  f"quadrature_error={_fmt(result.quadrature_error)}",
-                  f"near_degenerate={int(result.near_degenerate)}"]
+        phase = result.phase
+        diagnostics = [f"quadrature_error={_fmt(result.quadrature_error)}",
+                       f"near_degenerate={int(result.near_degenerate)}"]
     elif args.method == "approx":
         phase = gp_perturbative(params, args.theta)
-        record = [f"method=approx", f"phase={_fmt(phase)}",
-                  f"normalized={_fmt(_normalized(phase, args.theta))}"]
     else:
         phase = gp_kinematic_oracle(params, args.theta, s_final=s_final,
                                     step_count=args.steps)
-        record = [f"method=oracle", f"phase={_fmt(phase)}",
-                  f"normalized={_fmt(phase / unitary_gp(args.theta))}"]
+    record = [f"method={args.method}", f"phase={_fmt(phase)}",
+              f"normalized={_fmt(_normalized(phase, args.theta))}", *diagnostics]
     print(" ".join(record))
     return 0
 

@@ -4,8 +4,8 @@ The exact phase integrates cos^2(theta_t) over dimensionless time with the
 adaptive Simpson rule at the absolute tolerance ``QUADRATURE_TOLERANCE``;
 this module is the one place that sets the integration policy. The
 kinematic oracle instead evaluates the full mixed-state phase definition
-(instantaneous eigenvectors, a finite-difference parallel-transport
-connection, and a final argument) and is the independent check on the
+in its discrete Bargmann form (the overlaps of neighbouring instantaneous
+eigenvectors and a final argument) and is the independent check on the
 closed-form route; the two agree modulo 2*pi at full periods.
 """
 
@@ -14,17 +14,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, QuadratureError
 from .model import ModelParams, decoherence_factor, dephasing_multiplier, require
 # gauss_legendre is unused here; perfbench/tracing.py patches it here by name
 from .numerics import adaptive_simpson, gauss_legendre  # noqa: F401
-from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap,
-                    eigenvalues_closed_form, require_bloch_angle, require_polar_angle)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .qubit import (angles_closed_form, bloch_cosine, eigenvalue_gap, require_bloch_angle,
+                    require_polar_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,7 +36,7 @@ MAX_ORACLE_STEPS = 1_000_000
 # the oracle's grid step must stay well below the precession period 2*pi
 MAX_ORACLE_STEP = 0.1
 
-# the oracle walks its grid this many points at a time
+# the oracle walks its grid this many steps at a time
 _ORACLE_BLOCK = 8192
 
 
@@ -100,93 +97,57 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI) -> Phas
                        near_degenerate=gap < DEGENERACY_GAP)
 
 
-def _angles_grid(theta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mirror of angles_closed_form over an array of r values.
-
-    r may underflow to 0 on the grid. Where r*sin(theta) is then 0 with
-    cos(theta) > 0, the r -> 0 limit (sin, cos) = (0, 1) is returned, as
-    the scalar route does; on the equator the angles do not depend on r.
-    """
-    import numpy as np
-
-    c = bloch_cosine(theta)
-    if c == 0.0:
-        half = np.full(r.shape, math.sqrt(0.5))
-        return half, half
-    q = r * math.sin(theta)
-    spread = np.hypot(c, q)
-    if c > 0.0:
-        rise = (q / (spread + c)) * q
-        under = q == 0.0
-        norm = np.where(under, 1.0, np.hypot(q, rise))
-        return rise / norm, np.where(under, 1.0, q / norm)
-    rise = spread - c
-    norm = np.hypot(q, rise)
-    return rise / norm, q / norm
-
-
 def _kinematic_arg(params: ModelParams, theta: float, s_final: float,
                    step_count: int) -> float:
     """Argument of the kinematic phase on the grid s_i = i*h, i = 0..step_count.
 
-    The grid is walked in blocks of ``_ORACLE_BLOCK`` points, each with the
-    neighbours its difference stencils need, so the memory held does not grow
-    with ``step_count``. The points are those of ``np.linspace``, the central
-    difference and the one-sided three-point stencils at the grid's ends are
-    the whole grid's, and adjacent blocks share their edge point, so the
-    blocks' trapezoid sums add up to the whole grid's.
+    The discrete Bargmann invariant arg<psi_0|psi_N> - sum_k arg<psi_k|psi_k+1>
+    of the dominant eigenvectors, unnormalized: (1, t e^{is}) for
+    cos(theta) > 0 and (t, e^{is}) otherwise, with t = tan(theta_t) or
+    cot(theta_t), which is r sin(theta) / (sqrt(cos^2 + r^2 sin^2) + |cos|)
+    off the equator and 1 on it. A positive scale on a state moves no
+    argument. The grid is walked in blocks of ``_ORACLE_BLOCK`` steps, each
+    starting at the last point of the one before, so the memory held does
+    not grow with ``step_count``.
     """
     import numpy as np
 
     h = s_final / step_count
     rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
-    transport = 0j
+    c = bloch_cosine(theta)
+    transport = 0.0
     for start in range(0, step_count, _ORACLE_BLOCK):
-        stop = min(start + _ORACLE_BLOCK, step_count)  # the block's points start..stop
-        lo, hi = max(start - 1, 0), min(stop + 1, step_count)  # and its stencils' lo..hi
-        s = np.arange(lo, hi + 1, dtype=float) * h
-        if hi == step_count:
+        stop = min(start + _ORACLE_BLOCK, step_count)
+        s = np.arange(start, stop + 1, dtype=float) * h
+        if stop == step_count:
             s[-1] = s_final
-        r = np.exp(-rate * s)
-        sin_t, cos_t = _angles_grid(theta, r)
-        psi = np.empty((hi + 1 - lo, 2), dtype=complex)
-        psi[:, 0] = cos_t
-        psi[:, 1] = sin_t * np.exp(1j * s)
-
-        dpsi = np.empty_like(psi)
-        dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
-        if lo == 0:
-            dpsi[0] = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
+        q = np.exp(-rate * s) * math.sin(theta)
+        t = q / (np.hypot(c, q) + abs(c)) if c != 0.0 else 1.0
+        psi = np.empty((stop + 1 - start, 2), dtype=complex)
+        psi[:, 0], psi[:, 1] = (1.0, t) if c > 0.0 else (t, 1.0)
+        psi[:, 1] *= np.exp(1j * s)
+        if start == 0:
             first = psi[0].copy()
-        if hi == step_count:
-            dpsi[-1] = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2.0 * h)
-        block = slice(start - lo, stop - lo + 1)
-        connection = np.einsum("ij,ij->i", psi[block].conj(), dpsi[block])
-        transport += complex(np.trapezoid(connection, dx=h))
-
-    weight = math.sqrt(eigenvalues_closed_form(theta, 1.0)[0]
-                       * eigenvalues_closed_form(theta, float(r[-1]))[0])
-    overlap = complex(np.vdot(first, psi[-1]))
-    total = weight * overlap * cmath.exp(-transport)
-    return cmath.phase(total) % TWO_PI
+        transport += float(np.angle(np.einsum("ij,ij->i", psi[:-1].conj(), psi[1:])).sum())
+    return (cmath.phase(np.vdot(first, psi[-1])) - transport) % TWO_PI
 
 
 def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_PI,
                         step_count: int = DEFAULT_ORACLE_STEPS) -> float:
     """Mixed-state phase from the full kinematic definition, mod 2*pi.
 
-    Uses the instantaneous eigenvectors on a uniform grid, a central
-    finite-difference connection, trapezoidal accumulation, the
-    sqrt(eps_plus(s_final)*eps_plus(0)) weight (real positive, kept for
-    fidelity to the definition), and a final argument. The step is checked
-    by recomputing at half step; an inconsistency above 1e-6 raises.
-    The grids are walked a block at a time, so the memory held does not
-    grow with ``step_count``; ``MAX_ORACLE_STEPS`` bounds the run time,
-    which grows with the 3*step_count + 2 points of the two grids. The
-    step ``s_final/step_count`` must lie in [``sys.float_info.min``,
-    ``MAX_ORACLE_STEP``]: a coarser grid cannot resolve the precession, and
-    the step-halving check need not notice; a subnormal step overflows the
-    difference stencils to NaN.
+    The discrete Bargmann invariant of the instantaneous dominant
+    eigenvectors on a uniform grid: the argument of the overlap of the
+    first and last states, less the arguments of the overlaps of
+    neighbouring states, whose sum tends to the parallel-transport phase
+    with an O(h^2) error. The step is checked by recomputing at half step;
+    an inconsistency above 1e-6 raises. The grids are walked a block at a
+    time, so the memory held does not grow with ``step_count``;
+    ``MAX_ORACLE_STEPS`` bounds the run time, which grows with the
+    3*step_count steps of the two grids. The step ``s_final/step_count``
+    must lie in [``sys.float_info.min``, ``MAX_ORACLE_STEP``]: a coarser
+    grid cannot resolve the precession, and the step-halving check need not
+    notice; a subnormal step carries too few bits to place the grid.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """

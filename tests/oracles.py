@@ -6,8 +6,10 @@ off-diagonals by the decoherence factor ``r``. Building it explicitly and
 diagonalizing it with a direct 2x2 Hermitian eigensolver gives a route
 independent of the closed forms in :mod:`mirrorphase.qubit`.
 
-The kinematic oracle's argument with its whole grid held at once: the
-package walks the grid in blocks and must give the same argument.
+The kinematic oracle's argument with its whole grid held at once, from the
+normalized eigenvector angles of a vectorized mirror of
+``angles_closed_form``: the package walks the grid in blocks, with
+unnormalized states, and must give the same argument.
 
 The dataset writers' per-value formula, written out entry by entry: every
 entry is ``repr(float(x))`` in both formats, and strict JSON spells a
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mirrorphase import (DomainError, ModelParams, angles_closed_form, dephasing_multiplier,
-                         eigenvalues_closed_form)
-from mirrorphase.phase import TWO_PI, _angles_grid
+from mirrorphase import (DomainError, ModelParams, angles_closed_form, bloch_cosine,
+                         dephasing_multiplier)
+from mirrorphase.phase import TWO_PI
 from mirrorphase.qubit import require_bloch_angle
 
 HERMITICITY_TOL = 1e-14
@@ -132,30 +134,39 @@ def eigenvector_plus(theta: float, s: float, r: float) -> np.ndarray:
     return np.array([cos_t, sin_t * cmath.exp(1j * s)])
 
 
+def angles_grid(theta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized mirror of angles_closed_form over an array of r values.
+
+    r may underflow to 0 on the grid. Where r*sin(theta) is then 0 with
+    cos(theta) > 0, the r -> 0 limit (sin, cos) = (0, 1) is returned, as
+    the scalar route does; on the equator the angles do not depend on r.
+    """
+    c = bloch_cosine(theta)
+    if c == 0.0:
+        half = np.full(r.shape, math.sqrt(0.5))
+        return half, half
+    q = r * math.sin(theta)
+    spread = np.hypot(c, q)
+    if c > 0.0:
+        rise = (q / (spread + c)) * q
+        under = q == 0.0
+        norm = np.where(under, 1.0, np.hypot(q, rise))
+        return rise / norm, np.where(under, 1.0, q / norm)
+    rise = spread - c
+    norm = np.hypot(q, rise)
+    return rise / norm, q / norm
+
+
 def kinematic_arg_whole_grid(params: ModelParams, theta: float, s_final: float,
                              step_count: int) -> float:
-    """``phase._kinematic_arg`` with every grid point held at once."""
+    """``phase._kinematic_arg`` with every grid point held at once, built from
+    the normalized eigenvectors (cos(theta_t), sin(theta_t) e^{is})."""
     s = np.linspace(0.0, s_final, step_count + 1)
-    h = s_final / step_count
     rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
-    r = np.exp(-rate * s)
-    sin_t, cos_t = _angles_grid(theta, r)
-    psi = np.empty((step_count + 1, 2), dtype=complex)
-    psi[:, 0] = cos_t
-    psi[:, 1] = sin_t * np.exp(1j * s)
-
-    dpsi = np.empty_like(psi)
-    dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
-    dpsi[0] = (-3.0 * psi[0] + 4.0 * psi[1] - psi[2]) / (2.0 * h)
-    dpsi[-1] = (3.0 * psi[-1] - 4.0 * psi[-2] + psi[-3]) / (2.0 * h)
-    connection = np.einsum("ij,ij->i", psi.conj(), dpsi)
-    transport = complex(np.trapezoid(connection, dx=h))
-
-    weight = math.sqrt(eigenvalues_closed_form(theta, 1.0)[0]
-                       * eigenvalues_closed_form(theta, float(r[-1]))[0])
-    overlap = complex(np.vdot(psi[0], psi[-1]))
-    total = weight * overlap * cmath.exp(-transport)
-    return cmath.phase(total) % TWO_PI
+    sin_t, cos_t = angles_grid(theta, np.exp(-rate * s))
+    psi = np.stack([cos_t, sin_t * np.exp(1j * s)], axis=1)
+    overlaps = np.einsum("ij,ij->i", psi[:-1].conj(), psi[1:])
+    return (cmath.phase(np.vdot(psi[0], psi[-1])) - np.angle(overlaps).sum()) % TWO_PI
 
 
 def reference_csv(dataset) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 import mirrorphase
 from mirrorphase import (Axis, circular_difference, figure_preset, parse_sweep_config,
-                         read_dataset_csv, run_sweep)
+                         read_dataset_csv, run_sweep, unitary_gp)
 from mirrorphase import phase as phase_module
 from mirrorphase.cli import main
 
@@ -117,6 +117,12 @@ class TestPhaseCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: the first-order phase overflows")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["exact", "approx", "oracle"])
+    def test_normalized_divides_by_the_unitary_phase(self, method, capsys):
+        assert main(["phase", "--theta", "0.3", *DECO_FLAGS, "--method", method]) == 0
+        fields = record_fields(capsys.readouterr().out.strip())
+        assert float(fields["normalized"]) == float(fields["phase"]) / unitary_gp(0.3)
 
     @pytest.mark.parametrize("method,theta", [
         ("approx", "pi"), ("approx", "3.14159265"), ("oracle", "3.14159265"),

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from mirrorphase import (TWO_PI, DomainError, QuadratureError, adaptive_simpson,
-                         angles_closed_form, decoherence_factor, find_root_bracketed,
-                         gauss_legendre, gp_exact)
+from mirrorphase import (TWO_PI, DomainError, QuadratureError, angles_closed_form,
+                         decoherence_factor, gp_exact)
+from mirrorphase.numerics import adaptive_simpson, find_root_bracketed, gauss_legendre
 from mirrorphase.phase import QUADRATURE_TOLERANCE
 
 from conftest import params_fig6

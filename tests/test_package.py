@@ -16,6 +16,14 @@ def test_each_name_is_its_home_modules_object(name):
     assert getattr(mirrorphase, name) is getattr(home, name)
 
 
+def test_numerical_tools_are_not_public_names():
+    """The quadratures and the root finder are tools, not quantities of the model."""
+    numerics = importlib.import_module("mirrorphase.numerics")
+    for name in ("adaptive_simpson", "find_root_bracketed", "gauss_legendre"):
+        assert name not in mirrorphase.__all__
+        assert callable(getattr(numerics, name))
+
+
 def test_dir_lists_every_public_name():
     assert set(mirrorphase.__all__) <= set(dir(mirrorphase))
 

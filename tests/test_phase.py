@@ -17,11 +17,10 @@ from mirrorphase import (DegenerateStateError, DomainError, ModelParams, PhaseRe
                          angles_closed_form, dynamical_phase, eigenvalues_closed_form, gp_exact,
                          gp_kinematic_oracle, gp_perturbative, unitary_gp)
 from mirrorphase import phase as phase_module
-from mirrorphase.phase import _angles_grid
 from mirrorphase.qubit import POLE_LIMIT
 
 from conftest import params_fig2, params_fig6, params_fig7
-from oracles import kinematic_arg_whole_grid
+from oracles import angles_grid, kinematic_arg_whole_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,11 +147,13 @@ class TestGpExact:
 
 
 class TestAnglesGridMirror:
+    """The whole-grid reference's angles are the scalar route's."""
+
     @given(theta=st.floats(0.02 * math.pi, 0.98 * math.pi),
            r=st.floats(1e-12, 1.0))
     def test_matches_scalar_route(self, theta, r):
         sin_t, cos_t = angles_closed_form(theta, r)
-        grid_sin, grid_cos = _angles_grid(theta, np.array([r]))
+        grid_sin, grid_cos = angles_grid(theta, np.array([r]))
         assert grid_sin[0] == pytest.approx(sin_t, abs=1e-15)
         assert grid_cos[0] == pytest.approx(cos_t, abs=1e-15)
 
@@ -162,7 +163,7 @@ class TestAnglesGridMirror:
     ])
     def test_underflowed_coherence_gives_the_r_to_zero_limit(self, theta, limit):
         with np.errstate(divide="raise", invalid="raise"):
-            grid_sin, grid_cos = _angles_grid(theta, np.array([0.0, 5e-324]))
+            grid_sin, grid_cos = angles_grid(theta, np.array([0.0, 5e-324]))
         assert list(grid_sin) == pytest.approx([limit[0]] * 2, abs=1e-15)
         assert list(grid_cos) == pytest.approx([limit[1]] * 2, abs=1e-15)
 
@@ -198,6 +199,16 @@ class TestKinematicOracle:
         s_final = periods * TWO_PI
         exact = gp_exact(p, theta, s_final=s_final).phase
         assert circular_difference(exact, gp_kinematic_oracle(p, theta, s_final=s_final)) < 1e-6
+
+    @pytest.mark.parametrize("make,theta,v", [(params_fig6, 0.1 * math.pi, 0.3),
+                                              (params_fig7, 0.25 * math.pi, 0.5)])
+    def test_error_is_second_order_in_the_step(self, make, theta, v):
+        """The step-halving check relies on an O(h^2) error: each halving of
+        the step cuts the halving gap by about 4."""
+        args = [phase_module._kinematic_arg(make(v), theta, TWO_PI, n)
+                for n in (1_000, 2_000, 4_000, 8_000)]
+        gaps = [circular_difference(a, b) for a, b in zip(args, args[1:])]
+        assert all(3.5 <= wide / narrow <= 4.5 for wide, narrow in zip(gaps, gaps[1:]))
 
     def test_step_count_validated(self):
         with pytest.raises(DomainError):
@@ -239,7 +250,8 @@ BLOCK = phase_module._ORACLE_BLOCK
 
 
 class TestBlockedGrid:
-    """The oracle walks its grid in blocks; it must give the whole grid's argument."""
+    """The oracle walks its grid in blocks of unnormalized states; it must give
+    the argument of the whole grid of normalized eigenvectors."""
 
     @pytest.mark.parametrize("step_count", [BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 1,
                                             BLOCK // 2, 10],
