@@ -3,15 +3,14 @@
 The exact phase integrates cos^2(theta_t) over dimensionless time with the
 adaptive Simpson rule at the absolute tolerance ``QUADRATURE_TOLERANCE``;
 this module is the one place that sets the integration policy. The
-kinematic oracle instead evaluates the full mixed-state phase definition
-in its discrete Bargmann form (the overlaps of neighbouring instantaneous
-eigenvectors and a final argument) and is the independent check on the
-closed-form route; the two agree modulo 2*pi at full periods.
+kinematic oracle, the independent check on that route, evaluates the full
+mixed-state phase definition in its discrete Bargmann form: one walk of a
+grid of real eigenvector amplitudes, one arctan2 per overlap of
+neighbouring states. The two agree modulo 2*pi at full periods.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from typing import NamedTuple
@@ -29,7 +28,7 @@ DEGENERACY_GAP = 1e-6
 
 QUADRATURE_TOLERANCE = 1e-10
 
-DEFAULT_ORACLE_STEPS = 100_000
+DEFAULT_ORACLE_STEPS = 150_000
 
 MAX_ORACLE_STEPS = 1_000_000
 
@@ -97,39 +96,44 @@ def gp_exact(params: ModelParams, theta: float, s_final: float = TWO_PI) -> Phas
                        near_degenerate=gap < DEGENERACY_GAP)
 
 
-def _kinematic_arg(params: ModelParams, theta: float, s_final: float,
-                   step_count: int) -> float:
-    """Argument of the kinematic phase on the grid s_i = i*h, i = 0..step_count.
+def _kinematic_args(params: ModelParams, theta: float, s_final: float,
+                    step_count: int) -> tuple[float, float]:
+    """Arguments of the kinematic phase at step_count and 2*step_count steps,
+    from one walk of the finer grid s_i = i*h, ``_ORACLE_BLOCK`` steps at a
+    time, so the memory held does not grow with ``step_count``.
 
-    The discrete Bargmann invariant arg<psi_0|psi_N> - sum_k arg<psi_k|psi_k+1>
-    of the dominant eigenvectors, unnormalized: (1, t e^{is}) for
-    cos(theta) > 0 and (t, e^{is}) otherwise, with t = tan(theta_t) or
-    cot(theta_t), which is r sin(theta) / (sqrt(cos^2 + r^2 sin^2) + |cos|)
-    off the equator and 1 on it. A positive scale on a state moves no
-    argument. The grid is walked in blocks of ``_ORACLE_BLOCK`` steps, each
-    starting at the last point of the one before, so the memory held does
-    not grow with ``step_count``.
+    arg<psi_0|psi_N> - sum_k arg<psi_k|psi_k+1> over the dominant
+    eigenvectors (1, t e^{is}) for cos(theta) > 0, else (t, e^{is}), with
+    t = tan(theta_t) or cot(theta_t), r sin(theta) / (sqrt(cos^2 + r^2 sin^2)
+    + |cos|) off the equator and 1 on it; a positive scale moves no argument.
+    With u = t_k t_k+1 an overlap is 1 + u e^{ih}, one arctan2 of reals, or
+    u + e^{ih}, whose argument is h less, so that form's invariant is the
+    first's negated, mod 2*pi. The coarser grid's states are the even ones.
     """
     import numpy as np
 
-    h = s_final / step_count
-    rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
-    c = bloch_cosine(theta)
-    transport = 0.0
-    for start in range(0, step_count, _ORACLE_BLOCK):
-        stop = min(start + _ORACLE_BLOCK, step_count)
+    fine_count = 2 * step_count
+    h = s_final / fine_count
+    rate, c = 0.5 * params.gamma0 * dephasing_multiplier(params), bloch_cosine(theta)
+
+    def transport(t, step):
+        u = t[:-1] * t[1:]
+        return float(np.arctan2(u * math.sin(step), 1.0 + u * math.cos(step)).sum())
+
+    coarse = fine = 0.0
+    for start in range(0, fine_count, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, fine_count)
         s = np.arange(start, stop + 1, dtype=float) * h
-        if stop == step_count:
+        if stop == fine_count:
             s[-1] = s_final
         q = np.exp(-rate * s) * math.sin(theta)
-        t = q / (np.hypot(c, q) + abs(c)) if c != 0.0 else 1.0
-        psi = np.empty((stop + 1 - start, 2), dtype=complex)
-        psi[:, 0], psi[:, 1] = (1.0, t) if c > 0.0 else (t, 1.0)
-        psi[:, 1] *= np.exp(1j * s)
+        t = q / (np.hypot(c, q) + abs(c)) if c != 0.0 else np.ones_like(s)
         if start == 0:
-            first = psi[0].copy()
-        transport += float(np.angle(np.einsum("ij,ij->i", psi[:-1].conj(), psi[1:])).sum())
-    return (cmath.phase(np.vdot(first, psi[-1])) - transport) % TWO_PI
+            first = t[0]
+        coarse += transport(t[::2], 2.0 * h)
+        fine += transport(t, h)
+    end = transport(np.array([first, t[-1]]), s_final)
+    return tuple((end - arg if c > 0.0 else arg - end) % TWO_PI for arg in (coarse, fine))
 
 
 def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_PI,
@@ -140,34 +144,31 @@ def gp_kinematic_oracle(params: ModelParams, theta: float, s_final: float = TWO_
     eigenvectors on a uniform grid: the argument of the overlap of the
     first and last states, less the arguments of the overlaps of
     neighbouring states, whose sum tends to the parallel-transport phase
-    with an O(h^2) error. The step is checked by recomputing at half step;
-    an inconsistency above 1e-6 raises. The grids are walked a block at a
-    time, so the memory held does not grow with ``step_count``;
-    ``MAX_ORACLE_STEPS`` bounds the run time, which grows with the
-    3*step_count steps of the two grids. The step ``s_final/step_count``
-    must lie in [``sys.float_info.min``, ``MAX_ORACLE_STEP``]: a coarser
-    grid cannot resolve the precession, and the step-halving check need not
-    notice; a subnormal step carries too few bits to place the grid.
+    with an O(h^2) error. One walk of the grid of 2*step_count steps gives
+    it at both step counts, block by block, so the memory held does not grow
+    with ``step_count``; they must agree to 1e-6, and the finer is returned.
+    ``MAX_ORACLE_STEPS`` bounds the run time, which grows with the steps
+    walked. The step ``s_final/step_count`` must lie in
+    [``sys.float_info.min``, ``MAX_ORACLE_STEP``]: a coarser grid cannot
+    resolve the precession, and the step-halving check need not notice; a
+    subnormal step carries too few bits to place the grid.
 
     Agrees with :func:`gp_exact` modulo 2*pi at full periods.
     """
     require_bloch_angle(theta)
     require("time", s_final)
     if not 10 <= step_count <= MAX_ORACLE_STEPS:
-        raise DomainError(f"step_count must lie in [10, {MAX_ORACLE_STEPS}], "
-                          f"got {step_count}")
+        raise DomainError(f"step_count must lie in [10, {MAX_ORACLE_STEPS}], got {step_count}")
     if not sys.float_info.min <= s_final / step_count <= MAX_ORACLE_STEP:
         raise DomainError(f"grid step s_final/step_count = {s_final / step_count:.3g} "
                           f"must lie in [{sys.float_info.min!r}, {MAX_ORACLE_STEP}]")
-    coarse = _kinematic_arg(params, theta, s_final, step_count)
-    fine = _kinematic_arg(params, theta, s_final, 2 * step_count)
+    coarse, fine = _kinematic_args(params, theta, s_final, step_count)
+    gap = circular_difference(coarse, fine)
     # flags step counts too coarse for the decay rate; the residual O(h^2)
     # tail at the recommended counts sits far below this
-    if circular_difference(coarse, fine) > 1e-6:
-        raise QuadratureError(
-            f"kinematic phase not converged: step halving moved it by "
-            f"{circular_difference(coarse, fine):.3e}",
-            best_estimate=fine)
+    if gap > 1e-6:
+        raise QuadratureError(f"kinematic phase not converged: step halving moved it by "
+                              f"{gap:.3e}", best_estimate=fine)
     return fine
 
 

@@ -159,8 +159,9 @@ def angles_grid(theta: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kinematic_arg_whole_grid(params: ModelParams, theta: float, s_final: float,
                              step_count: int) -> float:
-    """``phase._kinematic_arg`` with every grid point held at once, built from
-    the normalized eigenvectors (cos(theta_t), sin(theta_t) e^{is})."""
+    """The kinematic argument on the grid of ``step_count`` steps, as
+    ``phase._kinematic_args`` gives it, with every grid point held at once and
+    built from the normalized eigenvectors (cos(theta_t), sin(theta_t) e^{is})."""
     s = np.linspace(0.0, s_final, step_count + 1)
     rate = 0.5 * params.gamma0 * dephasing_multiplier(params)
     sin_t, cos_t = angles_grid(theta, np.exp(-rate * s))

@@ -326,7 +326,7 @@ class TestAllocationCaps:
     def test_oracle_steps(self, monkeypatch, capsys):
         def no_grid(*args):
             raise AssertionError("the oracle built a grid past the step cap")
-        monkeypatch.setattr(phase_module, "_kinematic_arg", no_grid)
+        monkeypatch.setattr(phase_module, "_kinematic_args", no_grid)
         assert main(["phase", "--theta", "0.25pi", *DECO_FLAGS, "--method", "oracle",
                      "--steps", "1000000000"]) == 2
         assert_one_line_error(capsys, "step_count")
