@@ -25,12 +25,20 @@ JSON; such files are now refused.
 No write or read holds a file's whole text. The writers spell and write a
 block of rows at a time from slices of the dataset's columns, to a new
 file beside a regular ``path`` that replaces it once the write is done, so
-a write that fails part way leaves an older file intact. Both readers read
-the file once, a piece of ``_READ_CHARS`` characters at a time, and parse
-the rows that the text read so far holds whole as one block, carrying the
-row begun last into the next piece; each block is split into its entries at
-once by ``_parse_block``, each column mapped to doubles in C and appended
-to one array of doubles per name. Only a block that is not parsed is cut
+a write that fails part way leaves an older file intact. Both readers
+first count a regular file's row marks (line breaks in CSV, ``[`` in JSON)
+in its bytes, ``_COUNT_BYTES`` at a time, and allocate each column once, an
+array of doubles of that length; a file that is not regular, such as a
+pipe, starts its columns empty. They then read the text once, a piece of
+``_READ_CHARS`` characters at a time, and parse the rows that the text read
+so far holds whole as one block, carrying the row begun last into the next
+piece; each block is split into its entries at once by ``_parse_block``,
+each column mapped to doubles in C and put in place after the rows before
+it, growing a column only where the count fell short. The columns are then
+trimmed to the rows parsed. So the count sets only where the columns start,
+a file that changes after the count reads as it is then, and the columns,
+never grown or moved, leave no holes in the heap: memory stays flat over
+repeated round trips in one process. Only a block that is not parsed is cut
 into rows, to name the first row at fault. Writers and readers alike pass
 each column through a memo while it holds at most ``_MEMO_SIZE`` distinct
 values, so a column that repeats its values, such as a sweep axis, spells
@@ -248,6 +256,35 @@ def write_dataset(dataset: Dataset, path: str, fmt: str) -> int:
 # already built: blocks of 4,096 rows raised the figures workload's peak
 # memory by 12%
 _READ_CHARS = 1 << 14
+# a regular file's row marks are counted this many bytes at a time
+_COUNT_BYTES = 1 << 16
+
+
+def _row_marks(handle, mark: bytes) -> int:
+    """How many ``mark`` bytes the file open in ``handle`` holds, if it is a
+    regular file, counted by ``os.pread`` without moving the handle; 0 for
+    any other file, such as a pipe."""
+    descriptor = handle.fileno()
+    if not stat.S_ISREG(os.fstat(descriptor).st_mode):
+        return 0
+    count, offset = 0, 0
+    while piece := os.pread(descriptor, _COUNT_BYTES, offset):
+        count += piece.count(mark)
+        offset += len(piece)
+    return count
+
+
+def _columns(width: int, hint: int) -> list[array]:
+    """``width`` arrays of doubles, each allocated at ``hint`` entries (none
+    where ``hint`` is below 1); ``_parse_block`` fills them in place."""
+    return [array("d", [0.0]) * hint for _ in range(width)]
+
+
+def _trimmed(columns: list[array], filled: int) -> Rows:
+    """The rows of the first ``filled`` entries of ``columns``."""
+    for column in columns:
+        del column[filled:]
+    return Rows(columns)
 
 
 def _floats(texts, null: str | None) -> list[float]:
@@ -261,12 +298,13 @@ def _floats(texts, null: str | None) -> list[float]:
         return [math.nan if text.strip() == null else float(text) for text in texts]
 
 
-def _parse_block(text: str, row_break: str, columns: list[array], memos: list,
-                 null: str | None) -> int:
-    """Append the rows that ``text`` holds, joined by ``row_break``, to
-    ``columns``, and return how many they are; 0, with nothing appended, if
-    a row has another width than ``columns`` or holds an entry that is not
-    a number. ``text`` holds no line break but those in ``row_break``.
+def _parse_block(text: str, row_break: str, columns: list[array], filled: int,
+                 memos: list, null: str | None) -> int:
+    """Put the rows that ``text`` holds, joined by ``row_break``, in
+    ``columns`` after their first ``filled`` entries, growing a column that
+    is too short, and return how many they are; 0, with nothing put, if a
+    row has another width than ``columns`` or holds an entry that is not a
+    number. ``text`` holds no line break but those in ``row_break``.
 
     The entries are split at once: each row begins with a line break, which
     ``float`` ignores, so the rows all have one entry per column when the
@@ -284,19 +322,18 @@ def _parse_block(text: str, row_break: str, columns: list[array], memos: list,
     except ValueError:
         return 0
     for column, values in zip(columns, parsed):
-        column.fromlist(values)
+        column[filled:filled + count] = array("d", values)
     return count
 
 
-def _row_fault(texts: list[str], columns: list[array], null: str | None, path: str,
+def _row_fault(texts: list[str], filled: int, width: int, null: str | None, path: str,
                source: str) -> NoReturn:
     """Refuse the rows that ``texts`` spell, comma-separated entries each,
     with a ``DomainError`` naming the first row at fault, numbered on from
-    the rows in ``columns``: a line break in a row, an entry that is not a
-    number, or a row without one entry per column, as ``source`` (the
-    header or ``metadata.columns``) shows."""
-    width = len(columns)
-    for index, text in enumerate(texts, len(columns[0])):
+    the ``filled`` rows parsed before them: a line break in a row, an entry
+    that is not a number, or a row without ``width`` entries, as ``source``
+    (the header or ``metadata.columns``) shows."""
+    for index, text in enumerate(texts, filled):
         if "\n" in text:
             raise DomainError(f"{path}: row {index} holds a line break")
         entries = text.split(",")
@@ -323,22 +360,25 @@ def _metadata_line(line: str, number: int, metadata: dict, path: str) -> None:
         raise DomainError(f"{path}: line {number}: the value is not JSON ({exc})") from None
 
 
-def _csv_rows(handle, width: int, path: str) -> Rows:
+def _csv_rows(handle, width: int, path: str, hint: int) -> Rows:
     """The rows of the text left in ``handle``, ``width`` entries each, one
-    per line: the lines that each piece completes are parsed as one block."""
-    columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
-    rest = ""
+    per line, in columns allocated at ``hint`` rows: the lines that each
+    piece completes are parsed as one block."""
+    columns, memos = _columns(width, hint), [{} for _ in range(width)]
+    filled, rest = 0, ""
     for piece in iter(partial(handle.read, _READ_CHARS), ""):
         cut = piece.rfind("\n")
         if cut < 0:
             rest += piece
             continue
         block, rest = rest + piece[:cut], piece[cut + 1:]
-        if not _parse_block(block, "\n", columns, memos, None):
-            _row_fault(block.split("\n"), columns, None, path, "the header")
+        count = _parse_block(block, "\n", columns, filled, memos, None)
+        if not count:
+            _row_fault(block.split("\n"), filled, width, None, path, "the header")
+        filled += count
     if rest:
-        raise DomainError(f"{path}: row {len(columns[0])} has no line break at its end")
-    return Rows(columns)
+        raise DomainError(f"{path}: row {filled} has no line break at its end")
+    return _trimmed(columns, filled)
 
 
 @contextmanager
@@ -368,16 +408,18 @@ def read_dataset_csv(path: str) -> Dataset:
         if not (line.endswith("\n") and all(columns)):
             raise DomainError(f"{path}: line {number} is not a header: names joined by ',' "
                               "and a line break")
-        rows = _csv_rows(handle, len(columns), path)
+        # each line read so far, the header's included, ends in a line break
+        rows = _csv_rows(handle, len(columns), path, _row_marks(handle, b"\n") - number)
     return Dataset(columns=columns, rows=rows, metadata=metadata)
 
 
 _JSON_DECODER = json.JSONDecoder()
 
 
-def _json_metadata(pieces: Iterator[str], path: str) -> tuple[object, str]:
-    """The value that follows ``_JSON_HEAD``, decoded by ``json``, and the
-    text read after the ``_JSON_ROWS`` that follows it, one character at least.
+def _json_metadata(pieces: Iterator[str], path: str) -> tuple[object, str, int]:
+    """The value that follows ``_JSON_HEAD``, decoded by ``json``, the text
+    read, and where the rows begin in it: after the ``_JSON_ROWS`` that
+    follows the value, with one character at least after it.
 
     The metadata may hold a key ``rows`` itself, so the value ends at the
     first ``_JSON_ROWS`` where ``raw_decode`` ends it. Decoding the text up
@@ -401,10 +443,11 @@ def _json_metadata(pieces: Iterator[str], path: str) -> tuple[object, str]:
         start = max(start, len(text) - len(_JSON_ROWS))  # no mark ends before here
 
 
-def _metadata_before(text: str, mark: int, last: bool, path: str) -> tuple[object, str] | None:
+def _metadata_before(text: str, mark: int, last: bool,
+                     path: str) -> tuple[object, str, int] | None:
     """The value that ``raw_decode`` finds between ``_JSON_HEAD`` and a mark
-    at ``mark``, and the text after the mark; ``None`` if the value runs on
-    past it, unless the mark is the ``last`` one."""
+    at ``mark``, ``text`` and where the mark ends in it; ``None`` if the
+    value runs on past it, unless the mark is the ``last`` one."""
     try:
         value, end = _JSON_DECODER.raw_decode(text[:mark], len(_JSON_HEAD))
     except json.JSONDecodeError as exc:
@@ -418,23 +461,24 @@ def _metadata_before(text: str, mark: int, last: bool, path: str) -> tuple[objec
         raise DomainError(f"{path}: metadata: {exc}") from None
     if end < mark or last:
         raise DomainError(f"{path}: expected {_JSON_ROWS!r} and a row at character {end}")
-    return value, text[mark + len(_JSON_ROWS):]
+    return value, text, mark + len(_JSON_ROWS)
 
 
-def _json_rows(text: str, pieces: Iterator[str], width: int, path: str) -> Rows:
-    """The rows that follow ``_JSON_ROWS``, ``width`` entries each: ``text``
-    the text read after it, ``pieces`` the rest of the file. The rows that
-    each piece completes are parsed as one block; a block that holds a line
-    break, which no writer writes, or that is not parsed goes to ``_row_fault``.
+def _json_rows(text: str, pieces: Iterator[str], width: int, path: str, hint: int) -> Rows:
+    """The rows that follow ``_JSON_ROWS``, ``width`` entries each, in
+    columns allocated at ``hint`` rows: ``text`` the text read after it,
+    ``pieces`` the rest of the file. The rows that each piece completes are
+    parsed as one block; a block that holds a line break, which no writer
+    writes, or that is not parsed goes to ``_row_fault``.
     """
-    columns, memos = [array("d") for _ in range(width)], [{} for _ in range(width)]
+    columns, memos = _columns(width, hint), [{} for _ in range(width)]
     if not text.startswith("["):  # no row: the rows array closes at once
         # three pieces more hold a character past a whole _JSON_END, if there is one
         if text + "".join(islice(pieces, len(_JSON_END))) != _JSON_END:
             raise DomainError(f"{path}: expected row 0 to open with '[', or the file to end "
                               f"in {_JSON_END!r} with no row")
-        return Rows(columns)
-    rest, end = "", "]" + _JSON_END
+        return _trimmed(columns, 0)
+    filled, rest, end = 0, "", "]" + _JSON_END
     for piece in chain([text[1:]], pieces, [None]):
         if piece is None:  # the end of the file: the last block
             if not rest.endswith(end):
@@ -447,9 +491,12 @@ def _json_rows(text: str, pieces: Iterator[str], width: int, path: str) -> Rows:
             if cut < 0:
                 continue
             block, rest = rest[:cut], rest[cut + 4:]
-        if "\n" in block or not _parse_block(block, "], [", columns, memos, "null"):
-            _row_fault(block.split("], ["), columns, "null", path, "metadata.columns")
-    return Rows(columns)
+        count = 0 if "\n" in block else _parse_block(block, "], [", columns, filled, memos,
+                                                      "null")
+        if not count:
+            _row_fault(block.split("], ["), filled, width, "null", path, "metadata.columns")
+        filled += count
+    return _trimmed(columns, filled)
 
 
 def read_dataset_json(path: str) -> Dataset:
@@ -458,10 +505,12 @@ def read_dataset_json(path: str) -> Dataset:
     closed by ``]``, and ``_JSON_END``."""
     with _text_file(path) as handle:
         pieces = iter(partial(handle.read, _READ_CHARS), "")
-        metadata, text = _json_metadata(pieces, path)
+        metadata, text, start = _json_metadata(pieces, path)
         columns = metadata.get("columns") if isinstance(metadata, dict) else None
         if not (isinstance(columns, list) and columns
                 and all(isinstance(name, str) for name in columns)):
             raise DomainError(f"{path}: metadata.columns is not a non-empty list of strings")
-        rows = _json_rows(text, pieces, len(columns), path)
+        # "[" opens each row, and the text before the rows may hold some too
+        hint = _row_marks(handle, b"[") - text.count("[", 0, start)
+        rows = _json_rows(text[start:], pieces, len(columns), path, hint)
     return Dataset(columns=tuple(columns), rows=rows, metadata=metadata)

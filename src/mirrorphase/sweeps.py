@@ -95,13 +95,14 @@ VALUES = "values"
 # block of at most 4,096 points' values while the sweep runs; a coordinate
 # column is filled from its axis's values as they are made, so no grid is
 # held; the writers add only a block's strings; reading a file back peaks
-# near what its columns hold, as no column's memo holds more than 1,024
-# values (tracemalloc, bytes per point: held 32, peak 33, writing CSV then
-# JSON adds 4.5, reading 33 from CSV and 35 from JSON, for a 250,000-point
-# sweep of four columns; held 16.8, peak 17.4, write adds 2.2, read 16.6
-# and 17 for a 500,000-point sweep of one axis; held 24.8, peak 25.4, write
-# adds 2.4, read 25.4 and 25.8 for 2 x 250,000 points); the cap keeps a
-# sweep and its writing below about 45 MB
+# near what its columns hold, as each column is allocated once at the rows
+# counted and no column's memo holds more than 1,024 values (tracemalloc,
+# bytes per point: held 32, peak 33, writing CSV then JSON adds 4.5,
+# reading 33.2 from CSV and 33.5 from JSON, for a 250,000-point sweep of
+# four columns; held 16.8, peak 17.4, write adds 2.2, read 16.7 and 16.8
+# for a 500,000-point sweep of one axis; held 24.8, peak 25.4, write adds
+# 2.4, read 24.8 and 25.0 for 2 x 250,000 points); the cap keeps a sweep
+# and its writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 

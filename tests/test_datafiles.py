@@ -5,8 +5,10 @@ import math
 import os
 import re
 import stat
+import sys
 import threading
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import chain
 from unittest import mock
@@ -119,6 +121,9 @@ def count_reads(monkeypatch):
             piece = self.handle.read(size)
             pieces.append(len(piece))
             return piece
+
+        def fileno(self):
+            return self.handle.fileno()
 
     monkeypatch.setattr(datafiles, "open", lambda *args, **kwargs: Counted(open(*args, **kwargs)),
                         raising=False)
@@ -779,6 +784,94 @@ def test_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
+def spy_row_marks(monkeypatch, shift=0):
+    """The row marks that each read counts, as a list that fills while the
+    reader runs; each count is given to the reader moved by ``shift``."""
+    counts, count_marks = [], datafiles._row_marks
+
+    def row_marks(handle, mark):
+        counts.append(count_marks(handle, mark))
+        return counts[-1] + shift
+
+    monkeypatch.setattr(datafiles, "_row_marks", row_marks)
+    return counts
+
+
+def same_bits(back, dataset, fmt) -> bool:
+    """Whether ``back``, read from ``fmt``, holds the columns, metadata and
+    bits of ``dataset``."""
+    return (back.columns == dataset.columns
+            and back.metadata == read_back_metadata(dataset, fmt)
+            and len(back.rows) == len(dataset.rows)
+            and all(back.rows.column(index).tobytes() == dataset.rows.column(index).tobytes()
+                    for index in range(len(dataset.columns))))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_dataset_from_a_fifo_reads_back_bit_for_bit(grid_files, tmp_path, monkeypatch, fmt):
+    """A file that is not regular is not counted: its columns start empty
+    and grow as its rows are parsed."""
+    _, dataset = grid_files
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    failed = []
+
+    def write():
+        try:
+            write_dataset(dataset, str(fifo), fmt)
+        except Exception as exc:  # reported by the test below
+            failed.append(exc)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    counts = spy_row_marks(monkeypatch)
+    back = READERS[fmt](str(fifo))
+    writer.join(timeout=30)
+    assert not writer.is_alive() and failed == []
+    assert counts == [0]
+    assert same_bits(back, dataset, fmt)
+
+
+@pytest.mark.parametrize("shift", [-10**9, -1_000, -1, 1, 1_000])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_rows_counted_wrongly_read_as_written(grid_files, monkeypatch, fmt, shift):
+    """A file that changes between the count and the parse reads as it is
+    when parsed: the count only sets where the columns start."""
+    directory, dataset = grid_files
+    counts = spy_row_marks(monkeypatch, shift)
+    back = READERS[fmt](str(directory / f"grid.{fmt}"))
+    assert len(counts) == 1
+    assert same_bits(back, dataset, fmt)
+
+
+# rows 0.5,1.5 and one at fault, far enough on that the default pieces put it
+# in a later block than the first
+LATER_ROWS = 5_000
+LATER_FAULT = 4_321
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("2.5,x", f"row {LATER_FAULT}: 'x' is not a number"),
+    ("2.5", f"row {LATER_FAULT} has 1 entries"),
+], ids=["not_a_number", "narrow"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_fault_in_a_later_block_names_its_row(tmp_path, fmt, fault, message):
+    rows = [("0.5", "1.5")] * LATER_ROWS
+    rows[LATER_FAULT] = tuple(fault.split(","))
+    path = hand_file(tmp_path, fmt, ("a", "b"), rows)
+    assert os.path.getsize(path) > 2 * datafiles._READ_CHARS
+    assert read_refused(path, fmt).startswith(message)
+
+
+@pytest.mark.parametrize("shift", [0, 1_000])
+def test_last_csv_row_of_a_long_file_without_a_line_break(tmp_path, monkeypatch, shift):
+    """The row is numbered by the rows parsed, also where the count was off."""
+    spy_row_marks(monkeypatch, shift)
+    path = tmp_path / "cut.csv"
+    path.write_text("a,b\n" + "0.5,1.5\n" * LATER_ROWS + "2.5,3.5")
+    assert read_refused(path, "csv") == f"row {LATER_ROWS} has no line break at its end"
+
+
 # Entries a column may hold: both zeros, the non-finite values, the extreme
 # doubles, integers and arbitrary doubles.
 _ENTRIES = st.one_of(
@@ -1091,9 +1184,13 @@ def traced_peak(call):
 # tuples of floats held 104 B.
 SWEEP_BYTES_PER_ROW = 40
 # tracemalloc peak per row of each reader and writer on grid_files, above
-# what it measured by about 25% (read: CSV 37.7 B, JSON 38.7 B) and 18%
-# (write: CSV 28.4 B, JSON 28.8 B); on long_axis_spec it measured 28.4 and
-# 31.5 B reading and 29.1 and 29.3 B writing, where memos that kept every
+# what it measured by about 18% (read: CSV 38.9 B, JSON 40.7 B) and 18%
+# (write: CSV 28.5 B, JSON 28.7 B); on long_axis_spec it measured 33.6 and
+# 34.0 B reading and 29.0 and 29.3 B writing. Readers that allocate each
+# column at the rows counted hold it whole beside a memo's first values,
+# where readers that grew the columns peaked at 37.3 and 37.9 B on
+# grid_files and 29.1 and 30.4 B on long_axis_spec, and read 33.5 B in
+# place of 34.8 B from the JSON of a 250,000-row grid. Memos that kept every
 # value of the long axis peaked at 83.6-87.9 B. Readers that built row tuples peaked at
 # 110 B (CSV) and 107 B (JSON), readers that parse every entry apart at
 # 185 B (CSV), and JSON readers holding the list of lists or the file's
@@ -1140,6 +1237,23 @@ def test_read_back_peak_memory_per_row(grid_files, fmt):
     peak, back = traced_peak(lambda: READERS[fmt](str(directory / f"grid.{fmt}")))
     assert len(back.rows) == len(dataset.rows) == 40_000
     assert peak / len(back.rows) < READ_PEAK_BYTES_PER_ROW[fmt]
+
+
+# the entries that a column read back may hold beyond its rows: the columns
+# are allocated once, at the rows counted, where columns grown as the rows
+# came held about 6% more
+SPARE_ENTRIES = 16
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_read_back_columns_hold_no_growth_slack(grid_files, fmt):
+    directory, _ = grid_files
+    back = READERS[fmt](str(directory / f"grid.{fmt}"))
+    empty = sys.getsizeof(array("d"))
+    for index in range(back.rows.width):
+        column = back.rows.column(index).obj  # the array under the view
+        assert len(column) == 40_000
+        assert (sys.getsizeof(column) - empty) // column.itemsize - len(column) <= SPARE_ENTRIES
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
