@@ -28,8 +28,10 @@ file beside a regular ``path`` that replaces it once the write is done, so
 a write that fails part way leaves an older file intact. Both readers
 first count a regular file's row marks (line breaks in CSV, ``[`` in JSON)
 in its bytes, ``_COUNT_BYTES`` at a time, and allocate each column once, an
-array of doubles of that length; a file that is not regular, such as a
-pipe, starts its columns empty. They then read the text once, a piece of
+array of doubles of that length, or of the rows the file's bytes can hold
+at two an entry if fewer, so no file claims more than four times its size
+before it is parsed; a file that is not regular, such as a pipe, starts its
+columns empty. They then read the text once, a piece of
 ``_READ_CHARS`` characters at a time, and parse the rows that the text read
 so far holds whole as one block, carrying the row begun last into the next
 piece; each block is split into its entries at once by ``_parse_block``,
@@ -260,18 +262,21 @@ _READ_CHARS = 1 << 14
 _COUNT_BYTES = 1 << 16
 
 
-def _row_marks(handle, mark: bytes) -> int:
-    """How many ``mark`` bytes the file open in ``handle`` holds, if it is a
-    regular file, counted by ``os.pread`` without moving the handle; 0 for
-    any other file, such as a pipe."""
+def _row_hint(handle, mark: bytes, before: int, width: int) -> int:
+    """The rows the file open in ``handle`` holds, if it is a regular file:
+    its ``mark`` bytes less the ``before`` ones ahead of the rows, counted
+    by ``os.pread`` without moving the handle, and no more than its bytes
+    hold at two bytes an entry of ``width``, so columns allocated at the
+    hint take at most four times the file's size; 0 for any other file,
+    such as a pipe."""
     descriptor = handle.fileno()
     if not stat.S_ISREG(os.fstat(descriptor).st_mode):
         return 0
-    count, offset = 0, 0
+    count, offset = -before, 0
     while piece := os.pread(descriptor, _COUNT_BYTES, offset):
         count += piece.count(mark)
         offset += len(piece)
-    return count
+    return min(count, offset // (2 * width))
 
 
 def _columns(width: int, hint: int) -> list[array]:
@@ -409,7 +414,8 @@ def read_dataset_csv(path: str) -> Dataset:
             raise DomainError(f"{path}: line {number} is not a header: names joined by ',' "
                               "and a line break")
         # each line read so far, the header's included, ends in a line break
-        rows = _csv_rows(handle, len(columns), path, _row_marks(handle, b"\n") - number)
+        hint = _row_hint(handle, b"\n", number, len(columns))
+        rows = _csv_rows(handle, len(columns), path, hint)
     return Dataset(columns=columns, rows=rows, metadata=metadata)
 
 
@@ -511,6 +517,6 @@ def read_dataset_json(path: str) -> Dataset:
                 and all(isinstance(name, str) for name in columns)):
             raise DomainError(f"{path}: metadata.columns is not a non-empty list of strings")
         # "[" opens each row, and the text before the rows may hold some too
-        hint = _row_marks(handle, b"[") - text.count("[", 0, start)
+        hint = _row_hint(handle, b"[", text.count("[", 0, start), len(columns))
         rows = _json_rows(text[start:], pieces, len(columns), path, hint)
     return Dataset(columns=tuple(columns), rows=rows, metadata=metadata)
