@@ -41,7 +41,8 @@ def _specs() -> dict:
         axes=(Axis.linear("time", 0.0, 2.0 * TWO_PI, 50),
               Axis.linear("velocity", 0.01, 0.95, 20)),
         fixed={"gamma0": 0.05, "lambda": 5.0, "omega": 0.03})
-    # 10 times x 1,000 velocities: the memos carry both columns across blocks
+    # 10 times x 1,000 velocities: both columns are coded across blocks, -0.0
+    # and 0.0 each with its own code
     specs["signed_zeros"] = SweepSpec(
         target="decoherence_factor",
         axes=(Axis.from_values("time", (0.0, 0.5, 1.0, 1.5, 2.0, -0.0, 2.5, 3.0, 3.5, 0.0)),

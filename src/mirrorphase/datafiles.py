@@ -25,26 +25,32 @@ JSON; such files are now refused.
 No write or read holds a file's whole text. The writers spell and write a
 block of rows at a time from slices of the dataset's columns, to a new
 file beside a regular ``path`` that replaces it once the write is done, so
-a write that fails part way leaves an older file intact. Both readers
-first count a regular file's row marks (line breaks in CSV, ``[`` in JSON)
-in its bytes, ``_COUNT_BYTES`` at a time, and allocate each column once, an
-array of doubles of that length, or of the rows the file's bytes can hold
-at two an entry if fewer, so no file claims more than four times its size
-before it is parsed; a file that is not regular, such as a pipe, starts its
-columns empty. They then read the text once, a piece of
+a write that fails part way leaves an older file intact. A coded column,
+2-byte codes into at most ``_MEMO_SIZE`` distinct doubles, such as a sweep
+axis, has its values spelled once per write, and each block looks the
+spellings up by code; any other column is spelled entry by entry. Both
+readers first count a regular file's row marks (line breaks in CSV, ``[``
+in JSON) in its bytes, ``_COUNT_BYTES`` at a time, and allocate each
+column once, as codes of that length, or of the rows the file's bytes can
+hold at two an entry if fewer, so no file claims more than four times its
+size before it is parsed; a file that is not regular, such as a pipe,
+starts its columns empty. They then read the text once, a piece of
 ``_READ_CHARS`` characters at a time, and parse the rows that the text read
 so far holds whole as one block, carrying the row begun last into the next
 piece; each block is split into its entries at once by ``_parse_block``,
-each column mapped to doubles in C and put in place after the rows before
-it, growing a column only where the count fell short. The columns are then
-trimmed to the rows parsed. So the count sets only where the columns start,
-a file that changes after the count reads as it is then, and the columns,
-never grown or moved, leave no holes in the heap: memory stays flat over
-repeated round trips in one process. Only a block that is not parsed is cut
-into rows, to name the first row at fault. Writers and readers alike pass
-each column through a memo while it holds at most ``_MEMO_SIZE`` distinct
-values, so a column that repeats its values, such as a sweep axis, spells
-each value once and parses each spelling once; see ``_through_memo``.
+and each column put in place after the rows before it by ``_put``, growing
+a column only where the count fell short. A column's memo maps each
+spelling to its code, so a spelling is parsed once; a column whose memo
+would pass ``_MEMO_SIZE`` spellings becomes an array of doubles of the same
+length, once, and from then on each block of it is mapped to doubles in C.
+The columns are then trimmed to the rows parsed. So the count sets only
+where the columns start, a file that changes after the count reads as it
+is then, and the columns, never grown or moved, leave no holes in the
+heap: memory stays flat over repeated round trips in one process. Only a
+block that is not parsed is cut into rows, to name the first row at fault.
+So a sweep's axes come back coded, as ``run_sweep`` holds them, and a
+dense sweep of four columns holds about 14 bytes a point, where columns of
+doubles held 32.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ from itertools import chain, islice, repeat
 from typing import NoReturn
 
 from .errors import DomainError
-from .sweeps import FORMATS, Dataset, Rows  # FORMATS is also read from here
+# FORMATS is also read from here
+from .sweeps import _MEMO_SIZE, FORMATS, Coded, Dataset, Rows
 
 
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
@@ -74,61 +81,38 @@ _JSON_HEAD, _JSON_ROWS, _JSON_END = '{"metadata": ', ', "rows": [', "]}\n"
 # rows are spelled and written a block at a time, so only one block's
 # strings are held
 _BLOCK_ROWS = 4096
-# the most distinct values a column's memo holds, in a writer or a reader
-_MEMO_SIZE = 1024
 
 
-def _spell(patterns, nonfinite: dict[str, str]) -> list[str]:
-    """``repr(x)`` of each double whose 64-bit pattern is in ``patterns`` (a
-    block's memoryview, read in place, or a set of new ones), mapped in C,
-    with ``nonfinite`` swapped in where the values' sum is not finite, as it
-    is wherever one of them is not."""
-    if not isinstance(patterns, memoryview):
-        patterns = memoryview(array("Q", patterns))
-    values = patterns.cast("B").cast("d")
+def _spell(values, nonfinite: dict[str, str]) -> list[str]:
+    """``repr(x)`` of each double in ``values``, mapped in C, with
+    ``nonfinite`` swapped in where the values' sum is not finite, as it is
+    wherever one of them is not."""
     texts = list(map(repr, values))
     if nonfinite and not math.isfinite(sum(values)):
         return list(map(nonfinite.get, texts, texts))
     return texts
 
 
-def _through_memo(keys, memos: list, index: int, convert) -> list:
-    """``convert(keys)`` through the memo ``memos[index]``: one lookup per
-    key, mapped in C, once the memo holds them all. New keys are added as
-    one set, ``convert`` of that set; keys that would take the memo past
-    ``_MEMO_SIZE`` drop it (``memos[index] = None``), and from then on each
-    block of the column is ``convert`` of its keys."""
-    memo = memos[index]
-    if memo is not None:
-        try:
-            return list(map(memo.__getitem__, keys))
-        except KeyError:
-            pass
-        new = set(keys)
-        new.difference_update(memo)
-        if len(memo) + len(new) <= _MEMO_SIZE:
-            memo.update(zip(new, convert(new)))
-            return list(map(memo.__getitem__, keys))
-        memos[index] = None
-    return convert(keys)
-
-
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
     """Each block of ``_BLOCK_ROWS`` rows as row texts: entries spelled
     ``repr(x)``, a spelling that ``nonfinite`` names replaced by its value,
-    and joined by ``sep``. Each column is spelled through a memo shared by
-    the blocks, keyed by each double's 64-bit pattern, so -0.0, 0.0 and each
-    NaN have their own entry, until the memo would outgrow ``_MEMO_SIZE``."""
-    rows, memos = dataset.rows, [{} for _ in dataset.columns]
+    and joined by ``sep``. A coded column's values are spelled once, and
+    each block looks its spellings up by code."""
+    rows = dataset.rows
+    columns = [rows.stored(index) for index in range(rows.width)]
+    spelled = [_spell(column.values, nonfinite) if type(column) is Coded else None
+               for column in columns]
     for begin in range(0, len(rows), _BLOCK_ROWS):
-        yield _spell_block(rows[begin:begin + _BLOCK_ROWS], memos, sep, nonfinite)
+        yield _spell_block(columns, spelled, slice(begin, begin + _BLOCK_ROWS), sep,
+                           nonfinite)
 
 
-def _spell_block(rows: Rows, memos: list, sep: str, nonfinite: dict[str, str]) -> list[str]:
-    """The row texts of one block of ``rows``; see ``_row_blocks``."""
-    spell = partial(_spell, nonfinite=nonfinite)
-    texts = [_through_memo(rows.column(index).cast("B").cast("Q"), memos, index, spell)
-             for index in range(len(memos))]
+def _spell_block(columns: list, spelled: list, block: slice, sep: str,
+                 nonfinite: dict[str, str]) -> list[str]:
+    """The row texts of the rows ``block`` of ``columns``; see ``_row_blocks``."""
+    texts = [_spell(column[block], nonfinite) if texts is None
+             else list(map(texts.__getitem__, column.codes[block]))
+             for column, texts in zip(columns, spelled)]
     return list(map(sep.join, zip(*texts)))
 
 
@@ -279,16 +263,20 @@ def _row_hint(handle, mark: bytes, before: int, width: int) -> int:
     return min(count, offset // (2 * width))
 
 
-def _columns(width: int, hint: int) -> list[array]:
-    """``width`` arrays of doubles, each allocated at ``hint`` entries (none
-    where ``hint`` is below 1); ``_parse_block`` fills them in place."""
-    return [array("d", [0.0]) * hint for _ in range(width)]
+def _columns(width: int, hint: int) -> list[Coded]:
+    """``width`` coded columns, each of ``hint`` codes (none where ``hint``
+    is below 1) into no values yet; ``_put`` fills them in place."""
+    return [Coded(array("H", [0]) * hint, []) for _ in range(width)]
 
 
-def _trimmed(columns: list[array], filled: int) -> Rows:
+def _trimmed(columns: list, filled: int) -> Rows:
     """The rows of the first ``filled`` entries of ``columns``."""
-    for column in columns:
-        del column[filled:]
+    for index, column in enumerate(columns):
+        if type(column) is Coded:
+            del column.codes[filled:]
+            columns[index] = Coded(column.codes, tuple(column.values))
+        else:
+            del column[filled:]
     return Rows(columns)
 
 
@@ -303,18 +291,52 @@ def _floats(texts, null: str | None) -> list[float]:
         return [math.nan if text.strip() == null else float(text) for text in texts]
 
 
-def _parse_block(text: str, row_break: str, columns: list[array], filled: int,
+def _put(keys: list[str], columns: list, memos: list, index: int, filled: int,
+         convert) -> None:
+    """Put the entries spelled ``keys`` in ``columns[index]`` after its first
+    ``filled`` ones, growing it if it is too short. While the column is
+    coded, its memo ``memos[index]`` maps each spelling to its code, and
+    ``convert`` parses a spelling once, when it is new; spellings that would
+    take the memo past ``_MEMO_SIZE`` drop it (``memos[index] = None``), and
+    the column becomes an array of doubles of its length, once, which takes
+    ``convert`` of each block's keys from then on. The codes are let go
+    before the doubles are allocated, so only the entries already put are
+    held twice."""
+    column, memo = columns[index], memos[index]
+    stop = filled + len(keys)
+    if memo is not None:
+        try:
+            column.codes[filled:stop] = array("H", map(memo.__getitem__, keys))
+            return
+        except KeyError:
+            pass
+        new = [key for key in dict.fromkeys(keys) if key not in memo]
+        if len(memo) + len(new) <= _MEMO_SIZE:
+            column.values.extend(convert(new))
+            memo.update(zip(new, range(len(memo), len(memo) + len(new))))
+            column.codes[filled:stop] = array("H", map(memo.__getitem__, keys))
+            return
+        memos[index] = None
+        head, length = array("d", column[:filled]), len(column)
+        columns[index] = column = None  # the codes go before the doubles come
+        columns[index] = column = array("d", [0.0]) * length
+        column[:filled] = head
+    column[filled:stop] = array("d", convert(keys))
+
+
+def _parse_block(text: str, row_break: str, columns: list, filled: int,
                  memos: list, null: str | None) -> int:
     """Put the rows that ``text`` holds, joined by ``row_break``, in
     ``columns`` after their first ``filled`` entries, growing a column that
-    is too short, and return how many they are; 0, with nothing put, if a
-    row has another width than ``columns`` or holds an entry that is not a
-    number. ``text`` holds no line break but those in ``row_break``.
+    is too short, and return how many they are; 0 if a row has another width
+    than ``columns`` or holds an entry that is not a number, and then the
+    columns may hold some of the rows. ``text`` holds no line break but
+    those in ``row_break``.
 
     The entries are split at once: each row begins with a line break, which
     ``float`` ignores, so the rows all have one entry per column when the
-    first column holds every line break. Each column is parsed through its
-    memo in ``memos`` by ``_through_memo``.
+    first column holds every line break. Each column is put by ``_put``
+    through its memo in ``memos``.
     """
     width, marked = len(columns), "\n" + text.replace(row_break, ",\n")
     count, entries = marked.count("\n"), marked.split(",")
@@ -322,12 +344,10 @@ def _parse_block(text: str, row_break: str, columns: list[array], filled: int,
         return 0
     parse = partial(_floats, null=null)
     try:
-        parsed = [_through_memo(entries[index::width], memos, index, parse)
-                  for index in range(width)]
+        for index in range(width):
+            _put(entries[index::width], columns, memos, index, filled, parse)
     except ValueError:
         return 0
-    for column, values in zip(columns, parsed):
-        column[filled:filled + count] = array("d", values)
     return count
 
 

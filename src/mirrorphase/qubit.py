@@ -86,21 +86,24 @@ def angles_closed_form(theta: float, r: float) -> MixedAngles:
     decays far below |cos(theta)|. hypot keeps every intermediate finite
     even when r^2 would underflow.
 
-    r may be 0, as r(s) is once it underflows. Where r sin(theta) is 0, the
-    r -> 0 limit is returned: (sin, cos) = (0, 1) for cos(theta) > 0,
-    (1, 0) for cos(theta) < 0, and (sqrt(1/2), sqrt(1/2)) on the equator.
+    On the equator, cos(theta) = 0, the pair is (sqrt(1/2), sqrt(1/2)) for
+    every r: computed, it divides a subnormal r sin(theta) by its own
+    rounded hypot and leaves the unit circle. r may be 0, as r(s) is once
+    it underflows. Elsewhere, where r sin(theta) is 0, the r -> 0 limit is
+    returned: (sin, cos) = (0, 1) for cos(theta) > 0 and (1, 0) for
+    cos(theta) < 0.
     """
     require_bloch_angle(theta)
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"decoherence factor must lie in [0, 1], got {r}")
     c = bloch_cosine(theta)
+    if c == 0.0:
+        return MixedAngles(sin_theta_t=_SQRT_HALF, cos_theta_t=_SQRT_HALF)
     q = r * math.sin(theta)
     if q == 0.0:
         if c > 0.0:
             return MixedAngles(sin_theta_t=0.0, cos_theta_t=1.0)
-        if c < 0.0:
-            return MixedAngles(sin_theta_t=1.0, cos_theta_t=0.0)
-        return MixedAngles(sin_theta_t=_SQRT_HALF, cos_theta_t=_SQRT_HALF)
+        return MixedAngles(sin_theta_t=1.0, cos_theta_t=0.0)
     spread = math.hypot(c, q)
     if c >= 0.0:
         rise = (q / (spread + c)) * q

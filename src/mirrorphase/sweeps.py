@@ -8,8 +8,9 @@ value is a double from construction on, so both file formats spell it
 alike. Before any point runs, ``SweepSpec.validate`` checks each fixed
 value and axis end by ``model.require`` or ``qubit.require_bloch_angle``,
 so ``allow_errors`` cannot turn a value outside its domain into NaN rows.
-The coordinate columns are built first, one array of doubles per axis,
-and a sweep runs one cell of the model axes (gamma0, lambda, omega,
+The coordinate columns are built first, one per axis: 2-byte codes into
+the axis's values where the axis repeats them, else an array of doubles.
+A sweep then runs one cell of the model axes (gamma0, lambda, omega,
 velocity) at a time: a cell's points are a run of consecutive rows, and
 it builds the cell's model parameters once. Each point is evaluated
 once, by the target's point function, which calls the public function a
@@ -18,8 +19,8 @@ with ``allow_errors`` a NaN row. Where time is a decoherence factor
 sweep's only inner axis, the model's block form of
 ``decoherence_factor``, which repeats its operations bit for bit,
 evaluates the times instead. Values are made a block of at most 4,096
-rows at a time; each block is checked, then moved into the table, which
-is held as one array of doubles per column.
+rows at a time; each block is checked, then moved into the value
+columns, arrays of doubles.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -91,18 +92,19 @@ LINEAR = "linear"
 LOG = "log"
 VALUES = "values"
 
-# run_sweep holds every entry in memory as a double, 8 bytes each, and one
-# block of at most 4,096 points' values while the sweep runs; a coordinate
-# column is filled from its axis's values as they are made, so no grid is
+# run_sweep holds a coordinate column whose axis has fewer values than the
+# rows, and at most 1,024, as 2-byte codes, and every other entry as a
+# double, 8 bytes, and one block of at most 4,096 points' values while the
+# sweep runs; a column is filled from its axis as it is made, so no grid is
 # held; the writers add only a block's strings; reading a file back peaks
 # near what its columns hold, as each column is allocated once at the rows
-# counted and no column's memo holds more than 1,024 values (tracemalloc,
-# bytes per point: held 32, peak 33, writing CSV then JSON adds 4.5,
-# reading 33.2 from CSV and 33.5 from JSON, for a 250,000-point sweep of
-# four columns; held 16.8, peak 17.4, write adds 2.2, read 16.7 and 16.8
-# for a 500,000-point sweep of one axis; held 24.8, peak 25.4, write adds
-# 2.4, read 24.8 and 25.0 for 2 x 250,000 points); the cap keeps a sweep
-# and its writing below about 45 MB
+# counted and no column's memo holds more than 1,024 spellings (tracemalloc,
+# bytes per point: held 14.2, peak 14.2, writing CSV then JSON adds 3.9,
+# reading 15.2 from CSV and 15.5 from JSON, for a 250,000-point sweep of
+# three axes and one value column, where doubles held 32.2; held 16.8, peak
+# 17.4, write adds 2.1, read 16.5 and 16.6 for a 500,000-point sweep of one
+# axis; held 18.5, peak 19.1, write adds 2.2, read 18.5 and 18.7 for 2 x
+# 250,000 points); the cap keeps a sweep and its writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -272,9 +274,15 @@ def _same_entries(left, right) -> bool:
     return all(x == y or (x != x and y != y) for x, y in zip(left, right))
 
 
-def _same_column(left: array, right: array) -> bool:
-    # memoryviews of doubles compare as C doubles, so -0.0 == 0.0 and only NaN fails
-    return memoryview(left) == memoryview(right) or _same_entries(left, right)
+def _same_column(left, right) -> bool:
+    if type(left) is type(right) is array:
+        # memoryviews of doubles compare as C doubles, so -0.0 == 0.0 and only NaN fails
+        if memoryview(left) == memoryview(right):
+            return True
+    elif (type(left) is type(right) is Coded and len(left.values) == len(right.values)
+          and _same_entries(left.values, right.values) and left.codes == right.codes):
+        return True  # the same codes into equal values, compared in C
+    return _same_entries(left, right)
 
 
 def _same_row(left: tuple, right) -> bool:
@@ -297,20 +305,52 @@ def _doubles(name: str, column: tuple) -> array:
         raise
 
 
+# the most distinct values a coded column holds: a sweep axis of more values
+# is held as doubles, and so is a column read back once its spellings pass it
+_MEMO_SIZE = 1024
+
+
+class Coded:
+    """A column that repeats few values: ``codes``, an array of 2-byte codes,
+    into ``values``, its distinct doubles, at most ``_MEMO_SIZE`` of them.
+
+    Indexing, slicing, ``len`` and iteration behave as on the array of
+    doubles it stands for; a slice shares ``values``.
+    """
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes: array, values: Sequence[float]) -> None:
+        self.codes, self.values = codes, values
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Coded(self.codes[key], self.values)
+        return self.values[self.codes[key]]
+
+    def __iter__(self) -> Iterator[float]:
+        return map(self.values.__getitem__, self.codes)
+
+
 class Rows(Sequence):
     """The rows of a ``Dataset``: a read-only sequence of tuples of floats.
 
-    It stores one array of doubles per column, 8 bytes an entry. Indexing,
-    slicing, ``len`` and iteration behave as on a tuple of row tuples, and
-    so does ``==``, except that a NaN equals a NaN. Two ``Rows`` compare
-    column against column; a ``Rows`` also compares with a tuple of row
+    It stores each column as an array of doubles, 8 bytes an entry, or as a
+    ``Coded`` column, 2 bytes an entry. Indexing, slicing, ``len`` and
+    iteration behave as on a tuple of row tuples, and so does ``==``, except
+    that a NaN equals a NaN. Two ``Rows`` compare column against column,
+    with no column built; a ``Rows`` also compares with a tuple of row
     tuples.
     """
 
     __slots__ = ("_columns",)
 
-    def __init__(self, columns: Sequence[array]) -> None:
-        """Rows that take over ``columns``, one or more arrays of doubles of one length."""
+    def __init__(self, columns: Sequence[array | Coded]) -> None:
+        """Rows that take over ``columns``, one or more arrays of doubles or
+        ``Coded`` columns of one length."""
         columns = tuple(columns)
         if not columns or any(len(column) != len(columns[0]) for column in columns):
             raise ValueError("rows need one or more columns of one length")
@@ -338,8 +378,13 @@ class Rows(Sequence):
         return len(self._columns)
 
     def column(self, index: int) -> memoryview:
-        """Column ``index`` as a read-only view of its doubles."""
-        return memoryview(self._columns[index]).toreadonly()
+        """Column ``index`` as a read-only view of its doubles, built if it is coded."""
+        column = self._columns[index]
+        return memoryview(array("d", column) if type(column) is Coded else column).toreadonly()
+
+    def stored(self, index: int) -> array | Coded:
+        """Column ``index`` as it is held: an array of doubles or a ``Coded`` column."""
+        return self._columns[index]
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -373,7 +418,8 @@ class Dataset(_Record):
 
     It has at least one column: no ``columns`` is a ``DomainError``.
     ``rows`` may be given as any iterable of rows; it is held as ``Rows``,
-    one array of doubles per column, 8 bytes an entry. A row whose width
+    one array of doubles per column, 8 bytes an entry, unless it is a
+    ``Rows`` already, whose columns may be coded. A row whose width
     differs from the column count, or an entry that ``float`` refuses, is a
     ``DomainError`` here, before any file is touched.
     """
@@ -403,25 +449,29 @@ _POINT_ERRORS = (DomainError, QuadratureError)
 _BLOCK_POINTS = 4096
 
 
-def _product_columns(axes: Sequence[Axis], count: int) -> list[array]:
+def _product_columns(axes: Sequence[Axis], count: int) -> list[array | Coded]:
     """The columns of the ``count`` points of the axes' Cartesian product,
-    first axis slowest; each column is filled from its axis's values as they
-    are made, so no axis's grid is held."""
+    first axis slowest. A column whose axis has fewer values than the rows,
+    and at most ``_MEMO_SIZE``, is coded, each code its value's place on the
+    axis; any other column is filled from its axis's values as they are
+    made, so no axis's grid is held."""
     columns, tile, run = [], 1, count
     for axis in axes:
         length = _axis_length(axis)
         run //= length
-        values = axis._generate()
+        coded = length < count and length <= _MEMO_SIZE
+        values = range(length) if coded else axis._generate()
         if run > 1:
             values = itertools.chain.from_iterable(
                 map(itertools.repeat, values, itertools.repeat(run)))
-        column = array("d", values)
-        columns.append(column * tile if tile > 1 else column)
+        column = array("H" if coded else "d", values)
+        column = column * tile if tile > 1 else column
+        columns.append(Coded(column, axis.grid()) if coded else column)
         tile *= length
     return columns
 
 
-def _point_error(names: tuple[str, ...], columns: list[array], index: int,
+def _point_error(names: tuple[str, ...], columns: list[array | Coded], index: int,
                  exc: Exception) -> SweepError:
     """The ``SweepError`` for row ``index``, whose evaluation raised ``exc``,
     naming its coordinates."""

@@ -159,6 +159,22 @@ class TestPhaseCommand:
         phase = float(record_fields(result.stdout.strip())["phase"])
         assert circular_difference(phase, expected) < 1e-3
 
+    def test_equator_with_subnormal_coherence_ends(self):
+        """On the equator the coherence decays to subnormal values before the
+        end; the mixed angles stay on the unit circle there, so the quadrature
+        converges and the phase is half the final time, as everywhere on the
+        equator."""
+        s_final = 9.539514388456325
+        result = subprocess.run(
+            [sys.executable, "-m", "mirrorphase.cli", "phase", "--gamma0",
+             "0.30643530364655647", "--lambda", "11.505552193573896", "--omega",
+             "0.016066986970937572", "--velocity", "0.9374061573196392", "--theta",
+             "0.5pi", "--s-final", repr(s_final)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0 and result.stderr == ""
+        phase = float(record_fields(result.stdout.strip())["phase"])
+        assert phase == pytest.approx(s_final / 2, abs=1e-12)
+
     def test_pole_exits_2_and_names_the_unitary_formula(self, capsys):
         assert main(["phase", "--theta", "0", *DECO_FLAGS]) == 2
         assert "pi*(1+cos(theta))" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from mirrorphase import (Axis, Dataset, DomainError, SweepSpec, dataset_to_csv,
                          run_sweep, write_dataset)
 from mirrorphase import datafiles
 from mirrorphase.datafiles import FORMATS
-from mirrorphase.sweeps import FIGURE_RANGE, describe_spec
+from mirrorphase.sweeps import FIGURE_RANGE, Coded, describe_spec
 
 from oracles import reference_csv, reference_json
 
@@ -48,7 +48,7 @@ def factor_spec(**overrides):
 
 def signed_zero_spec(times):
     """decoherence_factor over two velocities and a time axis of the given
-    zeros, so the time column repeats its values and is spelled by a memo."""
+    zeros, so the time column repeats its values and is coded."""
     return factor_spec(axes=(Axis.from_values("velocity", (0.1, 0.5)),
                              Axis.from_values("time", times)))
 
@@ -504,6 +504,28 @@ class TestReaders:
         assert {text: parsed[text] for text in axis_texts} == dict.fromkeys(axis_texts, 1)
 
     @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("distinct", [datafiles._MEMO_SIZE, datafiles._MEMO_SIZE + 1])
+    def test_column_of_at_most_memo_size_values_reads_back_coded(self, tmp_path, fmt,
+                                                                  distinct):
+        """A column of at most ``_MEMO_SIZE`` distinct spellings, NaN and both
+        zeros among them, comes back coded, and one of more comes back as
+        doubles; either is written again in the same bytes."""
+        values = [math.nan, -0.0, 0.0] + [index / 7 for index in range(1, distinct - 2)]
+        rows = [(values[index % distinct], float(index)) for index in range(3 * distinct)]
+        dataset = Dataset(columns=("a", "b"), rows=rows, metadata={"note": "hand"})
+        path = tmp_path / f"data.{fmt}"
+        write_dataset(dataset, str(path), fmt)
+        back = READERS[fmt](str(path))
+        first, second = back.rows.stored(0), back.rows.stored(1)
+        if distinct <= datafiles._MEMO_SIZE:
+            assert type(first) is Coded and len(first.values) == distinct
+        else:
+            assert type(first) is array
+        assert type(second) is array and same_bits(back, dataset, fmt)
+        write_dataset(back, str(tmp_path / f"again.{fmt}"), fmt)
+        assert (tmp_path / f"again.{fmt}").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_file_that_is_not_utf8(self, tmp_path, fmt):
         path = hand_file(tmp_path, fmt, ("time", "value"), [("0.0", "1.0")])
         with open(path, "ab") as handle:
@@ -669,7 +691,7 @@ class TestWrittenBytes:
                                       awkward_dataset],
                              ids=["sweep", "signed_zero_axis", "awkward"])
     def test_rows_spelled_in_blocks(self, monkeypatch, make):
-        """A memo carries an axis column's spellings from one block to the next."""
+        """A coded axis column's spellings carry from one block to the next."""
         monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
         dataset = make()
         assert dataset_to_csv(dataset) == reference_csv(dataset)
@@ -682,9 +704,10 @@ class TestWrittenBytes:
                                   "repeated_values_and_nan"])
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_memos_across_blocks_of_two_rows(self, tmp_path, monkeypatch, make, fmt):
-        """At the default memo size every column keeps its memo, keyed by bit
-        pattern in a writer: a zero or NaN that an earlier block put in the
-        memo leaves a later block's other zero, or its repeats, as spelled."""
+        """At the default memo size each repeating column stays coded, with a
+        code per spelling in a reader: a zero or NaN that an earlier block
+        spelled or parsed leaves a later block's other zero, or its repeats,
+        as spelled."""
         monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
         monkeypatch.setattr(datafiles, "_READ_CHARS", 40)
         dataset = make()
@@ -1163,24 +1186,29 @@ def traced_peak(call):
 
 
 # tracemalloc size per row of the grid_spec dataset that run_sweep returns,
-# about 25% above what it measured (32.2 B: four columns of doubles). Row
-# tuples of floats held 104 B.
-SWEEP_BYTES_PER_ROW = 40
-# tracemalloc peak per row of each reader and writer on grid_files, above
-# what it measured by about 18% (read: CSV 38.9 B, JSON 40.7 B) and 18%
-# (write: CSV 28.5 B, JSON 28.7 B); on long_axis_spec it measured 33.6 and
-# 34.0 B reading and 29.0 and 29.3 B writing. Readers that allocate each
-# column at the rows counted hold it whole beside a memo's first values,
-# where readers that grew the columns peaked at 37.3 and 37.9 B on
-# grid_files and 29.1 and 30.4 B on long_axis_spec, and read 33.5 B in
-# place of 34.8 B from the JSON of a 250,000-row grid. Memos that kept every
-# value of the long axis peaked at 83.6-87.9 B. Readers that built row tuples peaked at
-# 110 B (CSV) and 107 B (JSON), readers that parse every entry apart at
-# 185 B (CSV), and JSON readers holding the list of lists or the file's
-# text at 274 and 180 B; writers that built the file's text first peaked at
-# 194 B (CSV) and 204 B (JSON).
-READ_PEAK_BYTES_PER_ROW = {"csv": 47, "json": 48}
-WRITE_PEAK_BYTES_PER_ROW = {"csv": 34, "json": 34}
+# about 25% above what it measured (14.3 B: three coded axis columns, 2 B an
+# entry, and the values as doubles). Four columns of doubles held 32.2 B,
+# and row tuples of floats 104 B.
+SWEEP_BYTES_PER_ROW = 18
+# tracemalloc peak per row of each reader and writer, about 18% above the
+# larger of what it measured on grid_files (read: CSV 20.8 B, JSON 22.7 B;
+# write: CSV 24.8 B, JSON 25.1 B) and on long_axis_spec (read: CSV 24.6 B,
+# JSON 25.4 B; write: 26.6 and 26.8 B), where a column switches from codes to
+# doubles after 1,024 values. Keeping a column's codes until its doubles
+# were allocated peaked at 27.0 and 27.7 B reading long_axis_spec. Readers
+# that held every column as doubles
+# peaked at 38.9 and 40.7 B on grid_files and 33.6 and 34.0 B on
+# long_axis_spec, and writers that spelled the columns through memos of
+# 64-bit patterns at 28.5 and 28.7 B, and 29.0 and 29.3 B. Readers that grew
+# the columns of doubles peaked at 37.3 and 37.9 B on grid_files, and read
+# 33.5 B in place of 34.8 B from the JSON of a 250,000-row grid. Memos that
+# kept every value of the long axis peaked at 83.6-87.9 B. Readers that
+# built row tuples peaked at 110 B (CSV) and 107 B (JSON), readers that
+# parse every entry apart at 185 B (CSV), and JSON readers holding the list
+# of lists or the file's text at 274 and 180 B; writers that built the
+# file's text first peaked at 194 B (CSV) and 204 B (JSON).
+READ_PEAK_BYTES_PER_ROW = {"csv": 29, "json": 30}
+WRITE_PEAK_BYTES_PER_ROW = {"csv": 32, "json": 32}
 
 
 def long_axis_spec():
@@ -1230,13 +1258,20 @@ SPARE_ENTRIES = 16
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_read_back_columns_hold_no_growth_slack(grid_files, fmt):
-    directory, _ = grid_files
+    """The three axis columns come back as codes and the values as doubles,
+    each array allocated once; the value column switched from codes to
+    doubles once, at the same length."""
+    directory, dataset = grid_files
     back = READERS[fmt](str(directory / f"grid.{fmt}"))
     empty = sys.getsizeof(array("d"))
-    for index in range(back.rows.width):
-        column = back.rows.column(index).obj  # the array under the view
+    held = [back.rows.stored(index) for index in range(back.rows.width)]
+    assert [type(column) for column in held] == [Coded] * 3 + [array]
+    assert [len(column.values) for column in held[:3]] == [4, 100, 100]
+    for column in [column.codes for column in held[:3]] + held[3:]:
         assert len(column) == 40_000
+        assert sys.getsizeof(array(column.typecode)) == empty
         assert (sys.getsizeof(column) - empty) // column.itemsize - len(column) <= SPARE_ENTRIES
+    assert back.rows == dataset.rows
 
 
 # a header of 1,000 names and 10,000 row marks with no row between them: the

@@ -91,6 +91,12 @@ class TestAnglesClosedForm:
         assert sin_t == pytest.approx(math.sqrt(0.5), abs=1e-15)
         assert cos_t == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
+    @pytest.mark.parametrize("r", [2.2250738585072014e-308, 1e-310, 1e-320, 5e-324])
+    def test_equator_is_balanced_for_subnormal_coherence(self, r):
+        """r sin(theta) is subnormal, and its hypot with itself rounds far
+        from sqrt(2) times it, so the pair is returned, not computed."""
+        assert angles_closed_form(math.pi / 2, r) == (math.sqrt(0.5), math.sqrt(0.5))
+
     @given(theta=thetas, r=rs)
     def test_normalized_and_non_negative(self, theta, r):
         sin_t, cos_t = angles_closed_form(theta, r)

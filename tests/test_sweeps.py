@@ -12,7 +12,7 @@ from mirrorphase import (Axis, Dataset, DegenerateStateError, DomainError, Model
                          NoDecoherenceError, SweepError, SweepSpec, decoherence_factor,
                          decoherence_time, figure_preset, gp_exact, gp_perturbative, run_sweep,
                          sweeps, unitary_gp)
-from mirrorphase.sweeps import Rows
+from mirrorphase.sweeps import Coded, Rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -666,6 +666,101 @@ class TestRows:
     def test_any_iterable_of_rows(self):
         assert held(iter([[0, 1], (2.0, "3.5")])) == ((0.0, 1.0), (2.0, 3.5))
         assert held(Rows([array("d"), array("d")])) == ()
+
+
+def coded(entries, values):
+    """A coded column of ``entries``, each looked up in ``values`` by its spelling,
+    so -0.0, 0.0 and NaN find their own value."""
+    spellings = list(map(repr, values))
+    return Coded(array("H", [spellings.index(repr(entry)) for entry in entries]),
+                 tuple(values))
+
+
+def doubles(entries):
+    return array("d", entries)
+
+
+class TestCodedColumns:
+    ENTRIES = (0.5, 2.0, 0.5, -1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda entries: coded(entries, [0.5, 2.0, -1.0]),
+        lambda entries: coded(entries, [-1.0, 0.5, 2.0]),
+        lambda entries: coded(entries, [2.0, 7.0, -1.0, 0.5]),
+        doubles,
+    ], ids=["coded", "other_order", "unused_value", "doubles"])
+    def test_equal_across_kinds_and_dictionary_orders(self, make):
+        rows = Rows([make(self.ENTRIES), doubles(range(6))])
+        for other in (coded(self.ENTRIES, [0.5, 2.0, -1.0]), doubles(self.ENTRIES)):
+            assert rows == Rows([other, doubles(range(6))])
+            changed = Rows([other[:5], doubles(range(5))])
+            assert rows != changed and rows[:5] == changed
+        differs = self.ENTRIES[:3] + (2.0,) + self.ENTRIES[4:]
+        assert rows != Rows([coded(differs, [0.5, 2.0, -1.0]), doubles(range(6))])
+        assert rows != Rows([doubles(differs), doubles(range(6))])
+        assert rows == tuple(zip(self.ENTRIES, map(float, range(6))))
+
+    def test_same_codes_compare_their_values(self):
+        codes = array("H", [0, 1, 0])
+        assert Rows([Coded(codes, (1.0, 2.0))]) != Rows([Coded(codes, (1.0, 3.0))])
+        assert Rows([Coded(codes, (1.0, 2.0))]) == Rows([Coded(codes, (1.0, 2.0, 3.0))])
+        assert Rows([Coded(codes, (0.0, 2.0))]) == Rows([Coded(codes, (-0.0, 2.0))])
+
+    def test_nan_and_signed_zeros_in_values(self):
+        entries = (math.nan, -0.0, 0.0, math.nan, -0.0)
+        rows = Rows([coded(entries, [math.nan, -0.0, 0.0])])
+        assert rows == Rows([coded(entries, [0.0, -0.0, math.nan])])
+        assert rows == Rows([doubles((float("nan"), 0.0, -0.0, math.inf - math.inf, 0.0))])
+        assert rows == ((math.nan,), (0.0,), (0.0,), (math.nan,), (0.0,))
+        assert rows != Rows([doubles((math.nan, 0.0, 0.0, 1.0, 0.0))])
+        assert [repr(row[0]) for row in rows] == ["nan", "-0.0", "0.0", "nan", "-0.0"]
+        assert rows.column(0).tobytes() == doubles(entries).tobytes()
+
+    def test_empty_rows(self):
+        empty = Rows([Coded(array("H"), ()), doubles(())])
+        assert empty == () and len(empty) == 0 and list(empty) == []
+        assert empty == Rows([doubles(()), Coded(array("H"), (1.0,))])
+        assert empty != Rows([doubles((1.0,)), doubles((2.0,))])
+        assert empty.column(0).tobytes() == b""
+
+    def test_column_slices_and_indexing_match_doubles(self):
+        entries = (0.1, 1e-300, 0.1, -2.5, 1.7976931348623157e308, -2.5)
+        kinds = Rows([coded(entries, [1.7976931348623157e308, -2.5, 0.1, 1e-300]),
+                      doubles(entries)])
+        column = kinds.column(0)
+        assert column.readonly and column.format == "d"
+        assert column.tobytes() == kinds.column(1).tobytes() == doubles(entries).tobytes()
+        for index in range(-6, 6):
+            first, second = kinds[index]
+            assert type(first) is float and repr(first) == repr(second)
+        for index in (6, -7):
+            with pytest.raises(IndexError):
+                kinds[index]
+        for key in (slice(1, 4), slice(None, None, -1), slice(4, 1), slice(-5, None, 2)):
+            part = kinds[key]
+            assert type(part.stored(0)) is Coded and type(part.stored(1)) is array
+            assert part.column(0).tobytes() == part.column(1).tobytes()
+            assert list(part) == [(x, x) for x in entries[key]]
+
+    @pytest.mark.parametrize("axes, kinds", [
+        ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 4)),
+         [Coded, Coded, array]),
+        ((Axis.linear("time", 0.0, 1.0, 4),), [array, array]),
+        ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 1024)),
+         [Coded, Coded, array]),
+        ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 1025)),
+         [Coded, array, array]),
+    ], ids=["both_repeat", "one_axis", "memo_size", "past_memo_size"])
+    def test_sweep_codes_each_axis_that_repeats_few_values(self, axes, kinds):
+        spec = SweepSpec(target="decoherence_factor", axes=axes,
+                         fixed={name: MODEL[name] for name in MODEL if name != axes[0].name})
+        rows = run_sweep(spec).rows
+        assert [type(rows.stored(index)) for index in range(rows.width)] == kinds
+        for index, axis in enumerate(axes):
+            column = rows.stored(index)
+            if type(column) is Coded:
+                assert column.values == axis.grid() and column.codes.itemsize == 2
+        assert rows == tuple(map(tuple, reference_rows(spec)))
 
 
 class TestFigurePresets:
