@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     total.add_argument("--s-final", type=_number, help="integrate up to this time")
     total.add_argument("--periods", type=_number, help="integrate over this many periods")
     phase.add_argument("--steps", type=int, default=DEFAULT_ORACLE_STEPS,
-                       help="grid steps for the oracle method")
+                       help="coarsest grid steps N for the oracle method, which walks "
+                            "4N steps and extrapolates (default: %(default)s)")
     phase.set_defaults(func=_cmd_phase)
 
     figure = sub.add_parser("figure", help="regenerate a preset figure dataset")

@@ -4,21 +4,18 @@ The adaptive Simpson rule integrates the exact phase, at the tolerance set
 in :mod:`mirrorphase.phase`. A fixed-node Gauss-Legendre rule and a
 bracketing root-finder serve no route of the package; the tests use the
 rule to check the Simpson rule for silent bias. Both integrate in pure
-Python; only the Gauss-Legendre node table comes from numpy, which is
-imported when a rule size is first needed. Roots are found by growing a
-bracket geometrically and bisecting it in pure Python.
+Python; the Gauss-Legendre node table is built by Newton's method when a
+rule size is first needed, and kept. Roots are found by growing a bracket
+geometrically and bisecting it in pure Python.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import DomainError, QuadratureError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -68,16 +65,42 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return value, error
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_CACHE: dict[int, tuple[list[float], list[float]]] = {}
 
 
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rule(nodes: int) -> tuple[list[float], list[float]]:
+    """Nodes, ascending, and weights of the ``nodes``-point rule on [-1, 1],
+    each built once: Newton's method on the three-term recurrence of the
+    Legendre polynomials, from Tricomi's guess cos(pi (i - 1/4) / (n + 1/2)),
+    for the nodes of one half, mirrored to the other."""
     rule = _GL_CACHE.get(nodes)
-    if rule is None:
-        import numpy as np
+    if rule is not None:
+        return rule
 
-        rule = np.polynomial.legendre.leggauss(nodes)
-        _GL_CACHE[nodes] = rule
+    def legendre(z: float) -> tuple[float, float]:
+        # P_n(z) and its derivative, for |z| < 1
+        previous, value = 1.0, z
+        for k in range(2, nodes + 1):
+            previous, value = value, ((2 * k - 1) * z * value - (k - 1) * previous) / k
+        return value, nodes * (previous - z * value) / (1.0 - z * z)
+
+    upper = []  # (node, weight) for the nodes in [0, 1), largest first
+    for i in range(1, nodes // 2 + nodes % 2 + 1):
+        z = math.cos(math.pi * (i - 0.25) / (nodes + 0.5))
+        for _ in range(100):
+            value, slope = legendre(z)
+            step = value / slope
+            z -= step
+            if abs(step) <= 1e-16:
+                break
+        slope = legendre(z)[1]
+        upper.append((z, 2.0 / ((1.0 - z * z) * slope * slope)))
+    if nodes % 2:
+        upper[-1] = (0.0, upper[-1][1])
+    lower = [(-z, w) for z, w in upper[:nodes // 2]]
+    pairs = lower + upper[::-1]
+    rule = [z for z, _ in pairs], [w for _, w in pairs]
+    _GL_CACHE[nodes] = rule
     return rule
 
 

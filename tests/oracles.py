@@ -8,7 +8,7 @@ independent of the closed forms in :mod:`mirrorphase.qubit`.
 
 The kinematic oracle's argument with its whole grid held at once, from the
 normalized eigenvector angles of a vectorized mirror of
-``angles_closed_form``: the package walks the grid in blocks, with
+``angles_closed_form``: the package walks the grid point by point, with
 unnormalized states, and must give the same argument.
 
 The dataset writers' per-value formula, written out entry by entry: every

@@ -62,7 +62,7 @@ def test_c3_phase_oracle_equivalence():
         for v in (0.1, 0.3, 0.5, 0.7, 0.9):
             p = params_fig6(v)
             gap = circular_difference(gp_exact(p, theta).phase,
-                                      gp_kinematic_oracle(p, theta, step_count=100_000))
+                                      gp_kinematic_oracle(p, theta, step_count=20_000))
             worst = max(worst, gap)
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 30.0

@@ -4,11 +4,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mirrorphase import (TWO_PI, DomainError, QuadratureError, angles_closed_form,
                          decoherence_factor, gp_exact)
-from mirrorphase.numerics import adaptive_simpson, find_root_bracketed, gauss_legendre
+from mirrorphase.numerics import _gl_rule, adaptive_simpson, find_root_bracketed, gauss_legendre
 from mirrorphase.phase import QUADRATURE_TOLERANCE
 
 from conftest import params_fig6
@@ -51,6 +52,13 @@ class TestAdaptiveSimpson:
 
 
 class TestGaussLegendre:
+    @pytest.mark.parametrize("nodes", [2, 8, 128, 256])
+    def test_rule_matches_numpy_leggauss(self, nodes):
+        x, w = _gl_rule(nodes)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(nodes)
+        assert np.max(np.abs(np.array(x) - ref_x)) <= 1e-15
+        assert np.max(np.abs(np.array(w) - ref_w)) <= 1e-14
+
     def test_polynomial_exactness(self):
         value, _ = gauss_legendre(lambda x: 7.0 * x ** 6 + x, -1.0, 3.0, nodes=8)
         # antiderivative x^7 + x^2/2 evaluated at the bounds
@@ -150,8 +158,8 @@ if sys.argv[1:]:
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
-# numpy and scipy serve only the oracle route; the records are plain
-# classes, so nothing loads dataclasses or what it imports
+# no route loads numpy or scipy; the records are plain classes, so
+# nothing loads dataclasses or what it imports
 UNUSED = {"numpy", "scipy", "dataclasses", "inspect", "ast", "dis", "tokenize"}
 # only figure and sweep write a file
 FILE_LAYER = {"mirrorphase.datafiles", "json"}
@@ -172,7 +180,7 @@ def loaded_modules(argv):
       "--velocity", "0.5", "--time", "1", "--solve-td"], UNUSED | FILE_LAYER),
     ([*PHASE_FLAGS, "--method", "exact"], UNUSED | FILE_LAYER),
     ([*PHASE_FLAGS, "--method", "approx"], UNUSED | FILE_LAYER),
-    ([*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"], FILE_LAYER),
+    ([*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"], UNUSED | FILE_LAYER),
     (["figure", "3", "-o", "{tmp}/fig3.csv"], UNUSED),
 ], ids=["import", "decoherence", "phase_exact", "phase_approx", "phase_oracle", "figure"])
 def test_unused_modules_stay_unloaded(argv, unloaded, tmp_path):
@@ -188,11 +196,17 @@ def test_version_loads_no_more_than_phase():
     assert loaded_modules(["--version"]) <= loaded_modules([*PHASE_FLAGS, "--method", "exact"])
 
 
-@pytest.mark.parametrize("argv", [
-    [*PHASE_FLAGS, "--method", "oracle", "--steps", "20000"],
-], ids=["oracle"])
-def test_numpy_routes_load_numpy_on_demand(argv):
-    proc = subprocess.run([sys.executable, "-m", "mirrorphase.cli", *argv],
-                          capture_output=True, text=True)
+# the command line in an interpreter where numpy cannot be imported
+WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from mirrorphase.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_oracle_route_runs_without_numpy():
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, *PHASE_FLAGS,
+                           "--method", "oracle"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert 0.0 < float(proc.stdout.split()[1].split("=")[1]) < 2.0 * math.pi

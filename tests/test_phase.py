@@ -193,7 +193,8 @@ class TestKinematicOracle:
            omega=st.floats(1e-3, 10.0), v=st.floats(0.0, 0.95),
            theta=st.floats(0.0, POLE_LIMIT, exclude_min=True, exclude_max=True),
            periods=st.integers(1, 3))
-    # the domain's fastest decay, near the equator: halving moved 1.12e-6 at 100,000 steps
+    # the domain's fastest decay, near the equator: the extrapolated values
+    # differ by 1.5e-7 at the default 20,000 steps, and by 3.2e-6 at 10,000
     @example(gamma0=1.0, lam=15.0, omega=1e-3, v=0.95, theta=1.6493361431346414, periods=3)
     def test_agrees_with_exact_over_the_domain(self, gamma0, lam, omega, v, theta, periods):
         """C3's bound, modulo 2*pi, at one to three full periods."""
@@ -205,12 +206,25 @@ class TestKinematicOracle:
     @pytest.mark.parametrize("make,theta,v", [(params_fig6, 0.1 * math.pi, 0.3),
                                               (params_fig7, 0.25 * math.pi, 0.5)])
     def test_error_is_second_order_in_the_step(self, make, theta, v):
-        """The step-halving check relies on an O(h^2) error: each halving of
-        the step cuts the halving gap by about 4."""
-        args = [arg for n in (1_000, 4_000)
-                for arg in phase_module._kinematic_args(make(v), theta, TWO_PI, n)]
-        gaps = [circular_difference(a, b) for a, b in zip(args, args[1:])]
-        assert all(3.5 <= wide / narrow <= 4.5 for wide, narrow in zip(gaps, gaps[1:]))
+        """The extrapolation relies on an O(h^2) error of the plain sums: each
+        halving of the step cuts the halving gap by about 4."""
+        for n in (1_000, 2_000):
+            args = phase_module._kinematic_args(make(v), theta, TWO_PI, n)
+            wide, narrow = (circular_difference(a, b) for a, b in zip(args, args[1:]))
+            assert 3.5 <= wide / narrow <= 4.5
+
+    @pytest.mark.parametrize("make,theta,v", [(params_fig6, 0.1 * math.pi, 0.3),
+                                              (params_fig7, 0.25 * math.pi, 0.5)])
+    def test_extrapolated_error_is_fourth_order_in_the_step(self, make, theta, v):
+        """Extrapolation cancels the h^2 term: each halving of the step cuts
+        the gap between the two extrapolated values by about 16. The counts
+        keep that gap far above the rounding of the sums, about 1e-15."""
+        gaps = []
+        for n in (250, 500, 1_000):
+            p1, p2, p4 = phase_module._kinematic_args(make(v), theta, TWO_PI, n)
+            gaps.append(circular_difference(phase_module._extrapolated(p1, p2),
+                                            phase_module._extrapolated(p2, p4)))
+        assert all(15.0 <= wide / narrow <= 17.0 for wide, narrow in zip(gaps, gaps[1:]))
 
     def test_step_count_validated(self):
         with pytest.raises(DomainError):
@@ -234,9 +248,10 @@ class TestKinematicOracle:
         assert math.isfinite(phase)
 
     def test_grid_step_at_the_bound_reaches_the_halving_check(self):
-        # h = 0.1 passes the bound; step halving then finds it unconverged
+        # h = 0.1 passes the bound; step halving then moves the extrapolated
+        # phase by 4.3e-4
         with pytest.raises(QuadratureError, match="step halving"):
-            gp_kinematic_oracle(params_fig6(0.3), 0.3 * math.pi, s_final=1.0,
+            gp_kinematic_oracle(params_fig7(0.9), 0.3 * math.pi, s_final=1.0,
                                 step_count=10)
 
     def test_infinite_final_time_rejected(self):
@@ -248,13 +263,15 @@ class TestKinematicOracle:
         assert 0.0 <= value < TWO_PI
 
 
-BLOCK = phase_module._ORACLE_BLOCK
+# the step counts' ids name their place against this power of two
+BLOCK = 8192
 
 
 class TestBlockedGrid:
-    """The oracle walks its finer grid once, in blocks of unnormalized states;
-    at both step counts it must give the argument of the whole grid of
-    normalized eigenvectors."""
+    """The oracle walks its finest grid once, in unnormalized states, and
+    reads the coarser grids from every second and every fourth state; at
+    each of the three step counts it must give the argument of the whole
+    grid of normalized eigenvectors."""
 
     @pytest.mark.parametrize("step_count", [BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 1,
                                             BLOCK // 2, BLOCK // 2 + 1, 10],
@@ -263,21 +280,20 @@ class TestBlockedGrid:
     @pytest.mark.parametrize("theta", [0.1 * math.pi, 0.5 * math.pi, 0.8 * math.pi])
     def test_matches_the_whole_grid(self, step_count, theta):
         p = params_fig7(0.5)
-        pair = phase_module._kinematic_args(p, theta, TWO_PI, step_count)
-        for blocked, count in zip(pair, (step_count, 2 * step_count)):
+        args = phase_module._kinematic_args(p, theta, TWO_PI, step_count)
+        for walked, count in zip(args, (step_count, 2 * step_count, 4 * step_count)):
             whole = kinematic_arg_whole_grid(p, theta, TWO_PI, count)
-            assert circular_difference(blocked, whole) <= 1e-12
+            assert circular_difference(walked, whole) <= 1e-12
 
     @pytest.mark.parametrize("theta", [0.3, 0.5 * math.pi, 0.7 * math.pi])
     def test_matches_the_whole_grid_where_coherence_underflows(self, theta):
         p = ModelParams(gamma0=1.0, lambda_tilde=15.0, omega_tilde=0.01, velocity=0.95)
         assert decoherence_factor(p, 2 * TWO_PI) == 0.0
-        with np.errstate(divide="raise", invalid="raise"):
-            pair = phase_module._kinematic_args(p, theta, 2 * TWO_PI, 100_000)
-        for blocked, count in zip(pair, (100_000, 200_000)):
+        args = phase_module._kinematic_args(p, theta, 2 * TWO_PI, 50_000)
+        for walked, count in zip(args, (50_000, 100_000, 200_000)):
             whole = kinematic_arg_whole_grid(p, theta, 2 * TWO_PI, count)
-            assert math.isfinite(blocked)
-            assert circular_difference(blocked, whole) <= 1e-12
+            assert math.isfinite(walked)
+            assert circular_difference(walked, whole) <= 1e-12
 
     def test_memory_does_not_grow_with_step_count(self):
         def peak(step_count):
@@ -288,8 +304,8 @@ class TestBlockedGrid:
             finally:
                 tracemalloc.stop()
 
-        # a whole grid of 800,001 points would hold about 110 MB
-        assert peak(400_000) <= peak(20_000) + 64 * 1024
+        # a whole grid of 80,001 points would hold about 11 MB
+        assert peak(20_000) <= peak(2_000) + 64 * 1024
 
 
 class TestGpPerturbative:
