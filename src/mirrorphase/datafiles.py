@@ -26,14 +26,14 @@ No write or read holds a file's whole text. The writers spell and write a
 block of rows at a time from slices of the dataset's columns, to a new
 file beside a regular ``path`` that replaces it once the write is done, so
 a write that fails part way leaves an older file intact. A coded column,
-2-byte codes into at most ``_MEMO_SIZE`` distinct doubles, such as a sweep
-axis, has its values spelled once per write, and each block looks the
+1- or 2-byte codes into at most ``_MEMO_SIZE`` distinct doubles, such as a
+sweep axis, has its values spelled once per write, and each block looks the
 spellings up by code; any other column is spelled entry by entry. Both
 readers first count a regular file's row marks (line breaks in CSV, ``[``
 in JSON) in its bytes, ``_COUNT_BYTES`` at a time, and allocate each
-column once, as codes of that length, or of the rows the file's bytes can
-hold at two an entry if fewer, so no file claims more than four times its
-size before it is parsed; a file that is not regular, such as a pipe,
+column once, as 1-byte codes of that length, or of the rows the file's
+bytes can hold at two an entry if fewer, so the columns start at no more
+than half the file's size; a file that is not regular, such as a pipe,
 starts its columns empty. They then read the text once, a piece of
 ``_READ_CHARS`` characters at a time, and parse the rows that the text read
 so far holds whole as one block, carrying the row begun last into the next
@@ -41,16 +41,20 @@ piece; each block is split into its entries at once by ``_parse_block``,
 and each column put in place after the rows before it by ``_put``, growing
 a column only where the count fell short. A column's memo maps each
 spelling to its code, so a spelling is parsed once; a column whose memo
-would pass ``_MEMO_SIZE`` spellings becomes an array of doubles of the same
-length, once, and from then on each block of it is mapped to doubles in C.
+would pass 256 spellings, more than 1-byte codes can index, is widened to
+2-byte codes, once, and one whose memo would pass ``_MEMO_SIZE`` spellings
+becomes an array of doubles of the same length, once, and from then on each
+block of it is mapped to doubles in C.
 The columns are then trimmed to the rows parsed. So the count sets only
 where the columns start, a file that changes after the count reads as it
 is then, and the columns, never grown or moved, leave no holes in the
 heap: memory stays flat over repeated round trips in one process. Only a
 block that is not parsed is cut into rows, to name the first row at fault.
-So a sweep's axes come back coded, as ``run_sweep`` holds them, and a
-dense sweep of four columns holds about 14 bytes a point, where columns of
-doubles held 32.
+So a sweep's axes come back in the codes ``run_sweep`` holds them in, and
+the benchmark's dense sweep of three axes (4, 250 and 250 values) and one
+value column holds 11.2 bytes a point, read back at a peak of 12.2 (CSV)
+and 12.5 (JSON) under tracemalloc, where 2-byte codes held 14.2 and
+columns of doubles 32.2.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from typing import NoReturn
 
 from .errors import DomainError
 # FORMATS is also read from here
-from .sweeps import _MEMO_SIZE, FORMATS, Coded, Dataset, Rows
+from .sweeps import _MEMO_SIZE, FORMATS, Coded, Dataset, Rows, _code_type
 
 
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
@@ -251,8 +255,9 @@ def _row_hint(handle, mark: bytes, before: int, width: int) -> int:
     its ``mark`` bytes less the ``before`` ones ahead of the rows, counted
     by ``os.pread`` without moving the handle, and no more than its bytes
     hold at two bytes an entry of ``width``, so columns allocated at the
-    hint take at most four times the file's size; 0 for any other file,
-    such as a pipe."""
+    hint as 1-byte codes take at most half the file's size, and four times
+    it if every column became doubles; 0 for any other file, such as a
+    pipe."""
     descriptor = handle.fileno()
     if not stat.S_ISREG(os.fstat(descriptor).st_mode):
         return 0
@@ -264,9 +269,9 @@ def _row_hint(handle, mark: bytes, before: int, width: int) -> int:
 
 
 def _columns(width: int, hint: int) -> list[Coded]:
-    """``width`` coded columns, each of ``hint`` codes (none where ``hint``
-    is below 1) into no values yet; ``_put`` fills them in place."""
-    return [Coded(array("H", [0]) * hint, []) for _ in range(width)]
+    """``width`` coded columns, each of ``hint`` 1-byte codes (none where
+    ``hint`` is below 1) into no values yet; ``_put`` fills them in place."""
+    return [Coded(array("B", [0]) * hint, []) for _ in range(width)]
 
 
 def _trimmed(columns: list, filled: int) -> Rows:
@@ -296,25 +301,32 @@ def _put(keys: list[str], columns: list, memos: list, index: int, filled: int,
     """Put the entries spelled ``keys`` in ``columns[index]`` after its first
     ``filled`` ones, growing it if it is too short. While the column is
     coded, its memo ``memos[index]`` maps each spelling to its code, and
-    ``convert`` parses a spelling once, when it is new; spellings that would
-    take the memo past ``_MEMO_SIZE`` drop it (``memos[index] = None``), and
-    the column becomes an array of doubles of its length, once, which takes
-    ``convert`` of each block's keys from then on. The codes are let go
-    before the doubles are allocated, so only the entries already put are
-    held twice."""
+    ``convert`` parses a spelling once, when it is new. Spellings that would
+    take the memo past 256 widen the column's 1-byte codes to 2-byte ones
+    before they are put, once, in one copy of its length. Spellings that
+    would take the memo past ``_MEMO_SIZE`` drop it (``memos[index] =
+    None``), and the column becomes an array of doubles of its length, once,
+    which takes ``convert`` of each block's keys from then on. The codes are
+    let go before the doubles are allocated, so only the entries already put
+    are held twice."""
     column, memo = columns[index], memos[index]
     stop = filled + len(keys)
     if memo is not None:
+        codes = column.codes.typecode
         try:
-            column.codes[filled:stop] = array("H", map(memo.__getitem__, keys))
+            column.codes[filled:stop] = array(codes, map(memo.__getitem__, keys))
             return
         except KeyError:
             pass
         new = [key for key in dict.fromkeys(keys) if key not in memo]
-        if len(memo) + len(new) <= _MEMO_SIZE:
+        distinct = len(memo) + len(new)
+        if distinct <= _MEMO_SIZE:
+            codes = _code_type(distinct)
+            if codes != column.codes.typecode:  # 1-byte codes widen to 2-byte ones
+                column.codes = array(codes, column.codes)
             column.values.extend(convert(new))
-            memo.update(zip(new, range(len(memo), len(memo) + len(new))))
-            column.codes[filled:stop] = array("H", map(memo.__getitem__, keys))
+            memo.update(zip(new, range(len(memo), distinct)))
+            column.codes[filled:stop] = array(codes, map(memo.__getitem__, keys))
             return
         memos[index] = None
         head, length = array("d", column[:filled]), len(column)

@@ -8,8 +8,9 @@ value is a double from construction on, so both file formats spell it
 alike. Before any point runs, ``SweepSpec.validate`` checks each fixed
 value and axis end by ``model.require`` or ``qubit.require_bloch_angle``,
 so ``allow_errors`` cannot turn a value outside its domain into NaN rows.
-The coordinate columns are built first, one per axis: 2-byte codes into
-the axis's values where the axis repeats them, else an array of doubles.
+The coordinate columns are built first, one per axis: codes into the
+axis's values where the axis repeats them, 1 byte each up to 256 values and
+2 bytes up to 1,024, else an array of doubles.
 A sweep then runs one cell of the model axes (gamma0, lambda, omega,
 velocity) at a time: a cell's points are a run of consecutive rows, and
 it builds the cell's model parameters once. Each point is evaluated
@@ -93,17 +94,18 @@ LOG = "log"
 VALUES = "values"
 
 # run_sweep holds a coordinate column whose axis has fewer values than the
-# rows, and at most 1,024, as 2-byte codes, and every other entry as a
-# double, 8 bytes, and one block of at most 4,096 points' values while the
-# sweep runs; a column is filled from its axis as it is made, so no grid is
-# held; the writers add only a block's strings; reading a file back peaks
-# near what its columns hold, as each column is allocated once at the rows
-# counted and no column's memo holds more than 1,024 spellings (tracemalloc,
-# bytes per point: held 14.2, peak 14.2, writing CSV then JSON adds 3.9,
-# reading 15.2 from CSV and 15.5 from JSON, for a 250,000-point sweep of
-# three axes and one value column, where doubles held 32.2; held 16.8, peak
+# rows, and at most 1,024, as codes, 1 byte each up to 256 values and 2
+# bytes past that, and every other entry as a double, 8 bytes, and one
+# block of at most 4,096 points' values while the sweep runs; a column is
+# filled from its axis as it is made, so no grid is held; the writers add
+# only a block's strings; reading a file back peaks near what its columns
+# hold, as each column is allocated once at the rows counted and no
+# column's memo holds more than 1,024 spellings (tracemalloc, bytes per
+# point: held 11.2, peak 11.2, writing CSV then JSON adds 3.9, reading 12.2
+# from CSV and 12.5 from JSON, for a 4 x 250 x 250 sweep and one value
+# column, where 2-byte codes held 14.2 and doubles 32.2; held 16.8, peak
 # 17.4, write adds 2.1, read 16.5 and 16.6 for a 500,000-point sweep of one
-# axis; held 18.5, peak 19.1, write adds 2.2, read 18.5 and 18.7 for 2 x
+# axis; held 17.5, peak 18.1, write adds 2.2, read 17.5 and 17.7 for 2 x
 # 250,000 points); the cap keeps a sweep and its writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
@@ -310,9 +312,17 @@ def _doubles(name: str, column: tuple) -> array:
 _MEMO_SIZE = 1024
 
 
+def _code_type(distinct: int) -> str:
+    """The typecode of the narrowest codes into ``distinct`` values, at most
+    ``_MEMO_SIZE``: ``'B'``, whose codes run from 0 to 255, up to 256
+    values, else ``'H'``."""
+    return "B" if distinct <= 256 else "H"
+
+
 class Coded:
-    """A column that repeats few values: ``codes``, an array of 2-byte codes,
-    into ``values``, its distinct doubles, at most ``_MEMO_SIZE`` of them.
+    """A column that repeats few values: ``codes``, an array of 1-byte codes
+    (``'B'``) or 2-byte ones (``'H'``), as ``_code_type`` picks them, into
+    ``values``, its distinct doubles, at most ``_MEMO_SIZE`` of them.
 
     Indexing, slicing, ``len`` and iteration behave as on the array of
     doubles it stands for; a slice shares ``values``.
@@ -339,7 +349,7 @@ class Rows(Sequence):
     """The rows of a ``Dataset``: a read-only sequence of tuples of floats.
 
     It stores each column as an array of doubles, 8 bytes an entry, or as a
-    ``Coded`` column, 2 bytes an entry. Indexing, slicing, ``len`` and
+    ``Coded`` column, 1 or 2 bytes an entry. Indexing, slicing, ``len`` and
     iteration behave as on a tuple of row tuples, and so does ``==``, except
     that a NaN equals a NaN. Two ``Rows`` compare column against column,
     with no column built; a ``Rows`` also compares with a tuple of row
@@ -453,8 +463,9 @@ def _product_columns(axes: Sequence[Axis], count: int) -> list[array | Coded]:
     """The columns of the ``count`` points of the axes' Cartesian product,
     first axis slowest. A column whose axis has fewer values than the rows,
     and at most ``_MEMO_SIZE``, is coded, each code its value's place on the
-    axis; any other column is filled from its axis's values as they are
-    made, so no axis's grid is held."""
+    axis, in the narrowest codes that index the axis's values; any other
+    column is filled from its axis's values as they are made, so no axis's
+    grid is held."""
     columns, tile, run = [], 1, count
     for axis in axes:
         length = _axis_length(axis)
@@ -464,7 +475,7 @@ def _product_columns(axes: Sequence[Axis], count: int) -> list[array | Coded]:
         if run > 1:
             values = itertools.chain.from_iterable(
                 map(itertools.repeat, values, itertools.repeat(run)))
-        column = array("H" if coded else "d", values)
+        column = array(_code_type(length) if coded else "d", values)
         column = column * tile if tile > 1 else column
         columns.append(Coded(column, axis.grid()) if coded else column)
         tile *= length

@@ -11,6 +11,12 @@ normalized eigenvector angles of a vectorized mirror of
 ``angles_closed_form``: the package walks the grid point by point, with
 unnormalized states, and must give the same argument.
 
+The exact phase's closed form, evaluated in ``decimal`` at
+``REFERENCE_DIGITS`` digits and more: the integral of cos^2(theta_t) over
+[0, S], with r = e^{-a s}, c = cos(theta) and a = gamma0*M/2, is
+S/2 + sign(c)/(2a)*[asinh(|c| e^{aS}/sin(theta)) - asinh(|c|/sin(theta))],
+and S/2*(1 + c/hypot(c, sin(theta))) at a = 0.
+
 The dataset writers' per-value formula, written out entry by entry: every
 entry is ``repr(float(x))`` in both formats, and strict JSON spells a
 non-finite entry ``null``; CSV spells each metadata key on a
@@ -20,9 +26,11 @@ non-finite entry ``null``; CSV spells each metadata key on a
 from __future__ import annotations
 
 import cmath
+import decimal
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -168,6 +176,41 @@ def kinematic_arg_whole_grid(params: ModelParams, theta: float, s_final: float,
     psi = np.stack([cos_t, sin_t * np.exp(1j * s)], axis=1)
     overlaps = np.einsum("ij,ij->i", psi[:-1].conj(), psi[1:])
     return (cmath.phase(np.vdot(psi[0], psi[-1])) - np.angle(overlaps).sum()) % TWO_PI
+
+
+# the digits the closed form is evaluated at where a*S is 1 or more; below
+# that, the asinh difference loses the digits that a*S lacks, so as many
+# more are carried
+REFERENCE_DIGITS = 50
+
+
+def _asinh(x: Decimal) -> Decimal:
+    """asinh(x) for x >= 0, as ln(x + sqrt(x^2 + 1)) at the context's digits."""
+    return (x + (x * x + 1).sqrt()).ln()
+
+
+def gp_closed_form_decimal(params: ModelParams, theta: float, s_final: float) -> float:
+    """The exact phase up to ``s_final``, the integral of cos^2(theta_t) that
+    ``gp_exact`` integrates, from its closed form in ``decimal``, rounded once
+    to a double.
+
+    c is ``bloch_cosine(theta)`` and sin(theta) is ``math.sin(theta)``, as the
+    package takes them, and a = gamma0*M/2 is formed in ``decimal`` from the
+    doubles. The asinh difference is evaluated at ``REFERENCE_DIGITS``
+    digits, plus as many as a*S has zeros after the point.
+    """
+    c, sin_theta = Decimal(bloch_cosine(theta)), Decimal(math.sin(theta))
+    with decimal.localcontext() as context:
+        context.prec = REFERENCE_DIGITS
+        context.Emax, context.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        half, s = Decimal(s_final) / 2, Decimal(s_final)
+        a = Decimal(0.5) * Decimal(params.gamma0) * Decimal(dephasing_multiplier(params))
+        if a == 0:
+            return float(half * (1 + c / (c * c + sin_theta * sin_theta).sqrt()))
+        context.prec += max(0, -(a * s).adjusted())
+        start = abs(c) / sin_theta
+        rise = _asinh(start * (a * s).exp()) - _asinh(start)
+        return float(half + rise.copy_sign(c) / (2 * a))
 
 
 def reference_csv(dataset) -> str:

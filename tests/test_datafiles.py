@@ -504,24 +504,35 @@ class TestReaders:
         assert {text: parsed[text] for text in axis_texts} == dict.fromkeys(axis_texts, 1)
 
     @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("distinct", [datafiles._MEMO_SIZE, datafiles._MEMO_SIZE + 1])
+    @pytest.mark.parametrize("distinct", [256, 257, datafiles._MEMO_SIZE,
+                                          datafiles._MEMO_SIZE + 1])
     def test_column_of_at_most_memo_size_values_reads_back_coded(self, tmp_path, fmt,
                                                                   distinct):
         """A column of at most ``_MEMO_SIZE`` distinct spellings, NaN and both
-        zeros among them, comes back coded, and one of more comes back as
-        doubles; either is written again in the same bytes."""
+        zeros among them, comes back coded, in 1-byte codes up to 256 of them
+        and 2-byte ones past that, and one of more comes back as doubles;
+        either is written again in the same bytes. Read in whole pieces, the
+        first block holds more than 600 rows, so a column passes 256
+        spellings there; read in pieces of 200 characters, about 8 rows each,
+        it passes them in a later block, after codes have been put."""
         values = [math.nan, -0.0, 0.0] + [index / 7 for index in range(1, distinct - 2)]
         rows = [(values[index % distinct], float(index)) for index in range(3 * distinct)]
         dataset = Dataset(columns=("a", "b"), rows=rows, metadata={"note": "hand"})
         path = tmp_path / f"data.{fmt}"
         write_dataset(dataset, str(path), fmt)
-        back = READERS[fmt](str(path))
-        first, second = back.rows.stored(0), back.rows.stored(1)
-        if distinct <= datafiles._MEMO_SIZE:
-            assert type(first) is Coded and len(first.values) == distinct
-        else:
-            assert type(first) is array
-        assert type(second) is array and same_bits(back, dataset, fmt)
+
+        def held_as_needed(column, count):
+            if count > datafiles._MEMO_SIZE:
+                return type(column) is array
+            return (type(column) is Coded and len(column.values) == count
+                    and column.codes.itemsize == (1 if count <= 256 else 2))
+
+        for chars in (datafiles._READ_CHARS, 200):
+            with mock.patch.object(datafiles, "_READ_CHARS", chars):
+                back = READERS[fmt](str(path))
+            first, second = back.rows.stored(0), back.rows.stored(1)
+            assert held_as_needed(first, distinct) and held_as_needed(second, len(rows))
+            assert same_bits(back, dataset, fmt)
         write_dataset(back, str(tmp_path / f"again.{fmt}"), fmt)
         assert (tmp_path / f"again.{fmt}").read_bytes() == path.read_bytes()
 
@@ -1186,15 +1197,18 @@ def traced_peak(call):
 
 
 # tracemalloc size per row of the grid_spec dataset that run_sweep returns,
-# about 25% above what it measured (14.3 B: three coded axis columns, 2 B an
-# entry, and the values as doubles). Four columns of doubles held 32.2 B,
-# and row tuples of floats 104 B.
-SWEEP_BYTES_PER_ROW = 18
+# about 25% above what it measured (11.3 B: three coded axis columns, 1 B an
+# entry, and the values as doubles). Axis columns of 2-byte codes held
+# 14.3 B, four columns of doubles 32.2 B, and row tuples of floats 104 B.
+SWEEP_BYTES_PER_ROW = 14
 # tracemalloc peak per row of each reader and writer, about 18% above the
-# larger of what it measured on grid_files (read: CSV 20.8 B, JSON 22.7 B;
-# write: CSV 24.8 B, JSON 25.1 B) and on long_axis_spec (read: CSV 24.6 B,
-# JSON 25.4 B; write: 26.6 and 26.8 B), where a column switches from codes to
-# doubles after 1,024 values. Keeping a column's codes until its doubles
+# larger of what it measured on grid_files (read: CSV 17.8 B, JSON 19.7 B;
+# write: CSV 24.8 B, JSON 25.1 B) and on long_axis_spec (read: CSV 23.6 B,
+# JSON 24.4 B; write: 26.6 and 26.8 B), where a column widens from 1-byte
+# to 2-byte codes after 256 values and switches to doubles after 1,024. A
+# write's peak does not depend on the code width. Readers that started each
+# column as 2-byte codes peaked at 20.8 and 22.7 B on grid_files and 24.6
+# and 25.4 B on long_axis_spec. Keeping a column's codes until its doubles
 # were allocated peaked at 27.0 and 27.7 B reading long_axis_spec. Readers
 # that held every column as doubles
 # peaked at 38.9 and 40.7 B on grid_files and 33.6 and 34.0 B on
@@ -1207,7 +1221,7 @@ SWEEP_BYTES_PER_ROW = 18
 # parse every entry apart at 185 B (CSV), and JSON readers holding the list
 # of lists or the file's text at 274 and 180 B; writers that built the
 # file's text first peaked at 194 B (CSV) and 204 B (JSON).
-READ_PEAK_BYTES_PER_ROW = {"csv": 29, "json": 30}
+READ_PEAK_BYTES_PER_ROW = {"csv": 28, "json": 29}
 WRITE_PEAK_BYTES_PER_ROW = {"csv": 32, "json": 32}
 
 
@@ -1258,15 +1272,16 @@ SPARE_ENTRIES = 16
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_read_back_columns_hold_no_growth_slack(grid_files, fmt):
-    """The three axis columns come back as codes and the values as doubles,
-    each array allocated once; the value column switched from codes to
-    doubles once, at the same length."""
+    """The three axis columns come back as 1-byte codes and the values as
+    doubles, each array allocated once; the value column switched from codes
+    to doubles once, at the same length."""
     directory, dataset = grid_files
     back = READERS[fmt](str(directory / f"grid.{fmt}"))
     empty = sys.getsizeof(array("d"))
     held = [back.rows.stored(index) for index in range(back.rows.width)]
     assert [type(column) for column in held] == [Coded] * 3 + [array]
     assert [len(column.values) for column in held[:3]] == [4, 100, 100]
+    assert [column.codes.itemsize for column in held[:3]] == [1] * 3
     for column in [column.codes for column in held[:3]] + held[3:]:
         assert len(column) == 40_000
         assert sys.getsizeof(array(column.typecode)) == empty

@@ -687,8 +687,10 @@ class TestCodedColumns:
         lambda entries: coded(entries, [0.5, 2.0, -1.0]),
         lambda entries: coded(entries, [-1.0, 0.5, 2.0]),
         lambda entries: coded(entries, [2.0, 7.0, -1.0, 0.5]),
+        lambda entries: Coded(array("B", coded(entries, [0.5, 2.0, -1.0]).codes),
+                              (0.5, 2.0, -1.0)),
         doubles,
-    ], ids=["coded", "other_order", "unused_value", "doubles"])
+    ], ids=["coded", "other_order", "unused_value", "one_byte_codes", "doubles"])
     def test_equal_across_kinds_and_dictionary_orders(self, make):
         rows = Rows([make(self.ENTRIES), doubles(range(6))])
         for other in (coded(self.ENTRIES, [0.5, 2.0, -1.0]), doubles(self.ENTRIES)):
@@ -746,12 +748,19 @@ class TestCodedColumns:
         ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 4)),
          [Coded, Coded, array]),
         ((Axis.linear("time", 0.0, 1.0, 4),), [array, array]),
+        ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 256)),
+         [Coded, Coded, array]),
+        ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 257)),
+         [Coded, Coded, array]),
         ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 1024)),
          [Coded, Coded, array]),
         ((Axis.from_values("velocity", (0.1, 0.5)), Axis.linear("time", 0.0, 1.0, 1025)),
          [Coded, array, array]),
-    ], ids=["both_repeat", "one_axis", "memo_size", "past_memo_size"])
+    ], ids=["both_repeat", "one_axis", "byte_range", "past_byte_range", "memo_size",
+            "past_memo_size"])
     def test_sweep_codes_each_axis_that_repeats_few_values(self, axes, kinds):
+        """Each coded axis is held in the narrowest codes that index its
+        values: 1 byte up to 256 values, 2 bytes past them."""
         spec = SweepSpec(target="decoherence_factor", axes=axes,
                          fixed={name: MODEL[name] for name in MODEL if name != axes[0].name})
         rows = run_sweep(spec).rows
@@ -759,7 +768,8 @@ class TestCodedColumns:
         for index, axis in enumerate(axes):
             column = rows.stored(index)
             if type(column) is Coded:
-                assert column.values == axis.grid() and column.codes.itemsize == 2
+                assert column.values == axis.grid()
+                assert column.codes.itemsize == (1 if len(column.values) <= 256 else 2)
         assert rows == tuple(map(tuple, reference_rows(spec)))
 
 
