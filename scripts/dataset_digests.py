@@ -7,10 +7,11 @@ Usage:
 The datasets are figures 2-8 (``fig2`` .. ``fig8``), an ``allow_errors``
 sweep whose failed points are NaN rows (``nan_rows``), a decoherence
 factor sweep whose time axis comes before its model axis (``time_first``),
-and one of 10,000 rows (``signed_zeros``), three of ``write_dataset``'s
-4,096-row blocks, whose time column holds 0.0 in the first block, -0.0
-first in the second and 0.0 again in the third, each written by
-``write_dataset`` as CSV and as JSON. Each line reads
+and one of 10,000 rows (``signed_zeros``), whose time column holds 0.0 in
+its first 1,000 rows, -0.0 in rows 5,000-5,999 and 0.0 again in its last
+1,000, so that ``write_dataset``'s blocks, 1,365 rows of its three
+columns, hold one zero at most, 0.0, then -0.0, then 0.0. Each is written
+by ``write_dataset`` as CSV and as JSON. Each line reads
 ``<digest>  <file name>``, as ``sha256sum`` prints it. The script imports
 ``mirrorphase`` from ``PYTHONPATH``, so pointing that at another tree's
 ``src`` prints that tree's digests, and ``diff`` of two outputs shows which

@@ -46,6 +46,33 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+class _NegativeNumbers:
+    """Stands in for argparse's ``_negative_number_matcher``, the pattern of
+    a negative number, which argparse reads as a value and not as a flag:
+    any text that ``parse_number`` reads, such as ``-0.25pi``, ``-1e-3`` or
+    ``-inf``. Argparse's own pattern takes only the ``-5`` and ``-0.5``
+    forms, and reads the others as a flag, so that a number flag before one
+    would report a missing value."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            parse_number(text)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, and so each of its subcommands' parsers, that
+    reads every negative number as a value: ``--theta -0.25pi`` is read as
+    ``--theta=-0.25pi`` is."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumbers
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     def flag(name: str, dest: str, what: str) -> None:
         parser.add_argument(f"--{name}", dest=dest, type=_number, required=True,
@@ -168,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # the raw formatter prints --version without loading textwrap
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirrorphase", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Decoherence factor and geometric phase of a two-level particle moving\n"
                     "parallel to an imperfect mirror.")

@@ -23,18 +23,20 @@ and CSV with blank lines, other comments or metadata values that are not
 JSON; such files are now refused.
 
 No write or read holds a file's whole text. The writers spell and write a
-block of rows at a time from slices of the dataset's columns, to a new
-file beside a regular ``path`` that replaces it once the write is done, so
-a write that fails part way leaves an older file intact. A coded column,
-1- or 2-byte codes into at most ``_MEMO_SIZE`` distinct doubles, such as a
-sweep axis, has its values spelled once per write, and each block looks the
-spellings up by code; any other column is spelled entry by entry. Both
-readers first count a regular file's row marks (line breaks in CSV, ``[``
-in JSON) in its bytes, ``_COUNT_BYTES`` at a time, and allocate each
-column once, as 1-byte codes of that length, or of the rows the file's
-bytes can hold at two an entry if fewer, so the columns start at no more
-than half the file's size; a file that is not regular, such as a pipe,
-starts its columns empty. They then read the text once, a piece of
+block of rows at a time from slices of the dataset's columns, as many rows
+as hold 4,096 entries (``sweeps._block_rows``), or one row if it is wider,
+so a block holds about as many strings whatever the dataset's width. They
+write to a new file beside a regular ``path`` that replaces it once the
+write is done, so a write that fails part way leaves an older file intact.
+A coded column, 1- or 2-byte codes into at most ``_MEMO_SIZE`` distinct
+doubles, such as a sweep axis, has its values spelled once per write, and
+each block looks the spellings up by code; any other column is spelled
+entry by entry. Both readers first count a regular file's row marks (line
+breaks in CSV, ``[`` in JSON) in its bytes, ``_COUNT_BYTES`` at a time, and
+allocate each column once, as 1-byte codes of that length, or of the rows
+the file's bytes can hold at two an entry if fewer, so the columns start at
+no more than half the file's size; a file that is not regular, such as a
+pipe, starts its columns empty. They then read the text once, a piece of
 ``_READ_CHARS`` characters at a time, and parse the rows that the text read
 so far holds whole as one block, carrying the row begun last into the next
 piece; each block is split into its entries at once by ``_parse_block``,
@@ -73,7 +75,7 @@ from typing import NoReturn
 
 from .errors import DomainError
 # FORMATS is also read from here
-from .sweeps import _MEMO_SIZE, FORMATS, Coded, Dataset, Rows, _code_type
+from .sweeps import _MEMO_SIZE, FORMATS, Coded, Dataset, Rows, _block_rows, _code_type
 
 
 # strict JSON has no NaN or infinity: a non-finite entry is written as null
@@ -81,10 +83,6 @@ _JSON_NONFINITE = {"nan": "null", "inf": "null", "-inf": "null"}
 # a JSON file: the metadata object between the first two, the rows, each
 # opened by "[", joined by "], [" and closed by "]", and the last
 _JSON_HEAD, _JSON_ROWS, _JSON_END = '{"metadata": ', ', "rows": [', "]}\n"
-
-# rows are spelled and written a block at a time, so only one block's
-# strings are held
-_BLOCK_ROWS = 4096
 
 
 def _spell(values, nonfinite: dict[str, str]) -> list[str]:
@@ -98,7 +96,7 @@ def _spell(values, nonfinite: dict[str, str]) -> list[str]:
 
 
 def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterator[list[str]]:
-    """Each block of ``_BLOCK_ROWS`` rows as row texts: entries spelled
+    """Each block of ``_block_rows`` rows as row texts: entries spelled
     ``repr(x)``, a spelling that ``nonfinite`` names replaced by its value,
     and joined by ``sep``. A coded column's values are spelled once, and
     each block looks its spellings up by code."""
@@ -106,9 +104,9 @@ def _row_blocks(dataset: Dataset, sep: str, nonfinite: dict[str, str]) -> Iterat
     columns = [rows.stored(index) for index in range(rows.width)]
     spelled = [_spell(column.values, nonfinite) if type(column) is Coded else None
                for column in columns]
-    for begin in range(0, len(rows), _BLOCK_ROWS):
-        yield _spell_block(columns, spelled, slice(begin, begin + _BLOCK_ROWS), sep,
-                           nonfinite)
+    block = _block_rows(rows.width)
+    for begin in range(0, len(rows), block):
+        yield _spell_block(columns, spelled, slice(begin, begin + block), sep, nonfinite)
 
 
 def _spell_block(columns: list, spelled: list, block: slice, sep: str,

@@ -19,9 +19,10 @@ scalar call uses; a point that raises is a ``SweepError`` naming it, or
 with ``allow_errors`` a NaN row. Where time is a decoherence factor
 sweep's only inner axis, the model's block form of
 ``decoherence_factor``, which repeats its operations bit for bit,
-evaluates the times instead. Values are made a block of at most 4,096
-rows at a time; each block is checked, then moved into the value
-columns, arrays of doubles.
+evaluates the times instead. Values are made a block of about 4,096
+entries at a time, 4,096 points of one value column or 1,365 of three;
+each block is checked, then moved into the value columns, arrays of
+doubles. The writers spell their blocks by the same budget.
 
 Grid resolutions and the velocity / plate-coupling families used by the
 presets are reproduction conventions documented here, not published data;
@@ -96,17 +97,18 @@ VALUES = "values"
 # run_sweep holds a coordinate column whose axis has fewer values than the
 # rows, and at most 1,024, as codes, 1 byte each up to 256 values and 2
 # bytes past that, and every other entry as a double, 8 bytes, and one
-# block of at most 4,096 points' values while the sweep runs; a column is
-# filled from its axis as it is made, so no grid is held; the writers add
-# only a block's strings; reading a file back peaks near what its columns
-# hold, as each column is allocated once at the rows counted and no
-# column's memo holds more than 1,024 spellings (tracemalloc, bytes per
-# point: held 11.2, peak 11.2, writing CSV then JSON adds 3.9, reading 12.2
-# from CSV and 12.5 from JSON, for a 4 x 250 x 250 sweep and one value
-# column, where 2-byte codes held 14.2 and doubles 32.2; held 16.8, peak
-# 17.4, write adds 2.1, read 16.5 and 16.6 for a 500,000-point sweep of one
-# axis; held 17.5, peak 18.1, write adds 2.2, read 17.5 and 17.7 for 2 x
-# 250,000 points); the cap keeps a sweep and its writing below about 45 MB
+# block of _BLOCK_ENTRIES values while the sweep runs; a column is filled
+# from its axis as it is made, so no grid is held; the writers add only a
+# block's strings, about 0.3-0.5 MB whatever the rows; reading a file back
+# peaks near what its columns hold, as each column is allocated once at
+# the rows counted and no column's memo holds more than 1,024 spellings
+# (tracemalloc, bytes per point: held 11.2, peak 11.2, writing CSV then
+# JSON adds 1.1, reading 12.2 from CSV and 12.5 from JSON, for a 4 x 250 x
+# 250 sweep and one value column, where 2-byte codes held 14.2 and doubles
+# 32.2; held 16.8, peak 17.4, write adds 1.0, read 16.5 and 16.6 for a
+# 500,000-point sweep of one axis; held 17.5, peak 18.1, write adds 0.7,
+# read 17.5 and 17.7 for 2 x 250,000 points); the cap keeps a sweep and its
+# writing below about 45 MB
 MAX_SWEEP_POINTS = 500_000
 
 
@@ -455,8 +457,17 @@ def _model_params(point: dict[str, float]) -> ModelParams:
 
 _POINT_ERRORS = (DomainError, QuadratureError)
 
-# points evaluated, checked and moved into the columns at a time
-_BLOCK_POINTS = 4096
+# the entries a block holds, one per column of each of its rows: run_sweep
+# evaluates, checks and moves its values a block at a time, and the writers
+# spell their rows a block at a time, so a wide block holds no more entries
+# than a narrow one
+_BLOCK_ENTRIES = 4096
+
+
+def _block_rows(width: int) -> int:
+    """The rows of ``width`` entries in a block: as many as fill
+    ``_BLOCK_ENTRIES``, and one at least."""
+    return max(1, _BLOCK_ENTRIES // width)
 
 
 def _product_columns(axes: Sequence[Axis], count: int) -> list[array | Coded]:
@@ -507,10 +518,10 @@ def run_sweep(spec: SweepSpec) -> Dataset:
     call give the same bits. Where time is a decoherence factor sweep's
     only inner axis, the model's block form of ``decoherence_factor``,
     which repeats its operations bit for bit, evaluates a block of times
-    at once instead. Values are made a block of at most ``_BLOCK_POINTS``
-    rows at a time; each block is checked, then moved into the value
-    columns: unless errors are allowed, every entry must be finite
-    (``DomainError`` otherwise).
+    at once instead. Values are made a block of ``_block_rows`` points at
+    a time, as many as hold ``_BLOCK_ENTRIES`` values; each block is
+    checked, then moved into the value columns: unless errors are allowed,
+    every entry must be finite (``DomainError`` otherwise).
 
     A point whose evaluation raises is handled where it is evaluated: by
     default it aborts the sweep with a ``SweepError`` reporting its
@@ -524,6 +535,7 @@ def run_sweep(spec: SweepSpec) -> Dataset:
         raise DomainError(f"sweep has {count} points; at most {MAX_SWEEP_POINTS} "
                           "are allowed")
     value_names, evaluate = _TARGETS[spec.target][2:]
+    block = _block_rows(len(value_names))  # points per block
     allow_errors, nan_row = spec.allow_errors, (math.nan,) * len(value_names)
     names = tuple(axis.name for axis in spec.axes)
     split = max((i + 1 for i, name in enumerate(names) if name in _MODEL_NAMES),
@@ -546,8 +558,8 @@ def run_sweep(spec: SweepSpec) -> Dataset:
             for column in value_columns:
                 column.fromlist([math.nan] * size)
             continue
-        for begin in range(start, stop, _BLOCK_POINTS):
-            end = min(begin + _BLOCK_POINTS, stop)
+        for begin in range(start, stop, block):
+            end = min(begin + block, stop)
             if kernel:
                 values = [_decoherence_factors(params, inner_columns[0][begin:end])]
             else:

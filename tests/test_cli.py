@@ -476,6 +476,13 @@ values = 2.2832407350039605
      "sweep point failed at gamma0=2.2832407350039605: the first-order phase is 0, "
      "so phase_ratio is undefined"),
     (["phase", "--theta", "0", *DECO_FLAGS], None, 2, "theta must lie strictly inside"),
+    # negative numbers past argparse's own -5 and -0.5 forms are values too
+    (["phase", "--theta", "-0.25pi", *DECO_FLAGS], None, 2,
+     "theta must lie strictly inside (0, pi), below 3.141592643053081, got -0.7853981633974483"),
+    (["phase", "--theta", "-1e-3", *DECO_FLAGS], None, 2,
+     "theta must lie strictly inside (0, pi), below 3.141592643053081, got -0.001"),
+    (["phase", "--theta", "1", *model_flags(**{"lambda": "-inf"})], None, 2,
+     "lambda must be finite and >= 0, got -inf"),
     # at the domain's fastest decay, step halving moves the extrapolated
     # phase by 2.5e-4 at 3,000 steps
     (["phase", "--theta", "1.6493361431346414", "--gamma0", "1", "--lambda", "15",
@@ -494,6 +501,8 @@ values = 2.2832407350039605
         "DomainError_approx_periods", "DomainError_approx_s_final", "DomainError_oracle_step",
         "DomainError_oracle_subnormal_step",
         "SweepError", "SweepError_zero_first_order_phase", "DegenerateStateError",
+        "DomainError_negative_pi_form", "DomainError_negative_exponent_form",
+        "DomainError_negative_infinity",
         "QuadratureError", "unwritable_output", "DomainError_infinite_plate_term",
         "figure_without_output", "figure_with_both_outputs"])
 def test_error_class_contract(argv, config, code, message, tmp_path, capsys):

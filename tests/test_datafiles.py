@@ -19,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 from mirrorphase import (Axis, Dataset, DomainError, SweepSpec, dataset_to_csv,
                          dataset_to_json, figure_preset, read_dataset_csv, read_dataset_json,
                          run_sweep, write_dataset)
-from mirrorphase import datafiles
+from mirrorphase import datafiles, sweeps
 from mirrorphase.datafiles import FORMATS
-from mirrorphase.sweeps import FIGURE_RANGE, Coded, describe_spec
+from mirrorphase.sweeps import FIGURE_RANGE, Coded, Rows, describe_spec
 
 from oracles import reference_csv, reference_json
 
@@ -492,7 +492,7 @@ class TestReaders:
             parsed.update(text.strip() for text in texts)
             return floats(texts, null)
 
-        with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
+        with mock.patch.object(sweeps, "_BLOCK_ENTRIES", 2 * dataset.rows.width), \
                 mock.patch.object(datafiles, "_spell", counted_spell):
             write_dataset(dataset, str(path), fmt)
         with mock.patch.object(datafiles, "_READ_CHARS", 40), \
@@ -703,8 +703,8 @@ class TestWrittenBytes:
                              ids=["sweep", "signed_zero_axis", "awkward"])
     def test_rows_spelled_in_blocks(self, monkeypatch, make):
         """A coded axis column's spellings carry from one block to the next."""
-        monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
         dataset = make()
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", 2 * dataset.rows.width)
         assert dataset_to_csv(dataset) == reference_csv(dataset)
         assert dataset_to_json(dataset) == reference_json(dataset)
 
@@ -719,9 +719,9 @@ class TestWrittenBytes:
         code per spelling in a reader: a zero or NaN that an earlier block
         spelled or parsed leaves a later block's other zero, or its repeats,
         as spelled."""
-        monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
-        monkeypatch.setattr(datafiles, "_READ_CHARS", 40)
         dataset = make()
+        monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", 2 * dataset.rows.width)
+        monkeypatch.setattr(datafiles, "_READ_CHARS", 40)
         spelled = [tuple(map(repr, row)) for row in dataset.rows]
         assert len(set(spelled)) < len(spelled) or {"0.0", "-0.0"} <= set(chain(*spelled))
         path = tmp_path / f"data.{fmt}"
@@ -729,6 +729,25 @@ class TestWrittenBytes:
         reference = reference_csv if fmt == "csv" else reference_json
         assert path.read_bytes() == reference(dataset).encode()
         assert [tuple(map(repr, row)) for row in READERS[fmt](str(path)).rows] == spelled
+
+    @pytest.mark.parametrize("width, rows", [(1, 4096), (3, 1365), (7, 585), (5000, 1)])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_block_holds_the_entry_budget(self, tmp_path, monkeypatch, fmt, width, rows):
+        """Each block is ``rows`` rows, as many as 4,096 entries hold, or
+        one row of a dataset wider than that; the last holds what is left."""
+        count = 2 * rows + 1
+        dataset = Dataset(columns=tuple(f"c{index}" for index in range(width)),
+                          rows=Rows([array("d", range(count))] * width), metadata={})
+        spell_block, blocks = datafiles._spell_block, []
+
+        def counted_block(*args):
+            texts = spell_block(*args)
+            blocks.append(len(texts))
+            return texts
+
+        monkeypatch.setattr(datafiles, "_spell_block", counted_block)
+        write_dataset(dataset, str(tmp_path / f"data.{fmt}"), fmt)
+        assert blocks == [rows, rows, 1]
 
     @pytest.mark.parametrize("rows", [((0.0, 1.0, 2.0), (1.0, 2.0)),
                                       ((0.0, 1.0, 2.0, 3.0),),
@@ -772,10 +791,11 @@ def test_failed_write_leaves_an_older_file_intact(tmp_path, monkeypatch, fmt, ol
             raise RuntimeError("spelling failed")
         return spell_block(*args)
 
-    monkeypatch.setattr(datafiles, "_BLOCK_ROWS", 2)
+    dataset = run_sweep(factor_spec())
+    monkeypatch.setattr(sweeps, "_BLOCK_ENTRIES", 2 * dataset.rows.width)
     monkeypatch.setattr(datafiles, "_spell_block", failing_second_block)
     with pytest.raises(RuntimeError, match="spelling failed"):
-        write_dataset(run_sweep(factor_spec()), str(path), fmt)
+        write_dataset(dataset, str(path), fmt)
     # the first block went to a new file beside the older one
     assert len(calls) == 2 and len(calls[1]) == len(before) + 1
     assert sorted(tmp_path.iterdir()) == before
@@ -989,7 +1009,7 @@ def test_round_trip_across_blocks_of_two_rows(tmp_path_factory, dataset, piece, 
     read ``piece`` characters at a time, so the rows, the memos and every
     token cross piece boundaries; with memos of one value, a memo is
     dropped mid-file."""
-    with mock.patch.object(datafiles, "_BLOCK_ROWS", 2), \
+    with mock.patch.object(sweeps, "_BLOCK_ENTRIES", 2 * dataset.rows.width), \
             mock.patch.object(datafiles, "_READ_CHARS", piece), \
             mock.patch.object(datafiles, "_MEMO_SIZE", memo_size):
         check_round_trip(tmp_path_factory.mktemp("blocks"), dataset)
@@ -1203,10 +1223,12 @@ def traced_peak(call):
 SWEEP_BYTES_PER_ROW = 14
 # tracemalloc peak per row of each reader and writer, about 18% above the
 # larger of what it measured on grid_files (read: CSV 17.8 B, JSON 19.7 B;
-# write: CSV 24.8 B, JSON 25.1 B) and on long_axis_spec (read: CSV 23.6 B,
-# JSON 24.4 B; write: 26.6 and 26.8 B), where a column widens from 1-byte
+# write: CSV 6.7 B, JSON 6.8 B) and on long_axis_spec (read: CSV 23.6 B,
+# JSON 24.4 B; write: 9.1 and 9.2 B), where a column widens from 1-byte
 # to 2-byte codes after 256 values and switches to doubles after 1,024. A
-# write's peak does not depend on the code width. Readers that started each
+# write's peak does not depend on the code width. Writers that spelled
+# 4,096 rows a block, whatever the width, peaked at 24.8 and 25.1 B on
+# grid_files and 26.6 and 26.8 B on long_axis_spec. Readers that started each
 # column as 2-byte codes peaked at 20.8 and 22.7 B on grid_files and 24.6
 # and 25.4 B on long_axis_spec. Keeping a column's codes until its doubles
 # were allocated peaked at 27.0 and 27.7 B reading long_axis_spec. Readers
@@ -1222,7 +1244,7 @@ SWEEP_BYTES_PER_ROW = 14
 # of lists or the file's text at 274 and 180 B; writers that built the
 # file's text first peaked at 194 B (CSV) and 204 B (JSON).
 READ_PEAK_BYTES_PER_ROW = {"csv": 28, "json": 29}
-WRITE_PEAK_BYTES_PER_ROW = {"csv": 32, "json": 32}
+WRITE_PEAK_BYTES_PER_ROW = {"csv": 11, "json": 11}
 
 
 def long_axis_spec():
@@ -1323,6 +1345,33 @@ def test_write_peak_memory_per_row(grid_files, tmp_path, fmt):
     peak, count = traced_peak(lambda: write_dataset(dataset, str(path), fmt))
     assert count == 40_000
     assert peak / count < WRITE_PEAK_BYTES_PER_ROW[fmt]
+
+
+# tracemalloc peak of one write, whatever its rows, 18% above the largest it
+# measured (bytes, CSV and JSON): figure 5, 3,600 rows of 7 columns, 245,240
+# and 249,067; grid_spec, 40,000 rows of 4, 268,085 and 271,465;
+# long_axis_spec, 40,000 rows of 3, 363,095 and 366,074. Writers that
+# spelled 4,096 rows a block, whatever the width, peaked at 1,319,127 and
+# 1,341,036; 989,859 and 1,002,455; 1,062,101 and 1,070,542.
+WRITE_PEAK_BYTES = 432_000
+
+
+@pytest.fixture(scope="module")
+def shaped_datasets(grid_files):
+    return {"figure5": run_sweep(figure_preset(5)), "grid": grid_files[1],
+            "long_axis": run_sweep(long_axis_spec())}
+
+
+@pytest.mark.parametrize("shape", ["figure5", "grid", "long_axis"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_write_peak_is_one_block_whatever_the_shape(shaped_datasets, tmp_path, fmt, shape):
+    """A block holds as many rows as 4,096 entries fill, so a write of
+    short wide rows peaks no higher than one of long narrow ones."""
+    dataset = shaped_datasets[shape]
+    path = str(tmp_path / f"data.{fmt}")
+    peak, count = traced_peak(lambda: write_dataset(dataset, path, fmt))
+    assert count == len(dataset.rows)
+    assert peak < WRITE_PEAK_BYTES
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

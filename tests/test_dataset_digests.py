@@ -3,11 +3,12 @@
 import hashlib
 import math
 import runpy
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
-from mirrorphase import datafiles, read_dataset_csv, read_dataset_json, run_sweep
+from mirrorphase import datafiles, read_dataset_csv, read_dataset_json, run_sweep, sweeps
 
 from oracles import reference_csv, reference_json
 
@@ -20,10 +21,13 @@ def test_digests_are_those_of_the_files_written():
              if name in ("fig3", "nan_rows", "time_first", "signed_zeros")}
     assert any(math.isnan(row[-1]) for row in run_sweep(specs["nan_rows"]).rows)
     assert specs["time_first"].axes[0].name == "time"
-    times = [repr(row[0]) for row in run_sweep(specs["signed_zeros"]).rows]
-    block = datafiles._BLOCK_ROWS  # the time column's zeros by block
-    assert [sorted({t for t in times[i:i + block] if t in ("0.0", "-0.0")})
-            for i in range(0, len(times), block)] == [["0.0"], ["-0.0"], ["0.0"]]
+    signed_zeros = run_sweep(specs["signed_zeros"])
+    times = [repr(row[0]) for row in signed_zeros.rows]
+    block = sweeps._block_rows(signed_zeros.rows.width)  # rows a write block
+    zeros = [sorted({t for t in times[i:i + block] if t in ("0.0", "-0.0")})
+             for i in range(0, len(times), block)]
+    # no block holds both zeros, and the blocks that hold one go 0.0, -0.0, 0.0
+    assert [kind for kind, _ in groupby(filter(None, zeros))] == [["0.0"], ["-0.0"], ["0.0"]]
     expected = []
     for name, spec in specs.items():
         dataset = run_sweep(spec)

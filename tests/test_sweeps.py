@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -437,7 +438,8 @@ class TestPerCellEvaluation:
                         Axis.from_values("velocity", (0.2, 0.7))),
                   fixed=without("gamma0", "velocity"), allow_errors=True),
         SweepSpec(target="decoherence_factor",
-                  axes=(Axis.linear("time", 0.0, 1e4, 2 * sweeps._BLOCK_POINTS + 3),),
+                  # one value column: a block is _BLOCK_ENTRIES points
+                  axes=(Axis.linear("time", 0.0, 1e4, 2 * sweeps._BLOCK_ENTRIES + 3),),
                   fixed=MODEL),
         SweepSpec(target="decoherence_factor", fixed={**MODEL, "time": math.pi}),
     ], ids=["model_axis_innermost", "model_axis_innermost_phase",
@@ -531,6 +533,30 @@ class TestPerCellEvaluation:
         monkeypatch.setattr(sweeps, "decoherence_time", lambda params: math.inf)
         with pytest.raises(DomainError, match=r"non-finite entry in row \(0\.05, inf\)"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("target, block", [("decoherence_factor", 4096), ("gp_exact", 1365)])
+    def test_a_block_holds_the_entry_budget(self, monkeypatch, target, block):
+        """A block holds as many points as 4,096 values fill: 4,096 of one
+        value column, 1,365 of three. A non-finite first value is refused
+        once its block has been evaluated, and not before."""
+        evaluated = []
+
+        def factors(params, times):
+            evaluated.extend(times)
+            return [math.inf] + [0.5] * (len(times) - 1)
+
+        def phase(params, theta, s_final):
+            evaluated.append(s_final)
+            return SimpleNamespace(phase=math.inf if len(evaluated) == 1 else 1.0,
+                                   quadrature_error=0.0, near_degenerate=False)
+
+        monkeypatch.setattr(sweeps, "_decoherence_factors", factors)
+        monkeypatch.setattr(sweeps, "gp_exact", phase)
+        spec = SweepSpec(target=target, axes=(Axis.linear("time", 0.0, 1.0, 2 * block + 1),),
+                         fixed={**MODEL, "theta": 1.0} if target == "gp_exact" else MODEL)
+        with pytest.raises(DomainError, match=r"non-finite entry in row \(0\.0, inf"):
+            run_sweep(spec)
+        assert len(evaluated) == block
 
     @pytest.mark.parametrize("target", sweeps.TARGETS)
     def test_each_point_function_gives_one_entry_per_value_column(self, target):
